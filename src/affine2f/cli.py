@@ -32,11 +32,7 @@ from .estimators import (
     gn_inverse,
 )
 from .experiments import ExperimentPlan, run_experiment
-from .limit_laws import (
-    critical_limit_batch,
-    subcritical_limit,
-    supercritical_limit_sample,
-)
+from .limit_laws import limit_draws
 from .model import Regime, classify_regime, validate_spec
 from .moments import stationary_moments, transient_moments
 from .persist import draws_text, read_path_grid, write_path_grid, write_text
@@ -57,21 +53,6 @@ def _require(spec, purpose: str) -> None:
     report = validate_spec(spec, purpose)
     if not report.ok:
         raise _HypothesisFailure("; ".join(report.violations))
-
-
-def _parse_threads(raw: str) -> None:
-    # accepted for interface stability; execution is serial and results
-    # are independent of this value by the determinism contract
-    if raw == "auto":
-        return
-    try:
-        n = int(raw, 10)
-    except ValueError:
-        raise ConfigError(
-            f"--threads expects a positive integer or 'auto', got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ConfigError(f"--threads must be at least 1, got {n}")
 
 
 def _effective_config(args) -> RunConfig:
@@ -255,21 +236,7 @@ def cmd_limit_sample(args) -> int:
         raise ConfigError("--draws must be at least 1")
     regime = classify_regime(spec.drift)
     _require(spec, f"{regime.value}-limit")
-    if regime is Regime.SUBCRITICAL:
-        cov = subcritical_limit(spec).asym_cov
-        root = np.linalg.cholesky(cov)
-        z = RngStream(exp.base_seed, 0).generator(4).standard_normal(
-            (args.draws, 5))
-        draws = z @ root.T
-    elif regime is Regime.CRITICAL:
-        draws, _ = critical_limit_batch(
-            args.draws, spec.a, spec.alpha, spec.sigma1, spec.sigma2,
-            spec.rho, exp.dt, RngStream(exp.base_seed, 0))
-    else:
-        draws = np.empty((args.draws, 5))
-        for j in range(args.draws):
-            _, draws[j] = supercritical_limit_sample(
-                spec, None, exp.dt, RngStream(exp.base_seed, j))
+    draws, _ = limit_draws(spec, args.draws, exp.dt, exp.base_seed, 0)
     text = draws_text(draws, f"{regime.value} limit draws")
     out = os.path.join(_prepare_out(cfg.output.directory), "limit_draws.txt")
     write_text(out, text)
@@ -285,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the configured base seed")
     common.add_argument("--out", metavar="DIR",
                         help="override the configured output directory")
-    common.add_argument("--threads", default="auto", metavar="N|auto",
-                        help="worker hint; outputs never depend on it")
 
     parser = argparse.ArgumentParser(
         prog="affine2f",
@@ -335,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _parse_threads(args.threads)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ExcessiveExclusions
 from .estimators import (
@@ -23,7 +22,7 @@ from .estimators import (
     solve_continuous,
     target_blocks,
 )
-from .limit_laws import critical_limit_batch, subcritical_limit, supercritical_limit_sample
+from .limit_laws import limit_draws, subcritical_limit
 from .model import ModelSpec, Regime, classify_regime, validate_spec
 from .rng import RngStream
 from .simulate import SCHEMES, euler_paths_per_stream, simulate_path
@@ -153,32 +152,36 @@ def _theta_true(spec: ModelSpec) -> np.ndarray:
 _FN_FIELDS = tuple(PathFunctionals.__dataclass_fields__)
 
 
-def _collect_functionals_per_path(spec, T, dt, scheme, streams):
-    """One scalar simulation per stream, reduced to stacked functionals."""
-    singles = [
-        functionals_from_path(simulate_path(spec, T, dt, scheme, stream))
-        for stream in streams
-    ]
-    stacked = PathFunctionals(**{
-        name: np.array([getattr(s, name) for s in singles])
-        for name in _FN_FIELDS
-    })
-    return stacked, np.asarray(stacked.x_end, dtype=float)
+def _replicate(spec, T, dt, scheme, streams, engine, chunk) -> PathFunctionals:
+    """Stacked path functionals, one row per stream.
 
-
-def _collect_functionals_batched(spec, T, dt, streams, chunk, time_block):
+    engine="per-path" replays each stream through the scalar simulator;
+    engine="batched" produces the very same rows (full_euler scheme
+    only) with chunked vector stepping.
+    """
+    if engine not in ("per-path", "batched"):
+        raise ValueError(f"engine must be 'per-path' or 'batched', got {engine!r}")
+    if engine == "per-path":
+        singles = [
+            functionals_from_path(simulate_path(spec, T, dt, scheme, stream))
+            for stream in streams
+        ]
+        return PathFunctionals(**{
+            name: np.array([getattr(s, name) for s in singles])
+            for name in _FN_FIELDS
+        })
+    if scheme != "full_euler":
+        raise ValueError("the batched engine only steps the full_euler scheme")
     parts = [
         functionals_from_arrays(y, x, dt)
-        for _, y, x in euler_paths_per_stream(
-            spec, T, dt, streams, chunk=chunk, time_block=time_block)
+        for _, y, x in euler_paths_per_stream(spec, T, dt, streams, chunk=chunk)
     ]
     # every chunk rides the same grid, so horizon stays scalar
     data = {
         name: np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
         for name in _FN_FIELDS if name != "horizon"
     }
-    stacked = PathFunctionals(horizon=parts[0].horizon, **data)
-    return stacked, np.asarray(stacked.x_end, dtype=float)
+    return PathFunctionals(horizon=parts[0].horizon, **data)
 
 
 def _theta_rows(fn: PathFunctionals, y_only: bool = False) -> np.ndarray:
@@ -223,26 +226,17 @@ def run_experiment(
     n_reference: int = 1000,
     reference_dt: float | None = None,
     chunk: int = 64,
-    time_block: int = 8192,
 ) -> LimitLawReport:
     """Run the replications and score the scaled errors against theory.
 
-    engine="per-path" replays replication r on its own RngStream(base_seed,
-    r) through the scalar simulator; engine="batched" produces the very
-    same rows (full_euler scheme only) with chunked vector stepping.
+    Replication r runs on its own RngStream(base_seed, r); see _replicate
+    for the two engines, which agree bit for bit.
     """
-    if engine not in ("per-path", "batched"):
-        raise ValueError(f"engine must be 'per-path' or 'batched', got {engine!r}")
+    from scipy import stats  # slow to import; only the scorecard needs it
+
     spec = plan.spec
     streams = [RngStream(plan.base_seed, r) for r in range(plan.replications)]
-    if engine == "batched":
-        if plan.scheme != "full_euler":
-            raise ValueError("the batched engine only steps the full_euler scheme")
-        fn, x_end = _collect_functionals_batched(
-            spec, plan.T, plan.dt, streams, chunk, time_block)
-    else:
-        fn, x_end = _collect_functionals_per_path(
-            spec, plan.T, plan.dt, plan.scheme, streams)
+    fn = _replicate(spec, plan.T, plan.dt, plan.scheme, streams, engine, chunk)
     thetas = _theta_rows(fn)
 
     good = _apply_exclusion_cap(thetas, plan.replications)
@@ -276,19 +270,11 @@ def run_experiment(
         if n_reference < 1:
             raise ValueError("sample-based comparison needs n_reference >= 1")
         ref_dt = plan.dt if reference_dt is None else reference_dt
-        ref_seed = RngStream(plan.base_seed, plan.replications)
-        if plan.regime is Regime.CRITICAL:
-            reference, _ = critical_limit_batch(
-                n_reference, spec.a, spec.alpha, spec.sigma1, spec.sigma2,
-                spec.rho, ref_dt, ref_seed)
-        else:
-            reference = np.empty((n_reference, 5))
-            for j in range(n_reference):
-                _, reference[j] = supercritical_limit_sample(
-                    spec, None, ref_dt,
-                    RngStream(plan.base_seed, plan.replications + j))
-            vx_counts = (int((x_end[good] > 0.0).sum()),
-                         int((x_end[good] < 0.0).sum()))
+        reference, _ = limit_draws(spec, n_reference, ref_dt, plan.base_seed,
+                                   plan.replications)
+        if plan.regime is Regime.SUPERCRITICAL:
+            x_end = np.asarray(fn.x_end, dtype=float)[good]
+            vx_counts = (int((x_end > 0.0).sum()), int((x_end < 0.0).sum()))
         for j in range(5):
             ks[j] = stats.ks_2samp(errors[:, j], reference[:, j]).statistic
 
@@ -346,7 +332,6 @@ def consistency_sweep(
     scheme: str = "exact_y_euler_x",
     engine: str = "per-path",
     chunk: int = 64,
-    time_block: int = 8192,
 ) -> SweepResult:
     """Absolute-error quantiles of the drift estimator across horizons.
 
@@ -354,8 +339,6 @@ def consistency_sweep(
     ones are admitted for the second component (the Y reversion rate)
     only, the others stay informational.
     """
-    if engine not in ("per-path", "batched"):
-        raise ValueError(f"engine must be 'per-path' or 'batched', got {engine!r}")
     regime = classify_regime(spec.drift)
     if regime is Regime.CRITICAL:
         raise ValueError("quantile shrinkage needs a strictly noncritical regime")
@@ -372,13 +355,7 @@ def consistency_sweep(
     for i, T in enumerate(T_list):
         branch = rng.spawn(i)
         streams = [branch.spawn(r) for r in range(replications)]
-        if engine == "batched":
-            if scheme != "full_euler":
-                raise ValueError("the batched engine only steps the full_euler scheme")
-            fn, _ = _collect_functionals_batched(spec, T, dt, streams,
-                                                 chunk, time_block)
-        else:
-            fn, _ = _collect_functionals_per_path(spec, T, dt, scheme, streams)
+        fn = _replicate(spec, T, dt, scheme, streams, engine, chunk)
         thetas = _theta_rows(fn, y_only=y_only)
         good = _apply_exclusion_cap(thetas, replications, y_only=y_only)
         abs_err = np.abs(thetas[good] - theta)

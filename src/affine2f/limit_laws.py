@@ -23,7 +23,7 @@ from .estimators import (
     functionals_from_path,
     gram_blocks,
 )
-from .model import ModelSpec, make_spec, validate_spec
+from .model import ModelSpec, Regime, classify_regime, make_spec, validate_spec
 from .moments import stationary_moments
 from .rng import RngStream
 from .simulate import (
@@ -322,3 +322,37 @@ def supercritical_limit_sample(
     limit = SupercriticalLimit(v_y_sample=v_y, v_x_sample=v_x, v_matrix=V,
                                eta_sq=eta2)
     return limit, draw
+
+
+# ------------------------------------------------------------------ dispatch
+
+
+def limit_draws(
+    spec: ModelSpec,
+    n_draws: int,
+    dt: float,
+    base_seed: int,
+    first_stream: int,
+) -> tuple[np.ndarray, int]:
+    """n_draws rows from the limit law of spec's regime, and the redraw count.
+
+    Streams: subcritical draws come from substream 4 of
+    RngStream(base_seed, first_stream), the critical batch from that
+    stream, and supercritical draw j from RngStream(base_seed,
+    first_stream + j). Only the critical law redraws.
+    """
+    regime = classify_regime(spec.drift)
+    if regime is Regime.SUBCRITICAL:
+        root = np.linalg.cholesky(subcritical_limit(spec).asym_cov)
+        z = RngStream(base_seed, first_stream).generator(4).standard_normal(
+            (n_draws, 5))
+        return z @ root.T, 0
+    if regime is Regime.CRITICAL:
+        return critical_limit_batch(
+            n_draws, spec.a, spec.alpha, spec.sigma1, spec.sigma2, spec.rho,
+            dt, RngStream(base_seed, first_stream))
+    draws = np.empty((n_draws, 5))
+    for j in range(n_draws):
+        _, draws[j] = supercritical_limit_sample(
+            spec, None, dt, RngStream(base_seed, first_stream + j))
+    return draws, 0

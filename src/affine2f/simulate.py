@@ -30,6 +30,8 @@ from .rng import RngStream
 Y_FLOOR = 1e-12
 SCHEMES = ("exact_y_euler_x", "full_euler")
 DEFAULT_BURN_IN_RATE = 20.0
+# normals per substream held at once by the vector stepper
+NOISE_BLOCK = 64 * 8192
 
 
 @dataclass(eq=False)
@@ -133,29 +135,10 @@ def _resolve_init(spec: ModelSpec, dt: float, rng: RngStream, size: int | None):
         if size is None:
             return init.y0, init.x0
         return np.full(size, init.y0), np.full(size, init.x0)
-    if classify_regime(spec.drift) is not Regime.SUBCRITICAL or not spec.sigma1 > 0.0:
-        raise ValueError(f"init kind {init.kind!r} needs a subcritical spec with sigma1 > 0")
-    shape = 2.0 * spec.a / spec.sigma1**2
-    scale = spec.sigma1**2 / (2.0 * spec.b)
     if init.kind == "stationary-y":
-        gen = rng.generator(3)
-        y0 = gen.gamma(shape, scale) if size is None else gen.gamma(shape, scale, size)
+        y0 = _stationary_y(spec, rng, size)
         return y0, (init.x0 if size is None else np.full(size, init.x0))
-    # burned-in stationary start
-    burn = init.burn_in
-    if burn is None:
-        burn = DEFAULT_BURN_IN_RATE / min(spec.b, spec.gamma)
-    sub = rng.spawn(0)
-    if size is None:
-        return stationary_init(spec, burn, dt, sub)
-    gen = sub.generator(3)
-    y0 = gen.gamma(shape, scale, size)
-    x_eq = (spec.b * spec.alpha - spec.a * spec.beta) / (spec.b * spec.gamma)
-    res = _run_ensemble(
-        spec, max(burn, dt), dt, "exact_y_euler_x", sub.spawn(0),
-        y0, np.full(size, x_eq), record_paths=False,
-    )
-    return res.y_end, res.x_end
+    return _stationary_start(spec, init.burn_in, dt, rng.spawn(0), size)
 
 
 def simulate_path(
@@ -224,30 +207,59 @@ def simulate_path(
     return PathGrid(0.0, dt, y, x, seed_record=repr(rng))
 
 
-def _run_ensemble(
+def _noise(source, m: int, rows: int, scale: float) -> np.ndarray | None:
+    """An (m, rows) time-major block of scale * N(0, 1) draws.
+
+    A shared Generator fills it in one call, which continues the same
+    sequence as m successive (rows,)-shaped calls; a list holds one
+    Generator per row, whose column continues that row's sequence.
+    """
+    if source is None:
+        return None
+    if isinstance(source, np.random.Generator):
+        z = source.standard_normal((m, rows))
+    else:
+        z = np.empty((m, rows))
+        for r, g in enumerate(source):
+            z[:, r] = g.standard_normal(m)
+    z *= scale
+    return z
+
+
+def _step(
     spec: ModelSpec,
     T: float,
     dt: float,
     scheme: str,
-    rng: RngStream,
+    rng: RngStream | list[RngStream],
     y0: np.ndarray,
     x0: np.ndarray,
-    record_paths: bool,
+    record: bool,
 ) -> EnsembleResult:
-    """Vectorized stepping of many paths from one stream.
+    """Vectorized stepping of y0.size paths: the one vector stepping loop.
 
-    Per step, the draw order (Y driver, then B, then L) matches
-    simulate_path exactly, so a size-1 ensemble is bit-identical to the
-    scalar engine on the same stream.
+    rng is one RngStream whose substreams all rows share, with
+    (rows,)-shaped draws per step, or a list of RngStreams, one per row,
+    for full_euler only. Either way each substream is consumed in
+    simulate_path's order, so a size-1 ensemble, or row r of a per-row
+    batch, is bit-identical to the scalar engine on the same stream.
+    Normals are pre-drawn in blocks of at most NOISE_BLOCK per
+    substream; exact Y transitions are drawn step by step.
     """
     d, q = spec.drift, spec.diffusion
     n = _n_grid(T, dt)
-    size = y0.size
+    rows = y0.size
     sqrt_dt = math.sqrt(dt)
     ortho = math.sqrt(max(1.0 - q.rho**2, 0.0))
-    gen_y = rng.generator(0)
-    gen_b = rng.generator(1) if _wants_b(spec) else None
-    gen_l = rng.generator(2) if _wants_l(spec) else None
+
+    def substream(k):
+        if isinstance(rng, RngStream):
+            return rng.generator(k)
+        return [s.generator(k) for s in rng]
+
+    gen_y = substream(0)
+    gen_b = substream(1) if _wants_b(spec) else None
+    gen_l = substream(2) if _wants_l(spec) else None
 
     exact = scheme == "exact_y_euler_x"
     kernel = None
@@ -256,42 +268,48 @@ def _run_ensemble(
     decay, level = math.exp(-d.b * dt), d.a * psi(d.b, dt)
 
     y_rec = x_rec = None
-    if record_paths:
-        y_rec = np.empty((size, n))
-        x_rec = np.empty((size, n))
+    if record:
+        y_rec = np.empty((rows, n))
+        x_rec = np.empty((rows, n))
         y_rec[:, 0], x_rec[:, 0] = y0, x0
 
     ypos = y0.astype(float).copy()
     x = x0.astype(float).copy()
     yi = ypos.copy()  # internal full_euler state
-    floor = Y_FLOOR
-    for i in range(n - 1):
-        if exact:
+    per_block = max(1, NOISE_BLOCK // rows)
+    for lo in range(0, n - 1, per_block):
+        m = min(per_block, n - 1 - lo)
+        dw_blk = _noise(None if kernel is not None else gen_y, m, rows, sqrt_dt)
+        db_blk = _noise(gen_b, m, rows, sqrt_dt)
+        dl_blk = _noise(gen_l, m, rows, sqrt_dt)
+        for j in range(m):
+            root = np.sqrt(ypos)
             if kernel is not None:
                 y_next = kernel.draw(ypos, gen_y)
+                # invert the Y update for the W increment that produced it,
+                # with the denominator floored to avoid blow-up near 0
                 dw = (y_next - ypos - (d.a - d.b * ypos) * dt) / (
-                    q.sigma1 * np.sqrt(np.maximum(ypos, floor))
+                    q.sigma1 * np.sqrt(np.maximum(ypos, Y_FLOOR))
                 )
-            else:
+            elif exact:
+                dw = dw_blk[j]
                 y_next = decay * ypos + level
-                dw = gen_y.standard_normal(size) * sqrt_dt
-        else:
-            dw = gen_y.standard_normal(size) * sqrt_dt
-            root = np.sqrt(ypos)
-            yi = yi + (d.a - d.b * ypos) * dt + q.sigma1 * root * dw
-            y_next = np.maximum(yi, 0.0)
-        db = gen_b.standard_normal(size) * sqrt_dt if gen_b is not None else 0.0
-        dl = gen_l.standard_normal(size) * sqrt_dt if gen_l is not None else 0.0
-        root = np.sqrt(ypos)
-        x = (
-            x
-            + (d.alpha - d.beta * ypos - d.gamma * x) * dt
-            + q.sigma2 * root * (q.rho * dw + ortho * db)
-            + q.sigma3 * dl
-        )
-        ypos = y_next
-        if record_paths:
-            y_rec[:, i + 1], x_rec[:, i + 1] = ypos, x
+            else:
+                dw = dw_blk[j]
+                yi = yi + (d.a - d.b * ypos) * dt + q.sigma1 * root * dw
+                y_next = np.maximum(yi, 0.0)
+            db = db_blk[j] if db_blk is not None else 0.0
+            dl = dl_blk[j] if dl_blk is not None else 0.0
+            x = (
+                x
+                + (d.alpha - d.beta * ypos - d.gamma * x) * dt
+                + q.sigma2 * root * (q.rho * dw + ortho * db)
+                + q.sigma3 * dl
+            )
+            ypos = y_next
+            if record:
+                i = lo + j + 1
+                y_rec[:, i], x_rec[:, i] = ypos, x
     return EnsembleResult(y_end=ypos, x_end=x, y=y_rec, x=x_rec)
 
 
@@ -319,7 +337,7 @@ def simulate_ensemble(
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     y0, x0 = _resolve_init(spec, dt, rng, n_paths)
-    return _run_ensemble(spec, T, dt, scheme, rng, y0, x0, record == "paths")
+    return _step(spec, T, dt, scheme, rng, y0, x0, record == "paths")
 
 
 def euler_paths_per_stream(
@@ -328,72 +346,24 @@ def euler_paths_per_stream(
     dt: float,
     streams,
     chunk: int = 64,
-    time_block: int = 8192,
 ):
     """Yield (row_slice, y, x) chunks of full_euler paths, one stream each.
 
     Unlike simulate_ensemble, every path here owns its RngStream, so row r
     is bit-identical to simulate_path(spec, T, dt, "full_euler",
-    streams[r]): noise is pre-drawn in blocks per substream, and block
-    draws from a Generator reproduce the scalar call sequence exactly.
-    Point initial laws only; a resampled start would need per-path
-    scalar draws that defeat the batching.
+    streams[r]). Point initial laws only; a resampled start would need
+    per-path scalar draws that defeat the batching.
     """
     if spec.init.kind != "point":
         raise ValueError("per-stream batching requires a point initial law")
-    if chunk < 1 or time_block < 1:
-        raise ValueError("chunk and time_block must be positive")
-    d, q = spec.drift, spec.diffusion
-    n = _n_grid(T, dt)
-    steps = n - 1
-    sqrt_dt = math.sqrt(dt)
-    ortho = math.sqrt(max(1.0 - q.rho**2, 0.0))
-    want_b, want_l = _wants_b(spec), _wants_l(spec)
-
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
     for lo in range(0, len(streams), chunk):
         sub = streams[lo : lo + chunk]
         size = len(sub)
-        gen_y = [s.generator(0) for s in sub]
-        gen_b = [s.generator(1) for s in sub] if want_b else None
-        gen_l = [s.generator(2) for s in sub] if want_l else None
-        y = np.empty((size, n))
-        x = np.empty((size, n))
-        y[:, 0] = spec.init.y0
-        x[:, 0] = spec.init.x0
-        yi = np.full(size, float(spec.init.y0))
-        pos = 0
-        while pos < steps:
-            m = min(time_block, steps - pos)
-            dw = np.empty((size, m))
-            for r, g in enumerate(gen_y):
-                dw[r] = g.standard_normal(m)
-            dw *= sqrt_dt
-            if gen_b is not None:
-                db = np.empty((size, m))
-                for r, g in enumerate(gen_b):
-                    db[r] = g.standard_normal(m)
-                db *= sqrt_dt
-            if gen_l is not None:
-                dl = np.empty((size, m))
-                for r, g in enumerate(gen_l):
-                    dl[r] = g.standard_normal(m)
-                dl *= sqrt_dt
-            for j in range(m):
-                i = pos + j
-                ypos = y[:, i]
-                root = np.sqrt(ypos)
-                yi = yi + (d.a - d.b * ypos) * dt + q.sigma1 * root * dw[:, j]
-                y[:, i + 1] = np.maximum(yi, 0.0)
-                bj = db[:, j] if gen_b is not None else 0.0
-                lj = dl[:, j] if gen_l is not None else 0.0
-                x[:, i + 1] = (
-                    x[:, i]
-                    + (d.alpha - d.beta * ypos - d.gamma * x[:, i]) * dt
-                    + q.sigma2 * root * (q.rho * dw[:, j] + ortho * bj)
-                    + q.sigma3 * lj
-                )
-            pos += m
-        yield slice(lo, lo + size), y, x
+        res = _step(spec, T, dt, "full_euler", sub, np.full(size, spec.init.y0),
+                    np.full(size, spec.init.x0), record=True)
+        yield slice(lo, lo + size), res.y, res.x
 
 
 def simulate_critical_limit_process(
@@ -416,6 +386,47 @@ def simulate_critical_limit_process(
     return simulate_path(aux, 1.0, dt, scheme="full_euler", rng=rng)
 
 
+def _stationary_y(spec: ModelSpec, rng: RngStream, size: int | None):
+    """Y0 from the stationary gamma law: a scalar, or size draws."""
+    if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
+        raise ValueError("stationary initialization requires a subcritical spec")
+    if not spec.sigma1 > 0.0:
+        raise ValueError("stationary initialization requires sigma1 > 0")
+    shape = 2.0 * spec.a / spec.sigma1**2
+    scale = spec.sigma1**2 / (2.0 * spec.b)
+    return rng.generator(3).gamma(shape, scale, size)
+
+
+def _stationary_start(
+    spec: ModelSpec,
+    burn_in: float | None,
+    dt: float,
+    rng: RngStream,
+    size: int | None = None,
+):
+    """The burned-in start of stationary_init: one pair, or size-vectors.
+
+    One path runs through simulate_path, several through the vector
+    stepper; both consume rng alike, so a size-1 start matches the
+    scalar one bit for bit.
+    """
+    y0 = _stationary_y(spec, rng, size)
+    if burn_in is None:
+        burn_in = DEFAULT_BURN_IN_RATE / min(spec.b, spec.gamma)
+    if not burn_in > 0.0:
+        raise ValueError(f"burn_in must be positive, got {burn_in}")
+    x_eq = (spec.b * spec.alpha - spec.a * spec.beta) / (spec.b * spec.gamma)
+    T = max(burn_in, dt)
+    if size is None:
+        start = ModelSpec(spec.drift, spec.diffusion,
+                          InitialLaw("point", y0=float(y0), x0=x_eq))
+        path = simulate_path(start, T, dt, "exact_y_euler_x", rng.spawn(0))
+        return float(path.y[-1]), float(path.x[-1])
+    res = _step(spec, T, dt, "exact_y_euler_x", rng.spawn(0), y0,
+                np.full(size, x_eq), record=False)
+    return res.y_end, res.x_end
+
+
 def stationary_init(
     spec: ModelSpec,
     burn_in: float | None,
@@ -431,18 +442,4 @@ def stationary_init(
     preserved exactly by the evolution; X forgets its starting point at
     rate gamma.
     """
-    if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
-        raise ValueError("stationary initialization requires a subcritical spec")
-    if not spec.sigma1 > 0.0:
-        raise ValueError("stationary initialization requires sigma1 > 0")
-    if burn_in is None:
-        burn_in = DEFAULT_BURN_IN_RATE / min(spec.b, spec.gamma)
-    if not burn_in > 0.0:
-        raise ValueError(f"burn_in must be positive, got {burn_in}")
-    shape = 2.0 * spec.a / spec.sigma1**2
-    scale = spec.sigma1**2 / (2.0 * spec.b)
-    y0 = float(rng.generator(3).gamma(shape, scale))
-    x_eq = (spec.b * spec.alpha - spec.a * spec.beta) / (spec.b * spec.gamma)
-    start = ModelSpec(spec.drift, spec.diffusion, InitialLaw("point", y0=y0, x0=x_eq))
-    path = simulate_path(start, max(burn_in, dt), dt, "exact_y_euler_x", rng.spawn(0))
-    return float(path.y[-1]), float(path.x[-1])
+    return _stationary_start(spec, burn_in, dt, rng)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from affine2f import simulate
 from affine2f.errors import ExcessiveExclusions
 from affine2f.experiments import (
     ExperimentPlan,
@@ -12,6 +13,7 @@ from affine2f.experiments import (
     run_experiment,
     scale_vector,
 )
+from affine2f.limit_laws import supercritical_limit_sample
 from affine2f.model import InitialLaw, Regime, make_spec
 from affine2f.rng import RngStream
 
@@ -125,6 +127,26 @@ class TestRunExperiment:
         np.testing.assert_array_equal(batched.ks_distance,
                                       sub_report.ks_distance)
         np.testing.assert_array_equal(batched.cov_hat, sub_report.cov_hat)
+
+    def test_engines_agree_bitwise_across_noise_blocks(self, sub_plan, sub_report,
+                                                        monkeypatch):
+        # 3 steps per block for the 5-row chunks, 7 for the 2-row tail
+        monkeypatch.setattr(simulate, "NOISE_BLOCK", 15)
+        batched = run_experiment(sub_plan, engine="batched", chunk=5)
+        np.testing.assert_array_equal(batched.scaled_errors,
+                                      sub_report.scaled_errors)
+        np.testing.assert_array_equal(batched.replication_ids,
+                                      sub_report.replication_ids)
+
+    def test_supercritical_reference_draws_follow_streams(self, sup_spec,
+                                                          sup_report):
+        # draw j lives on stream replications + j
+        plan = sup_report.plan
+        for j in (0, 14):
+            _, draw = supercritical_limit_sample(
+                sup_spec, None, plan.dt,
+                RngStream(plan.base_seed, plan.replications + j))
+            np.testing.assert_array_equal(sup_report.reference_draws[j], draw)
 
     def test_subcritical_report_fields(self, sub_report):
         rep = sub_report

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from affine2f import simulate
 from affine2f.model import InitialLaw, ModelSpec, make_spec
 from affine2f.moments import laplace_y
 from affine2f.rng import RngStream
@@ -158,6 +159,38 @@ class TestEnsembleConsistency:
     def test_paths_differ_across_ensemble(self, ref_spec):
         ens = simulate_ensemble(ref_spec, 1.0, 0.1, rng=RngStream(5), n_paths=8)
         assert len(np.unique(ens.y_end)) == 8
+
+
+class TestNoiseBlocks:
+    """Runs that cross many noise blocks still replay the scalar engine."""
+
+    @pytest.mark.parametrize("case", ["exact", "euler", "sigma1_zero", "stationary"])
+    def test_single_path_bit_identity_across_blocks(self, ref_spec, case, monkeypatch):
+        monkeypatch.setattr(simulate, "NOISE_BLOCK", 3)
+        scheme = "full_euler" if case == "euler" else "exact_y_euler_x"
+        spec = ref_spec
+        if case == "sigma1_zero":
+            spec = make_spec(1.0, 0.5, 0.2, 0.1, 0.3, 0.0, 0.7, 0.2, 0.4,
+                             InitialLaw("point", 1.0, 0.0))
+        elif case == "stationary":
+            # the burn-in leg crosses blocks too
+            spec = ModelSpec(ref_spec.drift, ref_spec.diffusion,
+                             InitialLaw("stationary", burn_in=0.5))
+        path = simulate_path(spec, 1.0, 0.01, scheme, RngStream(31, 2))
+        ens = simulate_ensemble(spec, 1.0, 0.01, scheme, RngStream(31, 2), 1,
+                                record="paths")
+        assert_array_equal(ens.y[0], path.y)
+        assert_array_equal(ens.x[0], path.x)
+
+    @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
+    def test_block_size_never_changes_ensembles(self, ref_spec, scheme, monkeypatch):
+        whole = simulate_ensemble(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5,
+                                  record="paths")
+        monkeypatch.setattr(simulate, "NOISE_BLOCK", 7)
+        split = simulate_ensemble(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5,
+                                  record="paths")
+        assert_array_equal(split.y, whole.y)
+        assert_array_equal(split.x, whole.x)
 
 
 class TestCriticalLimitProcess:
