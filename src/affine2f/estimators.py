@@ -26,7 +26,8 @@ import scipy.linalg
 
 from .errors import OutOfDomain, SingularGram
 from .kernels import i1, i2, psi
-from .model import DiffusionParams, DriftParams
+from .model import DriftParams
+from . import simulate
 from .simulate import PathGrid
 
 COND_LIMIT = 1e12
@@ -55,9 +56,23 @@ class PathFunctionals:
     s_x_dx: np.ndarray | float
     s_x_dy: np.ndarray | float
 
+    def then(self, tail: PathFunctionals) -> PathFunctionals:
+        """The functionals of this path continued by tail's grid.
 
-def functionals_from_arrays(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunctionals:
-    """Left-point sums over the grid; last axis is time."""
+        tail starts where this path ends; its sums add to these in order.
+        """
+        return PathFunctionals(
+            horizon=self.horizon + tail.horizon,
+            y0=self.y0, x0=self.x0, y_end=tail.y_end, x_end=tail.x_end,
+            **{name: getattr(self, name) + getattr(tail, name) for name in _SUMS},
+        )
+
+
+_SUMS = ("int_y", "int_y2", "int_x", "int_xy", "int_x2",
+         "s_y_dy", "s_y_dx", "s_x_dx", "s_x_dy")
+
+
+def _segment(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunctionals:
     yl, xl = y[..., :-1], x[..., :-1]
     dy, dx = np.diff(y, axis=-1), np.diff(x, axis=-1)
     return PathFunctionals(
@@ -76,6 +91,24 @@ def functionals_from_arrays(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunc
         s_x_dx=(xl * dx).sum(axis=-1),
         s_x_dy=(xl * dy).sum(axis=-1),
     )
+
+
+def functionals_from_arrays(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunctionals:
+    """Left-point sums over the grid; last axis is time.
+
+    Every sum runs over segments of simulate.BLOCK_STEPS steps: pairwise
+    within a segment, in order across segments (PathFunctionals.then).
+    The streaming replication engine reduces its time blocks the same
+    way, so a path reduced whole or block by block, alone or stacked
+    with others, gives the same bits.
+    """
+    # pairwise summation along the last axis needs it contiguous
+    y, x = np.ascontiguousarray(y), np.ascontiguousarray(x)
+    block = simulate.BLOCK_STEPS
+    fn = _segment(y[..., : block + 1], x[..., : block + 1], dt)
+    for lo in range(block, y.shape[-1] - 1, block):
+        fn = fn.then(_segment(y[..., lo : lo + block + 1], x[..., lo : lo + block + 1], dt))
+    return fn
 
 
 def functionals_from_path(path: PathGrid) -> PathFunctionals:
@@ -336,15 +369,12 @@ def clse_continuous(path: PathGrid) -> DriftEstimate:
     )
 
 
-def h_vector(
-    path: PathGrid, true_theta: DriftParams, diffusion: DiffusionParams
-) -> np.ndarray:
+def h_vector(path: PathGrid, true_theta: DriftParams) -> np.ndarray:
     """The martingale part f_T - G_T theta of the estimation error.
 
-    Algebraically f - G theta collapses to the pure noise integrals (the
-    diffusion argument documents which noise law that is; it does not
-    enter the computation). Useful as a diagnostic on simulated paths
-    where theta is known: theta_hat - theta = G_T^{-1} h_T exactly.
+    Algebraically f - G theta collapses to the pure noise integrals.
+    Useful as a diagnostic on simulated paths where theta is known:
+    theta_hat - theta = G_T^{-1} h_T exactly.
     """
     fn = functionals_from_path(path)
     g1, g2 = gram_blocks(fn)

@@ -102,6 +102,7 @@ class LimitLawReport:
     frobenius_gap: float | None = None
     frobenius_tolerance: float | None = None
     reference_draws: np.ndarray | None = None
+    reference_redraws: int | None = None
     vx_sign_counts: tuple | None = None
 
     @property
@@ -133,6 +134,8 @@ class LimitLawReport:
             lines.append("frobenius_pass = "
                          + ("yes" if self.frobenius_gap <= self.frobenius_tolerance
                             else "no"))
+        if self.reference_redraws is not None:
+            lines.append(f"reference_redraws = {self.reference_redraws}")
         if self.vx_sign_counts is not None:
             lines.append("vx_signs = %d positive, %d negative"
                          % self.vx_sign_counts)
@@ -157,7 +160,9 @@ def _replicate(spec, T, dt, scheme, streams, engine, chunk) -> PathFunctionals:
 
     engine="per-path" replays each stream through the scalar simulator;
     engine="batched" produces the very same rows (full_euler scheme
-    only) with chunked vector stepping.
+    only) with chunked vector stepping, reducing each time block as it
+    arrives, so it holds O(chunk * BLOCK_STEPS) path values and its rows
+    do not depend on chunk.
     """
     if engine not in ("per-path", "batched"):
         raise ValueError(f"engine must be 'per-path' or 'batched', got {engine!r}")
@@ -172,10 +177,14 @@ def _replicate(spec, T, dt, scheme, streams, engine, chunk) -> PathFunctionals:
         })
     if scheme != "full_euler":
         raise ValueError("the batched engine only steps the full_euler scheme")
-    parts = [
-        functionals_from_arrays(y, x, dt)
-        for _, y, x in euler_paths_per_stream(spec, T, dt, streams, chunk=chunk)
-    ]
+    # running functionals per chunk, keyed by its first row; each time
+    # block of a chunk continues the sums of the blocks before it
+    running: dict[int, PathFunctionals] = {}
+    for rows, y, x in euler_paths_per_stream(spec, T, dt, streams, chunk=chunk):
+        part = functionals_from_arrays(y, x, dt)
+        head = running.get(rows.start)
+        running[rows.start] = part if head is None else head.then(part)
+    parts = list(running.values())
     # every chunk rides the same grid, so horizon stays scalar
     data = {
         name: np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
@@ -250,7 +259,7 @@ def run_experiment(
     cov_hat = np.cov(errors, rowvar=False, ddof=1)
 
     theory_cov = frob = frob_tol = None
-    reference = None
+    reference = redraws = None
     vx_counts = None
     ks = np.empty(5)
     if plan.regime is Regime.SUBCRITICAL:
@@ -270,8 +279,8 @@ def run_experiment(
         if n_reference < 1:
             raise ValueError("sample-based comparison needs n_reference >= 1")
         ref_dt = plan.dt if reference_dt is None else reference_dt
-        reference, _ = limit_draws(spec, n_reference, ref_dt, plan.base_seed,
-                                   plan.replications)
+        reference, redraws = limit_draws(spec, n_reference, ref_dt,
+                                         plan.base_seed, plan.replications)
         if plan.regime is Regime.SUPERCRITICAL:
             x_end = np.asarray(fn.x_end, dtype=float)[good]
             vx_counts = (int((x_end > 0.0).sum()), int((x_end < 0.0).sum()))
@@ -294,6 +303,7 @@ def run_experiment(
         frobenius_gap=frob,
         frobenius_tolerance=frob_tol,
         reference_draws=reference,
+        reference_redraws=redraws,
         vx_sign_counts=vx_counts,
     )
 

@@ -14,6 +14,14 @@ Two schemes:
 
 Both consume substreams 0 (Y drivers), 1 (B), 2 (L) and 3 (initial draws)
 of one RngStream, so a path is addressed entirely by (seed, stream_id).
+
+simulate_path is the scalar reference. Every vector run (ensembles, the
+burn-in leg, the per-stream batches) goes through one stepper that walks
+the grid in time blocks of BLOCK_STEPS steps: it steps Y alone, forms
+the block's Y-only terms of the X update at once, then steps X, all with
+simulate_path's elementwise operations in its order. The per-stream
+batches hand each block on as it is finished, so a replication study
+reduces paths block by block and never holds a whole path.
 """
 
 from __future__ import annotations
@@ -30,8 +38,13 @@ from .rng import RngStream
 Y_FLOOR = 1e-12
 SCHEMES = ("exact_y_euler_x", "full_euler")
 DEFAULT_BURN_IN_RATE = 20.0
-# normals per substream held at once by the vector stepper
-NOISE_BLOCK = 64 * 8192
+# steps per time block of the vector stepper; the batched reduction
+# (estimators.functionals_from_arrays) sums paths in the same segments
+BLOCK_STEPS = 1024
+# shared-stream ensembles wider than WIDE_ROWS rows take shorter blocks,
+# at most BLOCK_STEPS * WIDE_ROWS values per array (a full block of 1e5
+# paths would take 800 MB); their draws never depend on the block length
+WIDE_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -212,18 +225,75 @@ def _noise(source, m: int, rows: int, scale: float) -> np.ndarray | None:
 
     A shared Generator fills it in one call, which continues the same
     sequence as m successive (rows,)-shaped calls; a list holds one
-    Generator per row, whose column continues that row's sequence.
+    Generator per row, each filling one contiguous row of a (rows, m)
+    draw that is transposed once.
     """
     if source is None:
         return None
     if isinstance(source, np.random.Generator):
         z = source.standard_normal((m, rows))
     else:
-        z = np.empty((m, rows))
-        for r, g in enumerate(source):
-            z[:, r] = g.standard_normal(m)
+        z = np.empty((rows, m))
+        for g, row in zip(source, z):
+            g.standard_normal(out=row)
+        z = z.T.copy()
     z *= scale
     return z
+
+
+def _step_y_euler(spec: ModelSpec, dt: float, y: np.ndarray, yi: np.ndarray,
+                  dw: np.ndarray) -> None:
+    """Full-truncation Euler for Y over one block, in place.
+
+    yi is the real-valued internal state, y[j + 1] its positive part.
+    """
+    a, b, sigma1 = spec.a, spec.b, spec.sigma1
+    drift = np.empty_like(yi)
+    shock = np.empty_like(yi)
+    for j in range(dw.shape[0]):
+        # yi + (a - b*y)*dt + sigma1*sqrt(y)*dw, in simulate_path's order
+        np.multiply(y[j], b, out=drift)
+        np.subtract(a, drift, out=drift)
+        drift *= dt
+        np.sqrt(y[j], out=shock)
+        shock *= sigma1
+        shock *= dw[j]
+        yi += drift
+        yi += shock
+        np.maximum(yi, 0.0, out=y[j + 1])
+
+
+def _step_x(spec: ModelSpec, dt: float, ortho: float, y: np.ndarray,
+            x: np.ndarray, dw: np.ndarray, db, dl) -> None:
+    """Euler for X over one block, in place, given the whole Y block.
+
+    Every term that depends on Y and the noise alone is formed for the
+    block at once (dw, db and dl are overwritten), leaving six ufunc
+    calls per step; each term keeps simulate_path's operations and order.
+    """
+    d, q = spec.drift, spec.diffusion
+    yl = y[:-1]
+    drift_y = d.beta * yl
+    np.subtract(d.alpha, drift_y, out=drift_y)  # alpha - beta*y
+    shock = np.sqrt(yl)
+    shock *= q.sigma2
+    dw *= q.rho
+    if db is not None:
+        db *= ortho
+        dw += db
+    shock *= dw  # sigma2*sqrt(y) * (rho*dw + ortho*db)
+    if dl is not None:
+        dl *= q.sigma3
+    t = np.empty_like(x[0])
+    for j in range(yl.shape[0]):
+        # x + (alpha - beta*y - gamma*x)*dt + shock + sigma3*dl
+        np.multiply(x[j], d.gamma, out=t)
+        np.subtract(drift_y[j], t, out=t)
+        t *= dt
+        np.add(x[j], t, out=x[j + 1])
+        x[j + 1] += shock[j]
+        if dl is not None:
+            x[j + 1] += dl[j]
 
 
 def _step(
@@ -234,8 +304,7 @@ def _step(
     rng: RngStream | list[RngStream],
     y0: np.ndarray,
     x0: np.ndarray,
-    record: bool,
-) -> EnsembleResult:
+):
     """Vectorized stepping of y0.size paths: the one vector stepping loop.
 
     rng is one RngStream whose substreams all rows share, with
@@ -243,17 +312,24 @@ def _step(
     for full_euler only. Either way each substream is consumed in
     simulate_path's order, so a size-1 ensemble, or row r of a per-row
     batch, is bit-identical to the scalar engine on the same stream.
-    Normals are pre-drawn in blocks of at most NOISE_BLOCK per
-    substream; exact Y transitions are drawn step by step.
+
+    Yields time-major (y, x) blocks of shape (m + 1, rows): row 0 is the
+    previous block's last row (the start on the first block), then m
+    steps. Per-row batches take m = BLOCK_STEPS, the last block holding
+    the remainder; a shared stream wider than WIDE_ROWS rows takes
+    proportionally shorter blocks, so that no block outgrows
+    BLOCK_STEPS * WIDE_ROWS values. Within a block Y is stepped first,
+    then X; exact Y transitions are drawn step by step.
     """
     d, q = spec.drift, spec.diffusion
     n = _n_grid(T, dt)
     rows = y0.size
     sqrt_dt = math.sqrt(dt)
     ortho = math.sqrt(max(1.0 - q.rho**2, 0.0))
+    shared = isinstance(rng, RngStream)
 
     def substream(k):
-        if isinstance(rng, RngStream):
+        if shared:
             return rng.generator(k)
         return [s.generator(k) for s in rng]
 
@@ -267,50 +343,38 @@ def _step(
         kernel = _CirKernel(d.a, d.b, q.sigma1, dt)
     decay, level = math.exp(-d.b * dt), d.a * psi(d.b, dt)
 
-    y_rec = x_rec = None
-    if record:
-        y_rec = np.empty((rows, n))
-        x_rec = np.empty((rows, n))
-        y_rec[:, 0], x_rec[:, 0] = y0, x0
-
-    ypos = y0.astype(float).copy()
-    x = x0.astype(float).copy()
-    yi = ypos.copy()  # internal full_euler state
-    per_block = max(1, NOISE_BLOCK // rows)
+    per_block = BLOCK_STEPS
+    if shared:
+        per_block = max(1, min(BLOCK_STEPS, BLOCK_STEPS * WIDE_ROWS // rows))
+    y_last = y0.astype(float)
+    x_last = x0.astype(float)
+    yi = y_last.copy()  # internal full_euler state
     for lo in range(0, n - 1, per_block):
         m = min(per_block, n - 1 - lo)
-        dw_blk = _noise(None if kernel is not None else gen_y, m, rows, sqrt_dt)
-        db_blk = _noise(gen_b, m, rows, sqrt_dt)
-        dl_blk = _noise(gen_l, m, rows, sqrt_dt)
-        for j in range(m):
-            root = np.sqrt(ypos)
-            if kernel is not None:
-                y_next = kernel.draw(ypos, gen_y)
-                # invert the Y update for the W increment that produced it,
-                # with the denominator floored to avoid blow-up near 0
-                dw = (y_next - ypos - (d.a - d.b * ypos) * dt) / (
-                    q.sigma1 * np.sqrt(np.maximum(ypos, Y_FLOOR))
-                )
-            elif exact:
-                dw = dw_blk[j]
-                y_next = decay * ypos + level
-            else:
-                dw = dw_blk[j]
-                yi = yi + (d.a - d.b * ypos) * dt + q.sigma1 * root * dw
-                y_next = np.maximum(yi, 0.0)
-            db = db_blk[j] if db_blk is not None else 0.0
-            dl = dl_blk[j] if dl_blk is not None else 0.0
-            x = (
-                x
-                + (d.alpha - d.beta * ypos - d.gamma * x) * dt
-                + q.sigma2 * root * (q.rho * dw + ortho * db)
-                + q.sigma3 * dl
+        dw = _noise(None if kernel is not None else gen_y, m, rows, sqrt_dt)
+        db = _noise(gen_b, m, rows, sqrt_dt)
+        dl = _noise(gen_l, m, rows, sqrt_dt)
+        y = np.empty((m + 1, rows))
+        x = np.empty((m + 1, rows))
+        y[0], x[0] = y_last, x_last
+        if kernel is not None:
+            for j in range(m):
+                y[j + 1] = kernel.draw(y[j], gen_y)
+            # invert the Y update for the W increments that produced it,
+            # with the denominator floored to avoid blow-up near 0
+            yl = y[:-1]
+            dw = (y[1:] - yl - (d.a - d.b * yl) * dt) / (
+                q.sigma1 * np.sqrt(np.maximum(yl, Y_FLOOR))
             )
-            ypos = y_next
-            if record:
-                i = lo + j + 1
-                y_rec[:, i], x_rec[:, i] = ypos, x
-    return EnsembleResult(y_end=ypos, x_end=x, y=y_rec, x=x_rec)
+        elif exact:
+            for j in range(m):
+                np.multiply(y[j], decay, out=y[j + 1])
+                y[j + 1] += level
+        else:
+            _step_y_euler(spec, dt, y, yi, dw)
+        _step_x(spec, dt, ortho, y, x, dw, db, dl)
+        y_last, x_last = y[-1], x[-1]
+        yield y, x
 
 
 def simulate_ensemble(
@@ -337,7 +401,17 @@ def simulate_ensemble(
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     y0, x0 = _resolve_init(spec, dt, rng, n_paths)
-    return _step(spec, T, dt, scheme, rng, y0, x0, record == "paths")
+    y_rec = x_rec = None
+    if record == "paths":
+        n = _n_grid(T, dt)
+        y_rec, x_rec = np.empty((n_paths, n)), np.empty((n_paths, n))
+    lo = 0
+    for y, x in _step(spec, T, dt, scheme, rng, y0, x0):
+        if y_rec is not None:
+            y_rec[:, lo : lo + y.shape[0]] = y.T
+            x_rec[:, lo : lo + x.shape[0]] = x.T
+        lo += y.shape[0] - 1
+    return EnsembleResult(y_end=y[-1].copy(), x_end=x[-1].copy(), y=y_rec, x=x_rec)
 
 
 def euler_paths_per_stream(
@@ -347,12 +421,18 @@ def euler_paths_per_stream(
     streams,
     chunk: int = 64,
 ):
-    """Yield (row_slice, y, x) chunks of full_euler paths, one stream each.
+    """Yield (row_slice, y, x) time blocks of full_euler paths, one stream each.
+
+    Rows come in chunks of at most `chunk`; each chunk's grid arrives in
+    consecutive blocks of BLOCK_STEPS steps (fewer in the last), y and x
+    of shape (rows, m + 1) with time on the last axis, C-contiguous, and
+    column 0 repeating the previous block's last column. So a consumer
+    holds O(chunk * BLOCK_STEPS) values, never a whole path.
 
     Unlike simulate_ensemble, every path here owns its RngStream, so row r
     is bit-identical to simulate_path(spec, T, dt, "full_euler",
-    streams[r]). Point initial laws only; a resampled start would need
-    per-path scalar draws that defeat the batching.
+    streams[r]) whatever the chunk. Point initial laws only; a resampled
+    start would need per-path scalar draws that defeat the batching.
     """
     if spec.init.kind != "point":
         raise ValueError("per-stream batching requires a point initial law")
@@ -360,10 +440,11 @@ def euler_paths_per_stream(
         raise ValueError("chunk must be positive")
     for lo in range(0, len(streams), chunk):
         sub = streams[lo : lo + chunk]
-        size = len(sub)
-        res = _step(spec, T, dt, "full_euler", sub, np.full(size, spec.init.y0),
-                    np.full(size, spec.init.x0), record=True)
-        yield slice(lo, lo + size), res.y, res.x
+        rows = slice(lo, lo + len(sub))
+        for y, x in _step(spec, T, dt, "full_euler", sub,
+                          np.full(len(sub), spec.init.y0),
+                          np.full(len(sub), spec.init.x0)):
+            yield rows, y.T.copy(), x.T.copy()
 
 
 def simulate_critical_limit_process(
@@ -422,9 +503,10 @@ def _stationary_start(
                           InitialLaw("point", y0=float(y0), x0=x_eq))
         path = simulate_path(start, T, dt, "exact_y_euler_x", rng.spawn(0))
         return float(path.y[-1]), float(path.x[-1])
-    res = _step(spec, T, dt, "exact_y_euler_x", rng.spawn(0), y0,
-                np.full(size, x_eq), record=False)
-    return res.y_end, res.x_end
+    for y, x in _step(spec, T, dt, "exact_y_euler_x", rng.spawn(0), y0,
+                      np.full(size, x_eq)):
+        pass
+    return y[-1].copy(), x[-1].copy()
 
 
 def stationary_init(

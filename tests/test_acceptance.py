@@ -140,7 +140,7 @@ def test_criterion_04_estimator_algebra_identities():
     truth = np.array([1.0, 1.0, 0.5, 0.3, 0.6])
     fn = functionals_from_path(path4)
     g1, g2 = gram_blocks(fn)
-    h = h_vector(path4, REF.drift, REF.diffusion)
+    h = h_vector(path4, REF.drift)
     rhs = np.concatenate([np.linalg.solve(g1, h[:2]), np.linalg.solve(g2, h[2:])])
     gap_h = float(np.max(np.abs((theta - truth) - rhs) / np.maximum(np.abs(rhs), 1e-12)))
 
@@ -166,6 +166,7 @@ def test_criterion_05_discrete_to_continuous_convergence():
              f"{elapsed:.0f}s of 60s")
 
 
+@pytest.mark.slow
 def test_criterion_06_subcritical_normal_limit():
     # sqrt(T)-scaled errors at T=200: covariance within 10% Frobenius of
     # the sandwich matrix, each component KS-close to its normal marginal
@@ -184,6 +185,7 @@ def test_criterion_06_subcritical_normal_limit():
              f"of 0.10, excluded {report.excluded_ids.size}, {elapsed:.0f}s of 1800s")
 
 
+@pytest.mark.slow
 def test_criterion_07_critical_limit_two_sample():
     # critical scaled errors at T=400 against fresh draws of the limit
     # functional, two-sample KS per component

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine2f import simulate
 from affine2f.errors import OutOfDomain, SingularGram
 from affine2f.estimators import (
+    PathFunctionals,
     TransformedEstimate,
     clse_approx,
     clse_continuous,
@@ -224,7 +226,7 @@ class TestContinuous:
     def test_estimation_error_is_gram_inverse_times_h(self, ref_spec,
                                                       noisy_path):
         est = clse_continuous(noisy_path)
-        h = h_vector(noisy_path, ref_spec.drift, ref_spec.diffusion)
+        h = h_vector(noisy_path, ref_spec.drift)
         g1, g2 = est.gram_cont
         err = np.concatenate([np.linalg.solve(g1, h[:2]),
                               np.linalg.solve(g2, h[2:])])
@@ -260,6 +262,22 @@ class TestContinuous:
             np.testing.assert_allclose(theta[i], clse_continuous(p).theta_hat,
                                        rtol=1e-13)
 
+    def test_stacked_reduction_matches_each_path_bitwise(self, ref_spec,
+                                                         monkeypatch):
+        # two 200-step segments, long enough for numpy's pairwise sum to
+        # recurse, and a 100-step tail
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 200)
+        paths = [simulate_path(ref_spec, 5.0, 0.01, rng=RngStream(4107, s))
+                 for s in range(3)]
+        stacked = functionals_from_arrays(np.stack([p.y for p in paths]),
+                                          np.stack([p.x for p in paths]), 0.01)
+        for i, p in enumerate(paths):
+            single = functionals_from_path(p)
+            for name in PathFunctionals.__dataclass_fields__:
+                want = getattr(single, name)
+                got = getattr(stacked, name)
+                assert (got if name == "horizon" else got[i]) == want, name
+
     def test_batched_solver_skips_degenerate_rows(self, ref_spec):
         good = simulate_path(ref_spec, 3.0, 0.01, rng=RngStream(4105))
         y = np.stack([good.y, np.full_like(good.y, 2.0)])
@@ -273,7 +291,7 @@ class TestContinuous:
 class TestHVector:
     def test_vanishes_without_noise(self, ode_path):
         spec = noiseless_spec()
-        h = h_vector(ode_path, spec.drift, spec.diffusion)
+        h = h_vector(ode_path, spec.drift)
         assert np.abs(h).max() < 1e-6
 
     def test_mean_zero_over_replications(self, ref_spec):

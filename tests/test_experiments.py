@@ -7,13 +7,15 @@ import pytest
 
 from affine2f import simulate
 from affine2f.errors import ExcessiveExclusions
+from affine2f.estimators import PathFunctionals
 from affine2f.experiments import (
     ExperimentPlan,
+    _replicate,
     consistency_sweep,
     run_experiment,
     scale_vector,
 )
-from affine2f.limit_laws import supercritical_limit_sample
+from affine2f.limit_laws import limit_draws, supercritical_limit_sample
 from affine2f.model import InitialLaw, Regime, make_spec
 from affine2f.rng import RngStream
 
@@ -128,15 +130,48 @@ class TestRunExperiment:
                                       sub_report.ks_distance)
         np.testing.assert_array_equal(batched.cov_hat, sub_report.cov_hat)
 
-    def test_engines_agree_bitwise_across_noise_blocks(self, sub_plan, sub_report,
-                                                        monkeypatch):
-        # 3 steps per block for the 5-row chunks, 7 for the 2-row tail
-        monkeypatch.setattr(simulate, "NOISE_BLOCK", 15)
+    def test_engines_agree_bitwise_across_noise_blocks(self, sub_plan, monkeypatch):
+        # 7-step blocks: 714 full ones and a 2-step tail; the per-path
+        # reduction sums in the same 7-step segments
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
+        per_path = run_experiment(sub_plan)
         batched = run_experiment(sub_plan, engine="batched", chunk=5)
         np.testing.assert_array_equal(batched.scaled_errors,
-                                      sub_report.scaled_errors)
+                                      per_path.scaled_errors)
         np.testing.assert_array_equal(batched.replication_ids,
-                                      sub_report.replication_ids)
+                                      per_path.replication_ids)
+
+    def test_batched_functionals_never_depend_on_chunk(self, sub_spec, monkeypatch):
+        # three 150-step blocks (pairwise sums recurse past 128 terms)
+        # and a 50-step tail
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 150)
+        streams = lambda: [RngStream(91, r) for r in range(12)]
+        per_path = _replicate(sub_spec, 1.0, 2e-3, "full_euler", streams(),
+                              "per-path", 64)
+        for chunk in (1, 5, 12):
+            batched = _replicate(sub_spec, 1.0, 2e-3, "full_euler", streams(),
+                                 "batched", chunk)
+            for name in PathFunctionals.__dataclass_fields__:
+                np.testing.assert_array_equal(getattr(batched, name),
+                                              getattr(per_path, name), err_msg=name)
+
+    def test_batched_engine_never_holds_whole_paths(self, sub_spec):
+        # recorded (R, n) Y and X paths would take R * n * 16 bytes
+        import tracemalloc
+
+        from scipy import stats  # noqa: F401  (loaded before tracing)
+
+        R, T, dt = 32, 40.0, 1e-3
+        plan = ExperimentPlan(spec=sub_spec, T=T, dt=dt, replications=R,
+                              base_seed=5, scheme="full_euler")
+        path_bytes = R * round(T / dt) * 16
+        tracemalloc.start()
+        try:
+            run_experiment(plan, engine="batched")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path_bytes / 4, (peak, path_bytes)
 
     def test_supercritical_reference_draws_follow_streams(self, sup_spec,
                                                           sup_report):
@@ -157,6 +192,8 @@ class TestRunExperiment:
         assert rep.theory_cov.shape == (5, 5)
         np.testing.assert_array_equal(rep.theory_cov, rep.theory_cov.T)
         assert rep.reference_draws is None
+        assert rep.reference_redraws is None
+        assert "reference_redraws" not in rep.to_text()
         assert rep.vx_sign_counts is None
         assert np.all(rep.component_sd > 0.0)
 
@@ -217,6 +254,9 @@ class TestRunExperiment:
         assert rep.theory == "sample-based"
         assert rep.ks_tolerance == 0.1
         assert rep.reference_draws.shape == (40, 5)
+        _, redraws = limit_draws(crit_spec, 40, 0.01, 888, 12)
+        assert rep.reference_redraws == redraws
+        assert f"reference_redraws = {redraws}\n" in rep.to_text()
         assert rep.vx_sign_counts is None
         assert rep.frobenius_gap is None
 

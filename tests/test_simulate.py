@@ -162,11 +162,11 @@ class TestEnsembleConsistency:
 
 
 class TestNoiseBlocks:
-    """Runs that cross many noise blocks still replay the scalar engine."""
+    """Runs that cross many time blocks still replay the scalar engine."""
 
     @pytest.mark.parametrize("case", ["exact", "euler", "sigma1_zero", "stationary"])
     def test_single_path_bit_identity_across_blocks(self, ref_spec, case, monkeypatch):
-        monkeypatch.setattr(simulate, "NOISE_BLOCK", 3)
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 3)
         scheme = "full_euler" if case == "euler" else "exact_y_euler_x"
         spec = ref_spec
         if case == "sigma1_zero":
@@ -186,7 +186,7 @@ class TestNoiseBlocks:
     def test_block_size_never_changes_ensembles(self, ref_spec, scheme, monkeypatch):
         whole = simulate_ensemble(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5,
                                   record="paths")
-        monkeypatch.setattr(simulate, "NOISE_BLOCK", 7)
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
         split = simulate_ensemble(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5,
                                   record="paths")
         assert_array_equal(split.y, whole.y)
