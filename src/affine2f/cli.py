@@ -219,8 +219,7 @@ def cmd_mc_verify(args) -> int:
     plan = ExperimentPlan(spec=spec, T=exp.T, dt=exp.dt,
                           replications=exp.replications,
                           base_seed=exp.base_seed, scheme=exp.scheme)
-    report = run_experiment(plan, engine=args.engine,
-                            n_reference=args.reference_draws)
+    report = run_experiment(plan, n_reference=args.reference_draws)
     text = report.to_text() + "\n"
     out = os.path.join(_prepare_out(cfg.output.directory), "mc_verify.txt")
     write_text(out, text)
@@ -236,8 +235,11 @@ def cmd_limit_sample(args) -> int:
         raise ConfigError("--draws must be at least 1")
     regime = classify_regime(spec.drift)
     _require(spec, f"{regime.value}-limit")
-    draws, _ = limit_draws(spec, args.draws, exp.dt, exp.base_seed, 0)
+    draws, redraws = limit_draws(spec, args.draws, exp.dt, exp.base_seed, 0)
     text = draws_text(draws, f"{regime.value} limit draws")
+    if regime is not Regime.SUBCRITICAL:
+        # sample-based laws state their redraws, as mc-verify reports do
+        text = f"# reference_redraws = {redraws}\n" + text
     out = os.path.join(_prepare_out(cfg.output.directory), "limit_draws.txt")
     write_text(out, text)
     print(f"wrote {out} ({args.draws} draws)")
@@ -286,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc-verify", parents=[common],
                        help="replicated limit-law scorecard")
     p.add_argument("--reference-draws", type=int, default=1000)
-    p.add_argument("--engine", choices=("per-path", "batched"),
-                   default="per-path")
     p.set_defaults(func=cmd_mc_verify)
 
     p = sub.add_parser("limit-sample", parents=[common],

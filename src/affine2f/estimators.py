@@ -38,7 +38,7 @@ class PathFunctionals:
     """Everything the continuous estimator needs from a path.
 
     Scalar-valued for a single path; array-valued (one entry per path)
-    when accumulated by the batched replication engine.
+    when reduced from a stack of paths.
     """
 
     horizon: float
@@ -98,9 +98,9 @@ def functionals_from_arrays(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunc
 
     Every sum runs over segments of simulate.BLOCK_STEPS steps: pairwise
     within a segment, in order across segments (PathFunctionals.then).
-    The streaming replication engine reduces its time blocks the same
-    way, so a path reduced whole or block by block, alone or stacked
-    with others, gives the same bits.
+    A replication study reduces its streamed time blocks the same way,
+    so a path reduced whole or block by block, alone or stacked with
+    others, gives the same bits.
     """
     # pairwise summation along the last axis needs it contiguous
     y, x = np.ascontiguousarray(y), np.ascontiguousarray(x)
@@ -312,40 +312,35 @@ def clse_approx(te: TransformedEstimate) -> DriftEstimate:
     )
 
 
+def solve_gated(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve G x = rhs for one system or a stack, gated on conditioning.
+
+    G has shape (..., k, k) and rhs (..., k). Returns (x, cond); systems
+    whose condition number exceeds COND_LIMIT come back NaN rather than
+    raising, so batch callers can count exclusions.
+    """
+    cond = np.asarray(np.linalg.cond(G), dtype=float)
+    ok = cond <= COND_LIMIT
+    x = np.full(rhs.shape, np.nan)
+    if ok.any():
+        # trailing singleton keeps the stacked solve unambiguous
+        x[ok] = np.linalg.solve(G[ok], rhs[ok][..., None])[..., 0]
+    return x, cond
+
+
 def solve_continuous(
     fn: PathFunctionals,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the integral normal equations for one path or a stack.
 
     Returns (theta, cond1, cond2); rows whose blocks exceed the condition
-    limit come back NaN rather than raising, so batch callers can count
-    exclusions. theta has shape (..., 5).
+    limit come back NaN (see solve_gated). theta has shape (..., 5).
     """
     g1, g2 = gram_blocks(fn)
     f1, f2 = target_blocks(fn)
-    cond1 = np.linalg.cond(g1)
-    cond2 = np.linalg.cond(g2)
-    ok1 = np.asarray(cond1 <= COND_LIMIT)
-    ok2 = np.asarray(cond2 <= COND_LIMIT)
-
-    shape = np.broadcast_shapes(ok1.shape, ok2.shape)
-    theta = np.full(shape + (5,), np.nan)
-    ab = np.full(shape + (2,), np.nan)
-    abg = np.full(shape + (3,), np.nan)
-    # trailing singleton keeps the stacked solve unambiguous
-    if shape == ():
-        if ok1:
-            ab = np.linalg.solve(g1, f1[..., None])[..., 0]
-        if ok2:
-            abg = np.linalg.solve(g2, f2[..., None])[..., 0]
-    else:
-        if ok1.any():
-            ab[ok1] = np.linalg.solve(g1[ok1], f1[ok1, :, None])[..., 0]
-        if ok2.any():
-            abg[ok2] = np.linalg.solve(g2[ok2], f2[ok2, :, None])[..., 0]
-    theta[..., 0:2] = ab
-    theta[..., 2:5] = abg
-    return theta, np.asarray(cond1, dtype=float), np.asarray(cond2, dtype=float)
+    ab, cond1 = solve_gated(g1, f1)
+    abg, cond2 = solve_gated(g2, f2)
+    return np.concatenate([ab, abg], axis=-1), cond1, cond2
 
 
 def clse_continuous(path: PathGrid) -> DriftEstimate:

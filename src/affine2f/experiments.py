@@ -14,18 +14,20 @@ import numpy as np
 
 from .errors import ExcessiveExclusions
 from .estimators import (
-    COND_LIMIT,
     PathFunctionals,
     functionals_from_arrays,
-    functionals_from_path,
     gram_blocks,
     solve_continuous,
+    solve_gated,
     target_blocks,
 )
 from .limit_laws import limit_draws, subcritical_limit
 from .model import ModelSpec, Regime, classify_regime, validate_spec
 from .rng import RngStream
-from .simulate import SCHEMES, euler_paths_per_stream, simulate_path
+from .simulate import SCHEMES, euler_paths_per_stream
+# the scalar reference each row of _replicate equals; unused here, but
+# bench/tests checks that the tracer rewraps this binding
+from .simulate import simulate_path  # noqa: F401
 
 # fraction of replications allowed to fail with a singular Gram matrix
 EXCLUSION_CAP = 0.01
@@ -155,37 +157,24 @@ def _theta_true(spec: ModelSpec) -> np.ndarray:
 _FN_FIELDS = tuple(PathFunctionals.__dataclass_fields__)
 
 
-def _replicate(spec, T, dt, scheme, streams, engine, chunk) -> PathFunctionals:
+def _replicate(spec, T, dt, scheme, streams) -> PathFunctionals:
     """Stacked path functionals, one row per stream.
 
-    engine="per-path" replays each stream through the scalar simulator;
-    engine="batched" produces the very same rows (full_euler scheme
-    only) with chunked vector stepping, reducing each time block as it
-    arrives, so it holds O(chunk * BLOCK_STEPS) path values and its rows
-    do not depend on chunk.
+    Row r is the path simulate_path would draw from streams[r], stepped
+    WIDE_ROWS streams at a time and reduced one time block at a time as
+    it arrives, so the study holds O(WIDE_ROWS * BLOCK_STEPS) path values
+    and its rows equal functionals_from_path of the scalar path bit for
+    bit.
     """
-    if engine not in ("per-path", "batched"):
-        raise ValueError(f"engine must be 'per-path' or 'batched', got {engine!r}")
-    if engine == "per-path":
-        singles = [
-            functionals_from_path(simulate_path(spec, T, dt, scheme, stream))
-            for stream in streams
-        ]
-        return PathFunctionals(**{
-            name: np.array([getattr(s, name) for s in singles])
-            for name in _FN_FIELDS
-        })
-    if scheme != "full_euler":
-        raise ValueError("the batched engine only steps the full_euler scheme")
-    # running functionals per chunk, keyed by its first row; each time
-    # block of a chunk continues the sums of the blocks before it
+    # running functionals per batch of rows, keyed by its first row; each
+    # time block of a batch continues the sums of the blocks before it
     running: dict[int, PathFunctionals] = {}
-    for rows, y, x in euler_paths_per_stream(spec, T, dt, streams, chunk=chunk):
+    for rows, y, x in euler_paths_per_stream(spec, T, dt, scheme, streams):
         part = functionals_from_arrays(y, x, dt)
         head = running.get(rows.start)
         running[rows.start] = part if head is None else head.then(part)
     parts = list(running.values())
-    # every chunk rides the same grid, so horizon stays scalar
+    # every batch rides the same grid, so horizon stays scalar
     data = {
         name: np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
         for name in _FN_FIELDS if name != "horizon"
@@ -194,27 +183,18 @@ def _replicate(spec, T, dt, scheme, streams, engine, chunk) -> PathFunctionals:
 
 
 def _theta_rows(fn: PathFunctionals, y_only: bool = False) -> np.ndarray:
-    """Per-path estimates with NaN rows where a condition gate fails.
+    """Per-path estimates, NaN in each block whose condition gate fails.
 
     y_only solves just the 2x2 block (the supercritical X Gram overflows
     any double-precision condition budget once exp(2|gamma|T) is large)
     and leaves the last three components NaN by contract.
     """
-    n = np.asarray(fn.int_y).shape[0]
-    thetas = np.full((n, 5), np.nan)
-    if y_only:
-        g1, _ = gram_blocks(fn)
-        f1, _ = target_blocks(fn)
-        cond1 = np.linalg.cond(g1)
-        ok = cond1 <= COND_LIMIT
-        if ok.any():
-            thetas[ok, :2] = np.linalg.solve(g1[ok], f1[ok, :, None])[..., 0]
-        return thetas
-    theta, cond1, cond2 = solve_continuous(fn)
-    bad = ~((cond1 <= COND_LIMIT) & (cond2 <= COND_LIMIT))
-    theta[bad] = np.nan
-    thetas[:] = theta
-    return thetas
+    if not y_only:
+        return solve_continuous(fn)[0]
+    g1, _ = gram_blocks(fn)
+    f1, _ = target_blocks(fn)
+    ab, _ = solve_gated(g1, f1)
+    return np.concatenate([ab, np.full((ab.shape[0], 3), np.nan)], axis=1)
 
 
 def _apply_exclusion_cap(thetas, replications, y_only: bool = False):
@@ -234,18 +214,21 @@ def run_experiment(
     engine: str = "per-path",
     n_reference: int = 1000,
     reference_dt: float | None = None,
-    chunk: int = 64,
 ) -> LimitLawReport:
     """Run the replications and score the scaled errors against theory.
 
-    Replication r runs on its own RngStream(base_seed, r); see _replicate
-    for the two engines, which agree bit for bit.
+    Replication r runs on its own RngStream(base_seed, r); see _replicate.
+    engine selects nothing: every plan runs the one replication path. It
+    accepts only the names of the two engines that path replaced,
+    "per-path" and "batched", so that callers written for them still run.
     """
     from scipy import stats  # slow to import; only the scorecard needs it
 
+    if engine not in ("per-path", "batched"):
+        raise ValueError(f"engine must be 'per-path' or 'batched', got {engine!r}")
     spec = plan.spec
     streams = [RngStream(plan.base_seed, r) for r in range(plan.replications)]
-    fn = _replicate(spec, plan.T, plan.dt, plan.scheme, streams, engine, chunk)
+    fn = _replicate(spec, plan.T, plan.dt, plan.scheme, streams)
     thetas = _theta_rows(fn)
 
     good = _apply_exclusion_cap(thetas, plan.replications)
@@ -340,8 +323,6 @@ def consistency_sweep(
     replications: int,
     rng: RngStream,
     scheme: str = "exact_y_euler_x",
-    engine: str = "per-path",
-    chunk: int = 64,
 ) -> SweepResult:
     """Absolute-error quantiles of the drift estimator across horizons.
 
@@ -365,7 +346,7 @@ def consistency_sweep(
     for i, T in enumerate(T_list):
         branch = rng.spawn(i)
         streams = [branch.spawn(r) for r in range(replications)]
-        fn = _replicate(spec, T, dt, scheme, streams, engine, chunk)
+        fn = _replicate(spec, T, dt, scheme, streams)
         thetas = _theta_rows(fn, y_only=y_only)
         good = _apply_exclusion_cap(thetas, replications, y_only=y_only)
         abs_err = np.abs(thetas[good] - theta)

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import NonPositiveVY, SingularGram
 from .estimators import (
-    COND_LIMIT,
     functionals_from_arrays,
     functionals_from_path,
     gram_blocks,
+    solve_gated,
 )
 from .model import ModelSpec, Regime, classify_regime, make_spec, validate_spec
 from .moments import stationary_moments
@@ -130,13 +130,13 @@ def critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho):
 
 
 def _solve_critical(g1, t1, g2, t2):
-    c1, c2 = np.linalg.cond(g1), np.linalg.cond(g2)
-    if not (c1 <= COND_LIMIT and c2 <= COND_LIMIT):
-        raise SingularGram(
-            f"degenerate critical draw: conditions {c1:.3e}, {c2:.3e}",
-            cond=float(max(c1, c2)),
-        )
-    return np.concatenate([np.linalg.solve(g1, t1), np.linalg.solve(g2, t2)])
+    """Both blocks solved, stacked on the last axis, and their conditions.
+
+    Draws whose blocks fail the condition gate come back NaN.
+    """
+    ab, c1 = solve_gated(g1, t1)
+    abg, c2 = solve_gated(g2, t2)
+    return np.concatenate([ab, abg], axis=-1), c1, c2
 
 
 def critical_limit_sample(
@@ -158,22 +158,21 @@ def critical_limit_sample(
     is supported on invertible Grams) are rejected and redrawn from
     spawned substreams, up to max_redraws.
     """
-    last: SingularGram | None = None
+    conds = (math.nan, math.nan)
     for attempt in range(max_redraws + 1):
         sub = rng if attempt == 0 else rng.spawn(attempt)
         path = simulate_critical_limit_process(a, alpha, sigma1, sigma2, rho,
                                                dt, sub)
         blocks = critical_limit_blocks(functionals_from_path(path),
                                        a, alpha, sigma1, sigma2, rho)
-        try:
-            vec = _solve_critical(*blocks)
-        except SingularGram as err:
-            last = err
-            continue
-        return (vec, attempt) if return_redraws else vec
+        vec, c1, c2 = _solve_critical(*blocks)
+        if np.isfinite(vec).all():
+            return (vec, attempt) if return_redraws else vec
+        conds = (float(c1), float(c2))
     raise SingularGram(
-        f"no invertible critical draw after {max_redraws} redraws: {last}",
-        cond=last.cond if last is not None else None,
+        f"no invertible critical draw after {max_redraws} redraws: "
+        f"last conditions {conds[0]:.3e}, {conds[1]:.3e}",
+        cond=max(conds),
     )
 
 
@@ -198,15 +197,10 @@ def critical_limit_batch(
     res = simulate_ensemble(aux, 1.0, dt, n_paths=n_draws, rng=rng,
                             record="paths")
     fn = functionals_from_arrays(res.y, res.x, dt)
-    g1, t1, g2, t2 = critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho)
-    c1, c2 = np.linalg.cond(g1), np.linalg.cond(g2)
-    ok = (c1 <= COND_LIMIT) & (c2 <= COND_LIMIT)
-    out = np.full((n_draws, 5), np.nan)
-    if ok.any():
-        out[ok, :2] = np.linalg.solve(g1[ok], t1[ok, :, None])[..., 0]
-        out[ok, 2:] = np.linalg.solve(g2[ok], t2[ok, :, None])[..., 0]
+    out, _, _ = _solve_critical(
+        *critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho))
     redrawn = 0
-    for i in np.nonzero(~ok)[0]:
+    for i in np.flatnonzero(~np.isfinite(out).all(axis=1)):
         out[i] = critical_limit_sample(a, alpha, sigma1, sigma2, rho,
                                        dt, rng.spawn(n_draws + int(i)),
                                        max_redraws=max_redraws)

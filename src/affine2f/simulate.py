@@ -9,19 +9,19 @@ Two schemes:
                     O(sqrt(dt)).
   full_euler        full-truncation Euler for Y (positive part in drift
                     and diffusion, real-valued internal state) and plain
-                    Euler for X. The only scheme whose noise can be drawn
-                    in bulk, so the batched replication engine uses it.
+                    Euler for X; all of its noise is drawn in bulk.
 
 Both consume substreams 0 (Y drivers), 1 (B), 2 (L) and 3 (initial draws)
 of one RngStream, so a path is addressed entirely by (seed, stream_id).
 
 simulate_path is the scalar reference. Every vector run (ensembles, the
-burn-in leg, the per-stream batches) goes through one stepper that walks
-the grid in time blocks of BLOCK_STEPS steps: it steps Y alone, forms
-the block's Y-only terms of the X update at once, then steps X, all with
-simulate_path's elementwise operations in its order. The per-stream
-batches hand each block on as it is finished, so a replication study
-reduces paths block by block and never holds a whole path.
+burn-in leg, the per-stream batches of a replication study) goes through
+one stepper that walks the grid in time blocks of BLOCK_STEPS steps: it
+steps Y alone, forms the block's Y-only terms of the X update at once,
+then steps X, all with simulate_path's elementwise operations in its
+order. The per-stream batches hand each block on as it is finished, so a
+replication study reduces paths block by block and never holds a whole
+path.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ from .rng import RngStream
 Y_FLOOR = 1e-12
 SCHEMES = ("exact_y_euler_x", "full_euler")
 DEFAULT_BURN_IN_RATE = 20.0
-# steps per time block of the vector stepper; the batched reduction
+# steps per time block of the vector stepper; the path reduction
 # (estimators.functionals_from_arrays) sums paths in the same segments
 BLOCK_STEPS = 1024
-# shared-stream ensembles wider than WIDE_ROWS rows take shorter blocks,
-# at most BLOCK_STEPS * WIDE_ROWS values per array (a full block of 1e5
-# paths would take 800 MB); their draws never depend on the block length
+# no block array of the stepper holds more than BLOCK_STEPS * WIDE_ROWS
+# values: per-stream batches take WIDE_ROWS rows at a time, and wider
+# shared-stream ensembles take shorter blocks (a full block of 1e5 paths
+# would take 800 MB); their draws never depend on the block length
 WIDE_ROWS = 64
 
 
@@ -111,6 +112,16 @@ class _CirKernel:
         nc_half = self.decay * y / (2.0 * self.scale)
         n_mix = gen.poisson(nc_half)
         return 2.0 * self.scale * gen.standard_gamma(self.half_df + n_mix)
+
+    def walk(self, y: float, m: int, gen: np.random.Generator) -> list[float]:
+        """m successive scalar draws from y: draw's operations, looped."""
+        two_scale, decay, half_df = 2.0 * self.scale, self.decay, self.half_df
+        poisson, gamma = gen.poisson, gen.standard_gamma
+        out = []
+        for _ in range(m):
+            y = two_scale * gamma(half_df + poisson(decay * y / two_scale))
+            out.append(y)
+        return out
 
 
 def sample_cir_transition(
@@ -308,18 +319,18 @@ def _step(
     """Vectorized stepping of y0.size paths: the one vector stepping loop.
 
     rng is one RngStream whose substreams all rows share, with
-    (rows,)-shaped draws per step, or a list of RngStreams, one per row,
-    for full_euler only. Either way each substream is consumed in
-    simulate_path's order, so a size-1 ensemble, or row r of a per-row
-    batch, is bit-identical to the scalar engine on the same stream.
+    (rows,)-shaped draws per step, or a list of RngStreams, one per row.
+    Either way each substream is consumed in simulate_path's order, so a
+    size-1 ensemble, or row r of a per-row batch, is bit-identical to the
+    scalar engine on the same stream.
 
     Yields time-major (y, x) blocks of shape (m + 1, rows): row 0 is the
     previous block's last row (the start on the first block), then m
-    steps. Per-row batches take m = BLOCK_STEPS, the last block holding
-    the remainder; a shared stream wider than WIDE_ROWS rows takes
-    proportionally shorter blocks, so that no block outgrows
-    BLOCK_STEPS * WIDE_ROWS values. Within a block Y is stepped first,
-    then X; exact Y transitions are drawn step by step.
+    steps. m is BLOCK_STEPS, the last block holding the remainder, for
+    up to WIDE_ROWS rows; wider runs take proportionally shorter blocks,
+    so that no block outgrows BLOCK_STEPS * WIDE_ROWS values. Within a
+    block Y is stepped first, then X; exact Y transitions are drawn step
+    by step, from each row's own generator when the rows own streams.
     """
     d, q = spec.drift, spec.diffusion
     n = _n_grid(T, dt)
@@ -343,9 +354,7 @@ def _step(
         kernel = _CirKernel(d.a, d.b, q.sigma1, dt)
     decay, level = math.exp(-d.b * dt), d.a * psi(d.b, dt)
 
-    per_block = BLOCK_STEPS
-    if shared:
-        per_block = max(1, min(BLOCK_STEPS, BLOCK_STEPS * WIDE_ROWS // rows))
+    per_block = max(1, min(BLOCK_STEPS, BLOCK_STEPS * WIDE_ROWS // rows))
     y_last = y0.astype(float)
     x_last = x0.astype(float)
     yi = y_last.copy()  # internal full_euler state
@@ -358,8 +367,12 @@ def _step(
         x = np.empty((m + 1, rows))
         y[0], x[0] = y_last, x_last
         if kernel is not None:
-            for j in range(m):
-                y[j + 1] = kernel.draw(y[j], gen_y)
+            if shared:
+                for j in range(m):
+                    y[j + 1] = kernel.draw(y[j], gen_y)
+            else:
+                for r, g in enumerate(gen_y):
+                    y[1:, r] = kernel.walk(float(y[0, r]), m, g)
             # invert the Y update for the W increments that produced it,
             # with the denominator floored to avoid blow-up near 0
             yl = y[:-1]
@@ -418,32 +431,30 @@ def euler_paths_per_stream(
     spec: ModelSpec,
     T: float,
     dt: float,
+    scheme: str,
     streams,
-    chunk: int = 64,
 ):
-    """Yield (row_slice, y, x) time blocks of full_euler paths, one stream each.
+    """Yield (row_slice, y, x) time blocks of paths, one stream each.
 
-    Rows come in chunks of at most `chunk`; each chunk's grid arrives in
-    consecutive blocks of BLOCK_STEPS steps (fewer in the last), y and x
-    of shape (rows, m + 1) with time on the last axis, C-contiguous, and
-    column 0 repeating the previous block's last column. So a consumer
-    holds O(chunk * BLOCK_STEPS) values, never a whole path.
+    Steps either scheme. Rows come WIDE_ROWS at a time; each batch's grid
+    arrives in consecutive blocks of BLOCK_STEPS steps (fewer in the
+    last), y and x of shape (rows, m + 1) with time on the last axis,
+    C-contiguous, and column 0 repeating the previous block's last
+    column. So a consumer holds O(WIDE_ROWS * BLOCK_STEPS) values, never
+    a whole path.
 
-    Unlike simulate_ensemble, every path here owns its RngStream, so row r
-    is bit-identical to simulate_path(spec, T, dt, "full_euler",
-    streams[r]) whatever the chunk. Point initial laws only; a resampled
-    start would need per-path scalar draws that defeat the batching.
+    Unlike simulate_ensemble, every path here owns its RngStream, and its
+    start comes from that stream as in simulate_path, so row r is
+    bit-identical to simulate_path(spec, T, dt, scheme, streams[r]).
     """
-    if spec.init.kind != "point":
-        raise ValueError("per-stream batching requires a point initial law")
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    for lo in range(0, len(streams), chunk):
-        sub = streams[lo : lo + chunk]
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    for lo in range(0, len(streams), WIDE_ROWS):
+        sub = streams[lo : lo + WIDE_ROWS]
         rows = slice(lo, lo + len(sub))
-        for y, x in _step(spec, T, dt, "full_euler", sub,
-                          np.full(len(sub), spec.init.y0),
-                          np.full(len(sub), spec.init.x0)):
+        y0, x0 = np.array([_resolve_init(spec, dt, s, None) for s in sub],
+                          dtype=float).T
+        for y, x in _step(spec, T, dt, scheme, sub, y0, x0):
             yield rows, y.T.copy(), x.T.copy()
 
 

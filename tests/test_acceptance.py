@@ -175,7 +175,7 @@ def test_criterion_06_subcritical_normal_limit():
     plan = ExperimentPlan(spec=spec, T=200.0, dt=1e-3, replications=2000,
                           base_seed=2026, scheme="full_euler")
     start = time.time()
-    report = run_experiment(plan, engine="batched")
+    report = run_experiment(plan)
     elapsed = time.time() - start
     worst = float(report.ks_distance.max())
     ok = (bool(report.ks_pass.all()) and worst < 0.05
@@ -194,7 +194,7 @@ def test_criterion_07_critical_limit_two_sample():
     plan = ExperimentPlan(spec=spec, T=400.0, dt=0.01, replications=1000,
                           base_seed=2027, scheme="full_euler")
     start = time.time()
-    report = run_experiment(plan, engine="batched", n_reference=1000, reference_dt=1e-3)
+    report = run_experiment(plan, n_reference=1000, reference_dt=1e-3)
     elapsed = time.time() - start
     worst = float(report.ks_distance.max())
     ok = bool(report.ks_pass.all()) and worst < 0.1 and elapsed < 1200.0

@@ -9,7 +9,7 @@ import pytest
 
 from affine2f.cli import main
 from affine2f.config import load_config
-from affine2f.limit_laws import supercritical_limit_sample
+from affine2f.limit_laws import limit_draws, supercritical_limit_sample
 from affine2f.persist import read_path_grid, write_path_grid
 from affine2f.rng import RngStream
 from affine2f.simulate import PathGrid
@@ -258,9 +258,10 @@ class TestLimitSample:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["limit-sample", "--config", cfg, "--draws", "6"]) == 0
-        rows = [ln for ln in (out / "limit_draws.txt").read_text().splitlines()
-                if not ln.startswith("#")]
+        text = (out / "limit_draws.txt").read_text()
+        rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert len(rows) == 6
+        assert "reference_redraws" not in text
         first = (out / "limit_draws.txt").read_bytes()
         shutil.rmtree(out)
         assert main(["limit-sample", "--config", cfg, "--draws", "6"]) == 0
@@ -273,6 +274,19 @@ class TestLimitSample:
                 (tmp_path / "out" / "limit_draws.txt").read_text().splitlines()
                 if not ln.startswith("#")]
         assert len(rows) == 4
+
+    def test_critical_header_states_redraws(self, tmp_path):
+        # a low level against sigma1 on a coarse grid leaves some critical
+        # Grams singular, so some draws are redrawn
+        cfg = write_config(tmp_path, a=0.01, b=0.0, beta=0.0, gamma=0.0,
+                           sigma1=1.0, dt=0.1)
+        assert main(["limit-sample", "--config", cfg, "--draws", "20"]) == 0
+        lines = (tmp_path / "out" / "limit_draws.txt").read_text().splitlines()
+        _, redraws = limit_draws(load_config(cfg).spec, 20, 0.1,
+                                 DEFAULTS["base_seed"], 0)
+        assert redraws > 0
+        assert lines[0] == f"# reference_redraws = {redraws}"
+        assert len([ln for ln in lines if not ln.startswith("#")]) == 20
 
     def test_supercritical_draws(self, tmp_path):
         cfg = write_config(tmp_path, b=-0.5, gamma=-1.0, beta=0.0, dt=0.05)

@@ -7,7 +7,7 @@ import pytest
 
 from affine2f import simulate
 from affine2f.errors import ExcessiveExclusions
-from affine2f.estimators import PathFunctionals
+from affine2f.estimators import PathFunctionals, functionals_from_path
 from affine2f.experiments import (
     ExperimentPlan,
     _replicate,
@@ -16,7 +16,7 @@ from affine2f.experiments import (
     scale_vector,
 )
 from affine2f.limit_laws import limit_draws, supercritical_limit_sample
-from affine2f.model import InitialLaw, Regime, make_spec
+from affine2f.model import InitialLaw, ModelSpec, Regime, make_spec
 from affine2f.rng import RngStream
 
 
@@ -120,40 +120,32 @@ class TestPlan:
 
 
 class TestRunExperiment:
-    def test_engines_agree_bitwise(self, sub_plan, sub_report):
-        batched = run_experiment(sub_plan, engine="batched", chunk=5)
-        np.testing.assert_array_equal(batched.scaled_errors,
-                                      sub_report.scaled_errors)
-        np.testing.assert_array_equal(batched.replication_ids,
-                                      sub_report.replication_ids)
-        np.testing.assert_array_equal(batched.ks_distance,
-                                      sub_report.ks_distance)
-        np.testing.assert_array_equal(batched.cov_hat, sub_report.cov_hat)
-
-    def test_engines_agree_bitwise_across_noise_blocks(self, sub_plan, monkeypatch):
-        # 7-step blocks: 714 full ones and a 2-step tail; the per-path
-        # reduction sums in the same 7-step segments
+    @pytest.mark.parametrize("scheme", simulate.SCHEMES)
+    @pytest.mark.parametrize("case", ["point", "stationary-y", "stationary",
+                                      "sigma1_zero"])
+    def test_rows_replay_the_scalar_engine(self, sub_spec, scheme, case,
+                                           monkeypatch):
+        # 50 steps in 7-step blocks end on a 1-step block; 9 rows taken 4
+        # at a time end on a 1-row batch
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
-        per_path = run_experiment(sub_plan)
-        batched = run_experiment(sub_plan, engine="batched", chunk=5)
-        np.testing.assert_array_equal(batched.scaled_errors,
-                                      per_path.scaled_errors)
-        np.testing.assert_array_equal(batched.replication_ids,
-                                      per_path.replication_ids)
-
-    def test_batched_functionals_never_depend_on_chunk(self, sub_spec, monkeypatch):
-        # three 150-step blocks (pairwise sums recurse past 128 terms)
-        # and a 50-step tail
-        monkeypatch.setattr(simulate, "BLOCK_STEPS", 150)
-        streams = lambda: [RngStream(91, r) for r in range(12)]
-        per_path = _replicate(sub_spec, 1.0, 2e-3, "full_euler", streams(),
-                              "per-path", 64)
-        for chunk in (1, 5, 12):
-            batched = _replicate(sub_spec, 1.0, 2e-3, "full_euler", streams(),
-                                 "batched", chunk)
+        monkeypatch.setattr(simulate, "WIDE_ROWS", 4)
+        spec = sub_spec
+        if case == "sigma1_zero":
+            spec = make_spec(1.0, 0.5, 0.2, 0.1, 0.3, 0.0, 0.7, 0.2, 0.4,
+                             init=_point(1.0, 0.0))
+        elif case != "point":
+            # the stationary start's burn-in leg crosses blocks too
+            spec = ModelSpec(sub_spec.drift, sub_spec.diffusion,
+                             InitialLaw(case, x0=0.2, burn_in=0.3))
+        got = _replicate(spec, 0.5, 0.01, scheme,
+                         [RngStream(91, r) for r in range(9)])
+        for r in range(9):
+            want = functionals_from_path(simulate.simulate_path(
+                spec, 0.5, 0.01, scheme, RngStream(91, r)))
             for name in PathFunctionals.__dataclass_fields__:
-                np.testing.assert_array_equal(getattr(batched, name),
-                                              getattr(per_path, name), err_msg=name)
+                have = getattr(got, name)
+                have = have if np.ndim(have) == 0 else have[r]
+                assert have == getattr(want, name), (r, name)
 
     def test_batched_engine_never_holds_whole_paths(self, sub_spec):
         # recorded (R, n) Y and X paths would take R * n * 16 bytes
@@ -167,7 +159,7 @@ class TestRunExperiment:
         path_bytes = R * round(T / dt) * 16
         tracemalloc.start()
         try:
-            run_experiment(plan, engine="batched")
+            run_experiment(plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,15 +260,12 @@ class TestRunExperiment:
         with pytest.raises(ExcessiveExclusions, match="5 of 5"):
             run_experiment(plan)
 
-    def test_engine_name_checked(self, sub_plan):
+    def test_engine_name_checked(self, sub_plan, sub_report):
+        # the keyword selects nothing; only the two old names pass
+        batched = run_experiment(sub_plan, engine="batched")
+        assert batched.to_text() == sub_report.to_text()
         with pytest.raises(ValueError, match="engine"):
             run_experiment(sub_plan, engine="vectorised")
-
-    def test_batched_engine_needs_full_euler(self, sub_spec):
-        plan = ExperimentPlan(spec=sub_spec, T=2.0, dt=0.01,
-                              replications=2, base_seed=1)
-        with pytest.raises(ValueError, match="full_euler"):
-            run_experiment(plan, engine="batched")
 
     def test_reference_count_checked(self, crit_spec):
         plan = ExperimentPlan(spec=crit_spec, T=2.0, dt=0.01,
@@ -319,14 +308,6 @@ class TestConsistencySweep:
         with pytest.raises(ValueError, match="replications"):
             consistency_sweep(sub_spec, [5.0, 10.0], 0.01, 1, RngStream(1, 0))
 
-    def test_engine_checks(self, sub_spec):
-        with pytest.raises(ValueError, match="engine"):
-            consistency_sweep(sub_spec, [5.0, 10.0], 0.01, 4,
-                              RngStream(1, 0), engine="gpu")
-        with pytest.raises(ValueError, match="full_euler"):
-            consistency_sweep(sub_spec, [5.0, 10.0], 0.01, 4,
-                              RngStream(1, 0), engine="batched")
-
 
 class TestFiniteHorizonBias:
     def test_scaled_mean_decays_like_inverse_root_t(self, sub_spec):
@@ -339,7 +320,7 @@ class TestFiniteHorizonBias:
             plan = ExperimentPlan(spec=sub_spec, T=T, dt=0.01,
                                   replications=400, base_seed=99,
                                   scheme="full_euler")
-            reports[T] = run_experiment(plan, engine="batched")
+            reports[T] = run_experiment(plan)
             assert reports[T].excluded == 0
         short, long = reports[25.0], reports[100.0]
         t_stat = short.component_mean * math.sqrt(short.included)

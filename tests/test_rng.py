@@ -53,7 +53,7 @@ def test_spawn_does_not_collide_with_substreams():
 
 
 def test_scalar_and_vector_draws_agree():
-    # the batched simulation engine relies on this equivalence
+    # the vector stepper relies on this equivalence
     scalars = [RngStream(11, 4).generator(0).standard_normal() for _ in range(1)]
     vector = RngStream(11, 4).generator(0).standard_normal(1)
     assert scalars[0] == vector[0]
