@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OutOfDomain, SingularGram
 from .kernels import i1, i2, psi
@@ -201,6 +200,8 @@ def _solve_block(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         ]), cond
     # rank-revealing QR for the 3x3 block; short paths sit close to the
     # condition gate and a plain LU would hide how marginal they are
+    import scipy.linalg  # slow to import; only this branch needs it
+
     sol = scipy.linalg.lstsq(G, rhs, lapack_driver="gelsy")[0]
     return sol, cond
 

@@ -27,11 +27,23 @@ from .model import ModelSpec, Regime, classify_regime, make_spec, validate_spec
 from .moments import stationary_moments
 from .rng import RngStream
 from .simulate import (
-    PathGrid,
+    _n_grid,
+    euler_paths_per_stream,
     simulate_critical_limit_process,
     simulate_ensemble,
     simulate_path,
 )
+
+
+# supercritical probe horizon in units of 1/|b|: the remaining drift of
+# e^{bT} Y_T and e^{gamma T} X_T is exponentially small there
+PROBE_SPAN = 30.0
+
+
+def _require(spec: ModelSpec, purpose: str) -> None:
+    report = validate_spec(spec, purpose)
+    if not report.ok:
+        raise ValueError("; ".join(report.violations))
 
 
 def _matrix_text(label: str, m: np.ndarray) -> str:
@@ -64,9 +76,7 @@ def subcritical_limit(spec: ModelSpec) -> SubcriticalLimit:
     The Y block of every object involves only (a, b, sigma1); the
     blockwise inverse below preserves that separation bit for bit.
     """
-    report = validate_spec(spec, "subcritical-limit")
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
+    _require(spec, "subcritical-limit")
     mom = stationary_moments(spec, 3, 2)
     m10, m20, m30 = mom.get(1, 0), mom.get(2, 0), mom.get(3, 0)
     m01, m11, m02 = mom.get(0, 1), mom.get(1, 1), mom.get(0, 2)
@@ -280,32 +290,24 @@ def eta_factor(eta_sq: np.ndarray) -> np.ndarray:
     return 0.5 * (root + root.T)  # matmul roundoff is one-sided
 
 
-def supercritical_limit_sample(
+def _supercritical_draw(
     spec: ModelSpec,
-    T_probe: float | None,
-    dt: float,
+    T: float,
+    y_T: float,
+    x_T: float,
     rng: RngStream,
 ) -> tuple[SupercriticalLimit, np.ndarray]:
-    """Probe V_Y, V_X on one path, then draw V^-1 eta xi.
+    """V^-1 eta xi from a probe's end point (y_T, x_T) at horizon T.
 
-    The probe extracts e^{bT} Y_T and e^{gamma T} X_T at a single horizon
-    (default 30/|b|; the remaining drift of the products is exponentially
-    small there). xi is standard normal from a substream never touched by
-    the path simulation, realizing the independence in the limit law.
+    xi is standard normal from substream 4 of rng, which the probe never
+    touches, realizing the independence in the limit law.
     """
-    report = validate_spec(spec, "supercritical-limit")
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
     b, gamma = spec.b, spec.gamma
-    if T_probe is None:
-        T_probe = 30.0 / abs(b)
-    path = simulate_path(spec, T_probe, dt, rng=rng)
-    T = path.horizon
-    v_y = math.exp(b * T) * float(path.y[-1])
-    v_x = math.exp(gamma * T) * float(path.x[-1])
+    v_y = math.exp(b * T) * float(y_T)
+    v_x = math.exp(gamma * T) * float(x_T)
     if not v_y > 0.0:
         raise NonPositiveVY(
-            f"probe gave e^(bT) Y_T = {v_y!r}; the Y factor died out "
+            f"{rng!r}: probe gave e^(bT) Y_T = {v_y!r}; the Y factor died out "
             "(longer T_probe cannot fix an absorbed path)"
         )
     V = v_matrix(b, gamma, v_y, v_x)
@@ -316,6 +318,28 @@ def supercritical_limit_sample(
     limit = SupercriticalLimit(v_y_sample=v_y, v_x_sample=v_x, v_matrix=V,
                                eta_sq=eta2)
     return limit, draw
+
+
+def supercritical_limit_sample(
+    spec: ModelSpec,
+    T_probe: float | None,
+    dt: float,
+    rng: RngStream,
+) -> tuple[SupercriticalLimit, np.ndarray]:
+    """Probe V_Y, V_X on one path, then draw V^-1 eta xi.
+
+    The probe is one exact-Y simulate_path run on rng, which extracts
+    e^{bT} Y_T and e^{gamma T} X_T at a single horizon (default
+    PROBE_SPAN/|b|).
+    This is the scalar reference of limit_draws, whose batched draw j
+    equals this function's draw on RngStream(base_seed, first_stream + j)
+    bit for bit.
+    """
+    _require(spec, "supercritical-limit")
+    if T_probe is None:
+        T_probe = PROBE_SPAN / abs(spec.b)
+    path = simulate_path(spec, T_probe, dt, rng=rng)
+    return _supercritical_draw(spec, path.horizon, path.y[-1], path.x[-1], rng)
 
 
 # ------------------------------------------------------------------ dispatch
@@ -334,6 +358,12 @@ def limit_draws(
     RngStream(base_seed, first_stream), the critical batch from that
     stream, and supercritical draw j from RngStream(base_seed,
     first_stream + j). Only the critical law redraws.
+
+    The supercritical probes are stepped WIDE_ROWS at a time through
+    euler_paths_per_stream, keeping only each row's end point, so draw j
+    is bit-identical to supercritical_limit_sample(spec, None, dt,
+    RngStream(base_seed, first_stream + j)), and the first absorbed probe
+    raises the same NonPositiveVY.
     """
     regime = classify_regime(spec.drift)
     if regime is Regime.SUBCRITICAL:
@@ -345,8 +375,15 @@ def limit_draws(
         return critical_limit_batch(
             n_draws, spec.a, spec.alpha, spec.sigma1, spec.sigma2, spec.rho,
             dt, RngStream(base_seed, first_stream))
+    _require(spec, "supercritical-limit")
+    T_probe = PROBE_SPAN / abs(spec.b)
+    streams = [RngStream(base_seed, first_stream + j) for j in range(n_draws)]
+    y_T, x_T = np.empty(n_draws), np.empty(n_draws)
+    for rows, y, x in euler_paths_per_stream(spec, T_probe, dt,
+                                             "exact_y_euler_x", streams):
+        y_T[rows], x_T[rows] = y[:, -1], x[:, -1]
+    T = (_n_grid(T_probe, dt) - 1) * dt  # simulate_path's horizon
     draws = np.empty((n_draws, 5))
-    for j in range(n_draws):
-        _, draws[j] = supercritical_limit_sample(
-            spec, None, dt, RngStream(base_seed, first_stream + j))
+    for j, rng in enumerate(streams):
+        _, draws[j] = _supercritical_draw(spec, T, y_T[j], x_T[j], rng)
     return draws, 0

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .model import ModelSpec, Regime, classify_regime
 
@@ -104,6 +103,8 @@ def transient_moments(spec: ModelSpec, t: float, k_max: int, l_max: int) -> Mome
     by the matrix exponential, which is exact to machine precision; no
     quadrature error enters.
     """
+    from scipy.linalg import expm  # slow to import; only this oracle needs it
+
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if k_max < 0 or l_max < 0:

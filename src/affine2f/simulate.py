@@ -15,7 +15,8 @@ Both consume substreams 0 (Y drivers), 1 (B), 2 (L) and 3 (initial draws)
 of one RngStream, so a path is addressed entirely by (seed, stream_id).
 
 simulate_path is the scalar reference. Every vector run (ensembles, the
-burn-in leg, the per-stream batches of a replication study) goes through
+burn-in leg, the per-stream batches of a replication study or of the
+supercritical reference probes) goes through
 one stepper that walks the grid in time blocks of BLOCK_STEPS steps: it
 steps Y alone, forms the block's Y-only terms of the X update at once,
 then steps X, all with simulate_path's elementwise operations in its

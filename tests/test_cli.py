@@ -317,9 +317,12 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "1,0,0.5" in proc.stdout
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # only run_experiment scores with scipy.stats; other commands skip its import
-        code = "import sys, affine2f.cli; print('scipy.stats' in sys.modules)"
+    @pytest.mark.parametrize("scipy_module", ["scipy.stats", "scipy.linalg"])
+    @pytest.mark.parametrize("package", ["affine2f", "affine2f.cli"])
+    def test_import_leaves_scipy_unloaded(self, package, scipy_module):
+        # scipy costs every CLI command a cold start; only the functions
+        # that use it (the scorecard, the 3x3 solve, transient moments) load it
+        code = f"import sys, {package}; print({scipy_module!r} in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from affine2f import simulate
 from affine2f.errors import NonPositiveVY, SingularGram
 from affine2f.estimators import functionals_from_path
 from affine2f.limit_laws import (
@@ -13,6 +14,7 @@ from affine2f.limit_laws import (
     critical_limit_sample,
     eta_factor,
     eta_sq_matrix,
+    limit_draws,
     subcritical_limit,
     supercritical_limit_sample,
     v_det_closed_form,
@@ -214,6 +216,24 @@ class TestSupercritical:
         with pytest.raises(NonPositiveVY):
             supercritical_limit_sample(spec, 20.0, 0.01, RngStream(606))
 
+    def test_batched_absorbed_probe_names_its_stream(self):
+        # same spec as above: the scalar loop's first failure is the batch's
+        spec = make_spec(0.0, -0.5, 0.0, 0.0, -1.0, 1.0, 0.5, 0.5, 0.0,
+                         init=InitialLaw("point", y0=0.01, x0=0.3))
+        for j in range(6):
+            stream = RngStream(606, 3 + j)
+            try:
+                supercritical_limit_sample(spec, None, 0.05, stream)
+            except NonPositiveVY as exc:
+                scalar = str(exc)
+                break
+        else:
+            pytest.fail("no probe was absorbed")
+        assert repr(stream) in scalar
+        with pytest.raises(NonPositiveVY) as exc:
+            limit_draws(spec, 6, 0.05, 606, 3)
+        assert str(exc.value) == scalar
+
     def test_hypothesis_enforcement(self):
         subcrit = make_spec(1.0, 1.0, 0.3, 0.2, 0.9, 1.0, 0.5, 0.2, 0.1)
         with pytest.raises(ValueError):
@@ -230,3 +250,24 @@ class TestSupercritical:
         text = lim.to_text()
         assert "v_matrix" in text and "eta_sq" in text
         assert "v_y_sample" in text
+
+
+@pytest.mark.parametrize("sigma3, rho", [(0.4, 0.2), (0.0, 0.2), (0.4, -1.0)],
+                         ids=["b-and-l", "no-l", "no-b"])
+def test_batched_draws_follow_their_streams(monkeypatch, sigma3, rho):
+    """Draw j of limit_draws is the scalar draw on stream first + j.
+
+    Seven draws in batches of 3 end on a 1-row batch, and the 857-step
+    probe ends on a 3-step block, short of 30/|b| = 60 time units;
+    sigma3 = 0 skips the L substream and |rho| = 1 the B substream.
+    """
+    monkeypatch.setattr(simulate, "WIDE_ROWS", 3)
+    monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
+    spec = make_spec(1.2, -0.5, 0.4, 0.0, -1.0, 0.5, 0.3, sigma3, rho,
+                     init=InitialLaw("point", y0=1.0, x0=0.5))
+    draws, redraws = limit_draws(spec, 7, 0.07, 610, 4)
+    assert draws.shape == (7, 5) and redraws == 0
+    for j, row in enumerate(draws):
+        _, want = supercritical_limit_sample(spec, None, 0.07,
+                                             RngStream(610, 4 + j))
+        np.testing.assert_array_equal(row, want)
