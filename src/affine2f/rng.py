@@ -58,6 +58,11 @@ class RngStream:
             self._generators[substream] = gen
         return gen
 
+    @property
+    def started(self) -> bool:
+        """Whether any substream has handed out its Generator."""
+        return bool(self._generators)
+
     def spawn(self, index: int) -> "RngStream":
         """Child stream for nested simulations (burn-in legs, redraws)."""
         if index < 0:

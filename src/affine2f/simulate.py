@@ -23,6 +23,10 @@ then steps X, all with simulate_path's elementwise operations in its
 order. The per-stream batches hand each block on as it is finished, so a
 replication study reduces paths block by block and never holds a whole
 path.
+
+At a few hundred rows a ufunc call costs more in dispatch than in
+arithmetic, so the per-step loops make one call per elementwise
+operation of the update and no other (see _step).
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ DEFAULT_BURN_IN_RATE = 20.0
 # (estimators.functionals_from_arrays) sums paths in the same segments
 BLOCK_STEPS = 1024
 # no block array of the stepper holds more than BLOCK_STEPS * WIDE_ROWS
-# values: per-stream batches take WIDE_ROWS rows at a time, and wider
-# shared-stream ensembles take shorter blocks (a full block of 1e5 paths
-# would take 800 MB); their draws never depend on the block length
-WIDE_ROWS = 64
+# values (2 MiB): per-stream batches take WIDE_ROWS rows at a time, and
+# wider shared-stream ensembles take shorter blocks (a full block of 1e5
+# paths would take 800 MB); their draws never depend on the block length.
+# Wider rows spread each ufunc call's dispatch cost over more path-steps,
+# with little left to gain past 256
+WIDE_ROWS = 256
 
 
 @dataclass(eq=False)
@@ -253,26 +259,34 @@ def _noise(source, m: int, rows: int, scale: float) -> np.ndarray | None:
     return z
 
 
+def _row_consts(rows: int, *values: float) -> list[np.ndarray]:
+    """One (rows,) vector per constant, the operands of the step loops."""
+    return [np.full(rows, v) for v in values]
+
+
 def _step_y_euler(spec: ModelSpec, dt: float, y: np.ndarray, yi: np.ndarray,
                   dw: np.ndarray) -> None:
     """Full-truncation Euler for Y over one block, in place.
 
     yi is the real-valued internal state, y[j + 1] its positive part.
     """
-    a, b, sigma1 = spec.a, spec.b, spec.sigma1
+    a, b, h, sigma1, zero = _row_consts(yi.size, spec.a, spec.b, dt, spec.sigma1, 0.0)
     drift = np.empty_like(yi)
     shock = np.empty_like(yi)
-    for j in range(dw.shape[0]):
+    mul, sub, add, sqrt, maximum = (np.multiply, np.subtract, np.add, np.sqrt,
+                                    np.maximum)
+    ys = list(y)
+    for yj, y_next, dwj in zip(ys, ys[1:], list(dw)):
         # yi + (a - b*y)*dt + sigma1*sqrt(y)*dw, in simulate_path's order
-        np.multiply(y[j], b, out=drift)
-        np.subtract(a, drift, out=drift)
-        drift *= dt
-        np.sqrt(y[j], out=shock)
-        shock *= sigma1
-        shock *= dw[j]
-        yi += drift
-        yi += shock
-        np.maximum(yi, 0.0, out=y[j + 1])
+        mul(yj, b, out=drift)
+        sub(a, drift, out=drift)
+        mul(drift, h, out=drift)
+        sqrt(yj, out=shock)
+        mul(shock, sigma1, out=shock)
+        mul(shock, dwj, out=shock)
+        add(yi, drift, out=yi)
+        add(yi, shock, out=yi)
+        maximum(yi, zero, out=y_next)
 
 
 def _step_x(spec: ModelSpec, dt: float, ortho: float, y: np.ndarray,
@@ -280,8 +294,9 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, y: np.ndarray,
     """Euler for X over one block, in place, given the whole Y block.
 
     Every term that depends on Y and the noise alone is formed for the
-    block at once (dw, db and dl are overwritten), leaving six ufunc
-    calls per step; each term keeps simulate_path's operations and order.
+    block at once (dw, db and dl are overwritten), leaving five ufunc
+    calls per step, six with L; each term keeps simulate_path's
+    operations and order.
     """
     d, q = spec.drift, spec.diffusion
     yl = y[:-1]
@@ -296,16 +311,20 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, y: np.ndarray,
     shock *= dw  # sigma2*sqrt(y) * (rho*dw + ortho*db)
     if dl is not None:
         dl *= q.sigma3
+    gamma, h = _row_consts(x.shape[1], d.gamma, dt)
     t = np.empty_like(x[0])
-    for j in range(yl.shape[0]):
+    mul, sub, add = np.multiply, np.subtract, np.add
+    xs = list(x)
+    dls = [None] * len(yl) if dl is None else list(dl)
+    for xj, x_next, dyj, sj, dlj in zip(xs, xs[1:], list(drift_y), list(shock), dls):
         # x + (alpha - beta*y - gamma*x)*dt + shock + sigma3*dl
-        np.multiply(x[j], d.gamma, out=t)
-        np.subtract(drift_y[j], t, out=t)
-        t *= dt
-        np.add(x[j], t, out=x[j + 1])
-        x[j + 1] += shock[j]
-        if dl is not None:
-            x[j + 1] += dl[j]
+        mul(xj, gamma, out=t)
+        sub(dyj, t, out=t)
+        mul(t, h, out=t)
+        add(xj, t, out=x_next)
+        add(x_next, sj, out=x_next)
+        if dlj is not None:
+            add(x_next, dlj, out=x_next)
 
 
 def _step(
@@ -332,6 +351,15 @@ def _step(
     so that no block outgrows BLOCK_STEPS * WIDE_ROWS values. Within a
     block Y is stepped first, then X; exact Y transitions are drawn step
     by step, from each row's own generator when the rows own streams.
+
+    The per-step loops (here, in _step_y_euler and in _step_x) spend
+    their time dispatching ufuncs, not in arithmetic, so they dispatch
+    nothing the update does not need: constant operands are row vectors
+    built once per block (a Python float is converted on every call),
+    every call writes through out= (augmented assignment goes through
+    the operator protocol first), the ufuncs are local names, and the
+    rows are listed as views once per block rather than indexed at every
+    step.
     """
     d, q = spec.drift, spec.diffusion
     n = _n_grid(T, dt)
@@ -381,9 +409,11 @@ def _step(
                 q.sigma1 * np.sqrt(np.maximum(yl, Y_FLOOR))
             )
         elif exact:
-            for j in range(m):
-                np.multiply(y[j], decay, out=y[j + 1])
-                y[j + 1] += level
+            decay_r, level_r = _row_consts(rows, decay, level)
+            ys = list(y)
+            for yj, y_next in zip(ys, ys[1:]):
+                np.multiply(yj, decay_r, out=y_next)
+                np.add(y_next, level_r, out=y_next)
         else:
             _step_y_euler(spec, dt, y, yi, dw)
         _step_x(spec, dt, ortho, y, x, dw, db, dl)
@@ -446,10 +476,16 @@ def euler_paths_per_stream(
 
     Unlike simulate_ensemble, every path here owns its RngStream, and its
     start comes from that stream as in simulate_path, so row r is
-    bit-identical to simulate_path(spec, T, dt, scheme, streams[r]).
+    bit-identical to simulate_path(spec, T, dt, scheme, streams[r]). A
+    stream that has already handed out a Generator would continue where
+    it stopped and give another path, so it is refused with a ValueError.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    used = next((s for s in streams if s.started), None)
+    if used is not None:
+        raise ValueError(f"{used!r} has already drawn; each path needs a "
+                         "fresh stream")
     for lo in range(0, len(streams), WIDE_ROWS):
         sub = streams[lo : lo + WIDE_ROWS]
         rows = slice(lo, lo + len(sub))

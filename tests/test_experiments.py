@@ -1,6 +1,7 @@
 """Replication experiments: plans, limit-law reports, quantile sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ class TestPlan:
 class TestRunExperiment:
     @pytest.mark.parametrize("scheme", simulate.SCHEMES)
     @pytest.mark.parametrize("case", ["point", "stationary-y", "stationary",
-                                      "sigma1_zero"])
+                                      "sigma1_zero", "no-l", "no-b"])
     def test_rows_replay_the_scalar_engine(self, sub_spec, scheme, case,
                                            monkeypatch):
         # 50 steps in 7-step blocks end on a 1-step block; 9 rows taken 4
@@ -133,6 +134,12 @@ class TestRunExperiment:
         if case == "sigma1_zero":
             spec = make_spec(1.0, 0.5, 0.2, 0.1, 0.3, 0.0, 0.7, 0.2, 0.4,
                              init=_point(1.0, 0.0))
+        elif case == "no-l":  # sigma3 = 0: no L draws, no L term in X
+            spec = make_spec(1.0, 1.0, 0.5, 0.3, 0.6, 0.5, 0.3, 0.0, 0.3,
+                             init=_point(1.0, 0.2))
+        elif case == "no-b":  # rho = 1: no B draws
+            spec = make_spec(1.0, 1.0, 0.5, 0.3, 0.6, 0.5, 0.3, 0.4, 1.0,
+                             init=_point(1.0, 0.2))
         elif case != "point":
             # the stationary start's burn-in leg crosses blocks too
             spec = ModelSpec(sub_spec.drift, sub_spec.diffusion,
@@ -146,6 +153,37 @@ class TestRunExperiment:
                 have = getattr(got, name)
                 have = have if np.ndim(have) == 0 else have[r]
                 assert have == getattr(want, name), (r, name)
+
+    @pytest.mark.parametrize("scheme", simulate.SCHEMES)
+    def test_batch_width_never_changes_rows(self, sub_spec, scheme,
+                                            monkeypatch):
+        # short blocks, so that a width-dependent block length would show
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
+
+        def rows_at(width):
+            monkeypatch.setattr(simulate, "WIDE_ROWS", width)
+            return _replicate(sub_spec, 0.5, 0.01, scheme,
+                              [RngStream(93, r) for r in range(9)])
+
+        narrow, wide = rows_at(2), rows_at(256)
+        for name in PathFunctionals.__dataclass_fields__:
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+
+    def test_reused_streams_are_refused(self, sub_spec):
+        # a stationary-y start draws from substream 3 before any step, so
+        # the check must come before the start is resolved
+        spec = ModelSpec(sub_spec.drift, sub_spec.diffusion,
+                         InitialLaw("stationary-y", x0=0.2))
+        streams = [RngStream(95, r) for r in range(3)]
+        assert not any(s.started for s in streams)
+        first = _replicate(spec, 0.5, 0.01, "full_euler", streams)
+        assert all(s.started for s in streams)
+        with pytest.raises(ValueError, match=re.escape(repr(streams[0]))):
+            _replicate(spec, 0.5, 0.01, "full_euler", streams)
+        fresh = _replicate(spec, 0.5, 0.01, "full_euler",
+                           [RngStream(95, r) for r in range(3)])
+        for name in PathFunctionals.__dataclass_fields__:
+            assert np.array_equal(getattr(first, name), getattr(fresh, name)), name
 
     def test_batched_engine_never_holds_whole_paths(self, sub_spec):
         # recorded (R, n) Y and X paths would take R * n * 16 bytes
