@@ -198,12 +198,10 @@ def _solve_block(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
             (G[1, 1] * rhs[0] - G[0, 1] * rhs[1]) / det,
             (G[0, 0] * rhs[1] - G[1, 0] * rhs[0]) / det,
         ]), cond
-    # rank-revealing QR for the 3x3 block; short paths sit close to the
-    # condition gate and a plain LU would hide how marginal they are
-    import scipy.linalg  # slow to import; only this branch needs it
-
-    sol = scipy.linalg.lstsq(G, rhs, lapack_driver="gelsy")[0]
-    return sol, cond
+    # rank-revealing SVD least squares for the 3x3 block; short paths sit
+    # close to the condition gate and a plain LU would hide how marginal
+    # they are
+    return np.linalg.lstsq(G, rhs, rcond=None)[0], cond
 
 
 def clse_discrete_transformed(path: PathGrid, stride: int = 1) -> TransformedEstimate:

@@ -244,19 +244,18 @@ def _noise(source, m: int, rows: int, scale: float) -> np.ndarray | None:
     A shared Generator fills it in one call, which continues the same
     sequence as m successive (rows,)-shaped calls; a list holds one
     Generator per row, each filling one contiguous row of a (rows, m)
-    draw that is transposed once.
+    draw that is transposed and scaled in one pass.
     """
     if source is None:
         return None
     if isinstance(source, np.random.Generator):
         z = source.standard_normal((m, rows))
-    else:
-        z = np.empty((rows, m))
-        for g, row in zip(source, z):
-            g.standard_normal(out=row)
-        z = z.T.copy()
-    z *= scale
-    return z
+        z *= scale
+        return z
+    z = np.empty((rows, m))
+    for g, row in zip(source, z):
+        g.standard_normal(out=row)
+    return np.multiply(z.T, scale, order="C")
 
 
 def _row_consts(rows: int, *values: float) -> list[np.ndarray]:

@@ -317,16 +317,41 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "1,0,0.5" in proc.stdout
 
-    @pytest.mark.parametrize("scipy_module", ["scipy.stats", "scipy.linalg"])
-    @pytest.mark.parametrize("package", ["affine2f", "affine2f.cli"])
-    def test_import_leaves_scipy_unloaded(self, package, scipy_module):
-        # scipy costs every CLI command a cold start; only the functions
-        # that use it (the scorecard, the 3x3 solve, transient moments) load it
-        code = f"import sys, {package}; print({scipy_module!r} in sys.modules)"
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: one interpreter runs every
+        # command, each estimator and both scorecards, then lists any
+        # scipy module that got loaded on the way
+        sub = write_config(tmp_path, "sub.ini", directory=tmp_path / "sub",
+                           T=2.0, replications=6)
+        crit = write_config(tmp_path, "crit.ini", directory=tmp_path / "crit",
+                            b=0.0, beta=0.0, gamma=0.0, replications=6)
+        sup = write_config(tmp_path, "sup.ini", directory=tmp_path / "sup",
+                           b=-0.5, gamma=-1.0, beta=0.0, dt=0.05)
+        path = str(tmp_path / "sub" / "path_000.txt")
+        commands = [
+            ["simulate", "--config", sub],
+            *(["estimate", path, "--method", m, "--out", str(tmp_path / m[:4])]
+              for m in ("continuous", "discrete:5", "approx:5")),
+            ["diffstats", path, "--out", str(tmp_path / "diff")],
+            ["moments", "0.5", "--config", sub],
+            ["moments", "stationary", "--config", sub],
+            *(["limit-sample", "--config", cfg, "--draws", "2"]
+              for cfg in (sub, crit, sup)),
+            ["mc-verify", "--config", sub, "--reference-draws", "4"],
+            ["mc-verify", "--config", crit, "--reference-draws", "4"],
+        ]
+        code = (
+            "import sys\n"
+            "from affine2f.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

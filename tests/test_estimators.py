@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from affine2f.errors import OutOfDomain, SingularGram
 from affine2f.estimators import (
     PathFunctionals,
     TransformedEstimate,
+    _solve_block,
     clse_approx,
     clse_continuous,
     clse_discrete_transformed,
@@ -109,6 +111,29 @@ class TestDiscreteTransformed:
         np.testing.assert_allclose([te.c, te.d], ref1, rtol=1e-9)
         np.testing.assert_allclose([te.delta, te.epsilon, te.zeta], ref2,
                                    rtol=1e-9)
+
+    @pytest.mark.parametrize("log_cond", [0, 3, 6, 9, 11])
+    def test_three_by_three_solve_matches_gelsy(self, log_cond):
+        # scipy's rank-revealing gelsy least squares is the outside oracle.
+        # Any two backward-stable solvers part by up to about cond * eps,
+        # so the bound is 1e-10 until 10 * cond * eps passes it
+        rng = np.random.default_rng(log_cond)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            G = (q * np.logspace(0, -log_cond, 3)) @ q.T
+            G = (G + G.T) / 2.0
+            rhs = G @ rng.standard_normal(3)
+            got, cond = _solve_block(G, rhs)
+            want = scipy.linalg.lstsq(G, rhs, lapack_driver="gelsy")[0]
+            tol = max(1e-10, 10.0 * cond * np.finfo(float).eps)
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+    def test_path_gram_solve_matches_gelsy(self, noisy_path):
+        te = clse_discrete_transformed(noisy_path)
+        rhs = np.random.default_rng(5).standard_normal(3)
+        got, _ = _solve_block(te.gram2, rhs)
+        want = scipy.linalg.lstsq(te.gram2, rhs, lapack_driver="gelsy")[0]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_stride_equals_thinned_path(self, noisy_path):
         te_a = clse_discrete_transformed(noisy_path, stride=4)

@@ -5,12 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from affine2f import simulate
 from affine2f.errors import ExcessiveExclusions
 from affine2f.estimators import PathFunctionals, functionals_from_path
 from affine2f.experiments import (
     ExperimentPlan,
+    _ks_normal,
+    _ks_two_sample,
     _replicate,
     consistency_sweep,
     run_experiment,
@@ -189,8 +192,6 @@ class TestRunExperiment:
         # recorded (R, n) Y and X paths would take R * n * 16 bytes
         import tracemalloc
 
-        from scipy import stats  # noqa: F401  (loaded before tracing)
-
         R, T, dt = 32, 40.0, 1e-3
         plan = ExperimentPlan(spec=sub_spec, T=T, dt=dt, replications=R,
                               base_seed=5, scheme="full_euler")
@@ -310,6 +311,31 @@ class TestRunExperiment:
                               replications=3, base_seed=1)
         with pytest.raises(ValueError, match="n_reference"):
             run_experiment(plan, n_reference=0)
+
+
+class TestKsStatistics:
+    # scipy.stats is the outside oracle; the library never imports scipy
+
+    @pytest.mark.parametrize("n1, n2, ties", [
+        (1000, 1000, False),
+        (300, 450, False),   # gcd 150
+        (120, 84, True),     # gcd 12, rounded to share values
+        (97, 60, True),      # coprime
+        (1, 7, False),
+    ])
+    def test_two_sample_equals_scipy_bitwise(self, n1, n2, ties):
+        rng = np.random.default_rng(n1 * 1000 + n2)
+        a = rng.standard_normal(n1)
+        b = 1.2 * rng.standard_normal(n2) + 0.1
+        if ties:
+            a, b = np.round(a, 1), np.round(b, 1)
+        assert _ks_two_sample(a, b) == stats.ks_2samp(a, b).statistic
+
+    @pytest.mark.parametrize("n, sd", [(2000, 1.0), (25, 0.3), (400, 7.5)])
+    def test_one_sample_matches_scipy(self, n, sd):
+        x = 1.1 * sd * np.random.default_rng(n).standard_normal(n)
+        want = stats.kstest(x, "norm", args=(0.0, sd)).statistic
+        assert _ks_normal(x, sd) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestConsistencySweep:

@@ -1,12 +1,18 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from affine2f.model import InitialLaw, ModelSpec, conditional_mean_x, conditional_mean_y, make_spec
 from affine2f.moments import (
     MomentTable,
+    _extended_lattice,
+    _generator_matrix,
+    _initial_moments,
     fractional_moment_y,
     laplace_y,
     mean_growth_check,
@@ -137,6 +143,79 @@ class TestTransient:
         for kl, v in zip(lattice, fine):
             if kl[0] <= 2 and kl[1] <= 2:
                 assert_allclose(table.get(*kl), v, rtol=1e-8)
+
+
+# the specs of the benchmark's subcritical, critical and supercritical
+# workloads, a subcritical one with b = gamma (a repeated rate) and a
+# supercritical one whose X equations pull in higher Y powers (beta != 0)
+EXPM_SPECS = {
+    "subcritical": make_spec(12.0, 8.0, 0.5, 0.2, 7.0, 1.5, 0.6, 0.6, 0.2,
+                             init=InitialLaw("point", y0=1.5, x0=1.6 / 56)),
+    "critical": make_spec(1.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.3, 0.4, 0.3,
+                          init=InitialLaw("point", y0=1.0, x0=0.2)),
+    "supercritical": make_spec(1.0, -0.5, 0.2, 0.0, -1.0, 0.5, 0.3, 0.4, 0.3,
+                               init=InitialLaw("point", y0=1.0, x0=0.5)),
+    "b=gamma": make_spec(1.0, 2.0, 0.5, 0.3, 2.0, 0.5, 0.3, 0.4, 0.3,
+                         init=InitialLaw("point", y0=1.0, x0=0.2)),
+    "supercritical, beta": make_spec(1.0, -1.0, 0.2, 0.3, -0.2, 0.5, 0.3, 0.4,
+                                     0.3, init=InitialLaw("point", y0=1.0, x0=0.5)),
+}
+
+
+class TestExponential:
+    """transient_moments against scipy.linalg.expm as an outside oracle."""
+
+    @staticmethod
+    def _long(spec):
+        rate = abs(min(spec.b, spec.gamma))
+        return 60.0 / rate if rate else 60.0
+
+    @pytest.mark.parametrize("name", sorted(EXPM_SPECS))
+    @pytest.mark.parametrize("when", ["zero", "short", "long"])
+    def test_matches_scipy_expm(self, name, when):
+        spec = EXPM_SPECS[name]
+        t = {"zero": 0.0, "short": 0.5, "long": self._long(spec)}[when]
+        lattice = _extended_lattice(4, 4)
+        A = _generator_matrix(spec, lattice)
+        want = dict(zip(lattice, scipy.linalg.expm(A * t)
+                        @ _initial_moments(spec, lattice)))
+        got = transient_moments(spec, t, 4, 4).values
+        assert len(got) == 25
+        assert_allclose([got[kl] for kl in sorted(got)],
+                        [want[kl] for kl in sorted(got)], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["supercritical", "supercritical, beta"])
+    def test_supercritical_long_horizon_to_the_last_bits(self, name):
+        # rows of exp(A t) span up to 200 orders of magnitude here; a
+        # 30-digit mpmath exponential is exact to double precision
+        spec = EXPM_SPECS[name]
+        t = self._long(spec)
+        lattice = _extended_lattice(4, 4)
+        A = _generator_matrix(spec, lattice) * t
+        m0 = _initial_moments(spec, lattice)
+        with mpmath.workdps(30):
+            exact = mpmath.expm(mpmath.matrix(A.tolist())) * mpmath.matrix(m0.tolist())
+            exact = dict(zip(lattice, (float(v) for v in exact)))
+        got = transient_moments(spec, t, 4, 4).values
+        assert_allclose([got[kl] for kl in sorted(got)],
+                        [exact[kl] for kl in sorted(got)], rtol=1e-14, atol=0.0)
+
+    def test_generator_is_lower_triangular(self):
+        # _expm_lower keeps the triangle; the l-major lattice must give one
+        for spec in EXPM_SPECS.values():
+            A = _generator_matrix(spec, _extended_lattice(4, 4))
+            assert not np.triu(A, 1).any()
+
+    @pytest.mark.parametrize("name", sorted(EXPM_SPECS))
+    def test_long_horizon_is_fast(self, name):
+        spec = EXPM_SPECS[name]
+        t = self._long(spec)
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            transient_moments(spec, t, 4, 4)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010, best
 
 
 class TestStationary:
