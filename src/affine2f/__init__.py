@@ -22,6 +22,7 @@ from .errors import (
     Affine2FError,
     ConfigError,
     ExcessiveExclusions,
+    HypothesisError,
     NonPositiveVY,
     OutOfDomain,
     SingularGram,
@@ -95,6 +96,7 @@ __all__ = [
     "EnsembleResult",
     "ExcessiveExclusions",
     "ExperimentPlan",
+    "HypothesisError",
     "InitialLaw",
     "LimitLawReport",
     "ModelSpec",

@@ -4,7 +4,8 @@ Subcommands wire config files and stored paths to the library:
 simulate, estimate, moments, diffstats, mc-verify and limit-sample.
 Every command is a pure function of (config, seed, flags); reruns
 reproduce each output file byte for byte. Exit codes: 0 success,
-2 config problem, 3 violated model hypotheses, 4 numerical failure.
+2 config problem, 3 violated model hypotheses (the library raised
+HypothesisError), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .config import (
     serialize_config,
 )
 from .diffusion_stats import estimate_diffusion
-from .errors import Affine2FError, ConfigError
+from .errors import Affine2FError, ConfigError, HypothesisError
 from .estimators import (
     clse_approx,
     clse_continuous,
@@ -33,7 +34,7 @@ from .estimators import (
 )
 from .experiments import ExperimentPlan, run_experiment
 from .limit_laws import limit_draws
-from .model import Regime, classify_regime, validate_spec
+from .model import Regime, classify_regime
 from .moments import stationary_moments, transient_moments
 from .persist import draws_text, read_path_grid, write_path_grid, write_text
 from .rng import RngStream
@@ -43,16 +44,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_HYPOTHESES = 3
 EXIT_NUMERICAL = 4
-
-
-class _HypothesisFailure(Exception):
-    """Model fails the standing assumptions of the requested operation."""
-
-
-def _require(spec, purpose: str) -> None:
-    report = validate_spec(spec, purpose)
-    if not report.ok:
-        raise _HypothesisFailure("; ".join(report.violations))
 
 
 def _effective_config(args) -> RunConfig:
@@ -94,20 +85,12 @@ def _sidecar_text(cfg: RunConfig, command: str, replication: int,
 def cmd_simulate(args) -> int:
     cfg = _effective_config(args)
     spec, exp = cfg.spec, cfg.experiment
-    if spec.init.kind != "point":
-        # a gamma-law start only exists for an ergodic positive Y factor
-        if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
-            raise _HypothesisFailure(
-                "a stationary start requires b > 0 and gamma > 0"
-            )
-        if not spec.sigma1 > 0.0:
-            raise _HypothesisFailure("a stationary start requires sigma1 > 0")
-    _require(spec, "simulation")
-    out = _prepare_out(cfg.output.directory)
     ext = {"text": "txt", "csv": "csv"}
     for r in range(exp.replications):
         path = simulate_path(spec, exp.T, exp.dt, exp.scheme,
                              RngStream(exp.base_seed, r))
+        # made only once a path exists, so a refused start leaves no trace
+        out = _prepare_out(cfg.output.directory)
         for fmt in cfg.output.formats:
             fname = os.path.join(out, "path_%03d.%s" % (r, ext[fmt]))
             write_path_grid(path, fname, fmt)
@@ -175,10 +158,6 @@ def cmd_moments(args) -> int:
     if args.kmax < 0 or args.lmax < 0:
         raise ConfigError("--kmax and --lmax must be nonnegative")
     if args.when == "stationary":
-        if classify_regime(cfg.spec.drift) is not Regime.SUBCRITICAL:
-            raise _HypothesisFailure(
-                "stationary moments require b > 0 and gamma > 0"
-            )
         table = stationary_moments(cfg.spec, args.kmax, args.lmax)
     else:
         try:
@@ -212,13 +191,11 @@ def cmd_diffstats(args) -> int:
 def cmd_mc_verify(args) -> int:
     cfg = _effective_config(args)
     spec, exp = cfg.spec, cfg.experiment
-    regime = classify_regime(spec.drift)
-    _require(spec, f"{regime.value}-limit")
-    if args.reference_draws < 1:
-        raise ConfigError("--reference-draws must be at least 1")
     plan = ExperimentPlan(spec=spec, T=exp.T, dt=exp.dt,
                           replications=exp.replications,
                           base_seed=exp.base_seed, scheme=exp.scheme)
+    if args.reference_draws < 1:
+        raise ConfigError("--reference-draws must be at least 1")
     report = run_experiment(plan, n_reference=args.reference_draws)
     text = report.to_text() + "\n"
     out = os.path.join(_prepare_out(cfg.output.directory), "mc_verify.txt")
@@ -234,7 +211,6 @@ def cmd_limit_sample(args) -> int:
     if args.draws < 1:
         raise ConfigError("--draws must be at least 1")
     regime = classify_regime(spec.drift)
-    _require(spec, f"{regime.value}-limit")
     draws, redraws = limit_draws(spec, args.draws, exp.dt, exp.base_seed, 0)
     text = draws_text(draws, f"{regime.value} limit draws")
     if regime is not Regime.SUBCRITICAL:
@@ -304,7 +280,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _HypothesisFailure as exc:
+    except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES
     except (Affine2FError, ValueError, np.linalg.LinAlgError) as exc:

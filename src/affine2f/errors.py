@@ -9,6 +9,10 @@ class ConfigError(Affine2FError):
     """Raised when a config file cannot be parsed into a valid run setup."""
 
 
+class HypothesisError(Affine2FError, ValueError):
+    """The model fails the standing hypotheses of the requested operation."""
+
+
 class SingularGram(Affine2FError):
     """A normal-equation matrix is numerically singular.
 

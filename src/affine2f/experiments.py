@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExcessiveExclusions
+from .errors import ExcessiveExclusions, HypothesisError
 from .estimators import (
     PathFunctionals,
     functionals_from_arrays,
@@ -22,7 +22,7 @@ from .estimators import (
     target_blocks,
 )
 from .limit_laws import limit_draws, subcritical_limit
-from .model import ModelSpec, Regime, classify_regime, validate_spec
+from .model import ModelSpec, Regime, classify_regime, require
 from .rng import RngStream
 from .simulate import SCHEMES, euler_paths_per_stream
 # the scalar reference each row of _replicate equals; unused here, but
@@ -31,12 +31,6 @@ from .simulate import simulate_path  # noqa: F401
 
 # fraction of replications allowed to fail with a singular Gram matrix
 EXCLUSION_CAP = 0.01
-
-_PURPOSE = {
-    Regime.SUBCRITICAL: "subcritical-limit",
-    Regime.CRITICAL: "critical-limit",
-    Regime.SUPERCRITICAL: "supercritical-limit",
-}
 
 # KS thresholds: asymptotic 5% critical values at the reference sizes
 # (R = 2000 one-sample, R = 1000 paired two-sample), doubled to leave
@@ -78,9 +72,7 @@ class ExperimentPlan:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         regime = classify_regime(self.spec.drift)
-        report = validate_spec(self.spec, _PURPOSE[regime])
-        if not report.ok:
-            raise ValueError("; ".join(report.violations))
+        require(self.spec, f"{regime.value}-limit")
         object.__setattr__(self, "regime", regime)
 
     def scales(self) -> np.ndarray:
@@ -358,10 +350,8 @@ def consistency_sweep(
     """
     regime = classify_regime(spec.drift)
     if regime is Regime.CRITICAL:
-        raise ValueError("quantile shrinkage needs a strictly noncritical regime")
-    report = validate_spec(spec, _PURPOSE[regime])
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
+        raise HypothesisError("quantile shrinkage needs a strictly noncritical regime")
+    require(spec, f"{regime.value}-limit")
     if len(T_list) < 2:
         raise ValueError("need at least two horizons to exhibit a trend")
     if replications < 2:

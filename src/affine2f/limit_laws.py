@@ -23,7 +23,7 @@ from .estimators import (
     gram_blocks,
     solve_gated,
 )
-from .model import ModelSpec, Regime, classify_regime, make_spec, validate_spec
+from .model import ModelSpec, Regime, classify_regime, make_spec, require
 from .moments import stationary_moments
 from .rng import RngStream
 from .simulate import (
@@ -38,12 +38,6 @@ from .simulate import (
 # supercritical probe horizon in units of 1/|b|: the remaining drift of
 # e^{bT} Y_T and e^{gamma T} X_T is exponentially small there
 PROBE_SPAN = 30.0
-
-
-def _require(spec: ModelSpec, purpose: str) -> None:
-    report = validate_spec(spec, purpose)
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
 
 
 def _matrix_text(label: str, m: np.ndarray) -> str:
@@ -76,7 +70,7 @@ def subcritical_limit(spec: ModelSpec) -> SubcriticalLimit:
     The Y block of every object involves only (a, b, sigma1); the
     blockwise inverse below preserves that separation bit for bit.
     """
-    _require(spec, "subcritical-limit")
+    require(spec, "subcritical-limit")
     mom = stationary_moments(spec, 3, 2)
     m10, m20, m30 = mom.get(1, 0), mom.get(2, 0), mom.get(3, 0)
     m01, m11, m02 = mom.get(0, 1), mom.get(1, 1), mom.get(0, 2)
@@ -335,7 +329,7 @@ def supercritical_limit_sample(
     equals this function's draw on RngStream(base_seed, first_stream + j)
     bit for bit.
     """
-    _require(spec, "supercritical-limit")
+    require(spec, "supercritical-limit")
     if T_probe is None:
         T_probe = PROBE_SPAN / abs(spec.b)
     path = simulate_path(spec, T_probe, dt, rng=rng)
@@ -357,7 +351,8 @@ def limit_draws(
     Streams: subcritical draws come from substream 4 of
     RngStream(base_seed, first_stream), the critical batch from that
     stream, and supercritical draw j from RngStream(base_seed,
-    first_stream + j). Only the critical law redraws.
+    first_stream + j). Only the critical law redraws. A spec outside its
+    regime's hypotheses raises HypothesisError.
 
     The supercritical probes are stepped WIDE_ROWS at a time through
     euler_paths_per_stream, keeping only each row's end point, so draw j
@@ -366,6 +361,7 @@ def limit_draws(
     raises the same NonPositiveVY.
     """
     regime = classify_regime(spec.drift)
+    require(spec, f"{regime.value}-limit")
     if regime is Regime.SUBCRITICAL:
         root = np.linalg.cholesky(subcritical_limit(spec).asym_cov)
         z = RngStream(base_seed, first_stream).generator(4).standard_normal(
@@ -375,7 +371,6 @@ def limit_draws(
         return critical_limit_batch(
             n_draws, spec.a, spec.alpha, spec.sigma1, spec.sigma2, spec.rho,
             dt, RngStream(base_seed, first_stream))
-    _require(spec, "supercritical-limit")
     T_probe = PROBE_SPAN / abs(spec.b)
     streams = [RngStream(base_seed, first_stream + j) for j in range(n_draws)]
     y_T, x_T = np.empty(n_draws), np.empty(n_draws)

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import HypothesisError
 from .kernels import i1, i2, psi
 
 
@@ -248,6 +249,13 @@ def validate_spec(spec: ModelSpec, purpose: str) -> ValidationReport:
             )
 
     return ValidationReport(not violations, tuple(violations), tuple(warnings))
+
+
+def require(spec: ModelSpec, purpose: str) -> None:
+    """Raise HypothesisError listing each hypothesis of `purpose` that spec fails."""
+    report = validate_spec(spec, purpose)
+    if not report.ok:
+        raise HypothesisError("; ".join(report.violations))
 
 
 def conditional_mean_y(spec: ModelSpec, y_s: float, dt: float) -> float:

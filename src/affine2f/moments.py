@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import HypothesisError
 from .model import ModelSpec, Regime, classify_regime
 
 
@@ -174,7 +175,8 @@ def stationary_moments(spec: ModelSpec, n_max: int, p_max: int) -> MomentTable:
     lower-order terms that drive the transient system.
     """
     if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
-        raise ValueError("stationary moments require a subcritical spec")
+        raise HypothesisError("stationary moments require a subcritical spec "
+                              "(b > 0 and gamma > 0)")
     if n_max < 0 or p_max < 0:
         raise ValueError("moment orders must be nonnegative")
     d, q = spec.drift, spec.diffusion
@@ -205,9 +207,9 @@ def stationary_moments(spec: ModelSpec, n_max: int, p_max: int) -> MomentTable:
 def stationary_y_gamma_params(spec: ModelSpec) -> tuple[float, float]:
     """(shape, rate) of the stationary gamma law of Y."""
     if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
-        raise ValueError("the stationary Y law requires a subcritical spec")
+        raise HypothesisError("the stationary Y law requires a subcritical spec")
     if not spec.sigma1 > 0.0:
-        raise ValueError("the stationary Y law is degenerate when sigma1 = 0")
+        raise HypothesisError("the stationary Y law is degenerate when sigma1 = 0")
     return 2.0 * spec.a / spec.sigma1**2, 2.0 * spec.b / spec.sigma1**2
 
 

@@ -7,6 +7,8 @@ file byte for byte.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -58,21 +60,28 @@ def read_path_grid(file_path) -> PathGrid:
             key, _, val = header.partition("=")
             meta[key.strip()] = val.strip()
         idx += 1
-    body = [ln for ln in lines[idx:] if ln.strip()]
+    body = lines[idx:]
     if "t0" not in meta or "dt" not in meta:
         raise ConfigError(f"{file_path}: missing t0/dt header lines")
-    t0 = _float_of(file_path, "t0", meta["t0"])
-    dt = _float_of(file_path, "dt", meta["dt"])
-    sep = "," if body and "," in body[0] else None
+    try:
+        t0, dt = _finite(meta["t0"]), _finite(meta["dt"])
+    except ValueError as exc:
+        raise ConfigError(f"{file_path}: t0/dt header: {exc}") from None
+    first = next((ln for ln in body if ln.strip()), "")
+    sep = "," if "," in first else None
     rows = []
-    for ln in body:
+    for no, ln in enumerate(body, idx + 1):
+        if not ln.strip():
+            continue
         parts = ln.split(sep)
         if len(parts) != 2:
             raise ConfigError(
-                f"{file_path}: expected two columns per row, got {ln!r}"
+                f"{file_path}: line {no}: expected two columns, got {ln!r}"
             )
-        rows.append([_float_of(file_path, "row", parts[0]),
-                     _float_of(file_path, "row", parts[1])])
+        try:
+            rows.append([_finite(parts[0]), _finite(parts[1])])
+        except ValueError as exc:
+            raise ConfigError(f"{file_path}: line {no}: {exc}") from None
     arr = np.asarray(rows, dtype=float)
     try:
         return PathGrid(t0, dt, arr[:, 0], arr[:, 1],
@@ -81,13 +90,11 @@ def read_path_grid(file_path) -> PathGrid:
         raise ConfigError(f"{file_path}: {exc}") from exc
 
 
-def _float_of(file_path, what: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{file_path}: could not parse {what} value {raw!r}"
-        ) from None
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"value {raw!r} is not finite")
+    return value
 
 
 def draws_text(draws: np.ndarray, label: str) -> str:

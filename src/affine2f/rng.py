@@ -3,7 +3,9 @@
 Built on Philox, a counter-based bit generator, so any (seed, stream)
 pair reconstructs its state without touching any other stream. Paths,
 replications and reference draws each get their own stream id, which is
-what makes runs reproducible regardless of execution order.
+what makes runs reproducible regardless of execution order. A stream is
+an address and holds no state: asking it twice for a substream gives
+two generators at the same start.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ class RngStream:
         3: initialization draws
         4: auxiliary draws (limit-law reference noise and the like)
 
-    Repeated `generator(k)` calls return the same advancing Generator
-    object; a fresh RngStream with the same address restarts the stream.
+    Every `generator(k)` call returns a new Generator at the start of
+    substream k, so reusing a stream restarts the same draws.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _path: tuple[int, ...] = ()):
@@ -34,7 +36,6 @@ class RngStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._path = tuple(int(p) for p in _path)
-        self._generators: dict[int, np.random.Generator] = {}
 
     def _entropy(self, substream: int) -> tuple[int, ...]:
         # SeedSequence silently ignores *trailing zero* entropy words
@@ -51,17 +52,8 @@ class RngStream:
     def generator(self, substream: int = 0) -> np.random.Generator:
         if substream < 0:
             raise ValueError(f"substream must be nonnegative, got {substream}")
-        gen = self._generators.get(substream)
-        if gen is None:
-            seq = np.random.SeedSequence(self._entropy(substream))
-            gen = np.random.Generator(np.random.Philox(seq))
-            self._generators[substream] = gen
-        return gen
-
-    @property
-    def started(self) -> bool:
-        """Whether any substream has handed out its Generator."""
-        return bool(self._generators)
+        seq = np.random.SeedSequence(self._entropy(substream))
+        return np.random.Generator(np.random.Philox(seq))
 
     def spawn(self, index: int) -> "RngStream":
         """Child stream for nested simulations (burn-in legs, redraws)."""

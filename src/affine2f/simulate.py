@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import HypothesisError
 from .kernels import psi
 from .model import InitialLaw, ModelSpec, Regime, classify_regime, make_spec
 from .rng import RngStream
@@ -475,16 +476,11 @@ def euler_paths_per_stream(
 
     Unlike simulate_ensemble, every path here owns its RngStream, and its
     start comes from that stream as in simulate_path, so row r is
-    bit-identical to simulate_path(spec, T, dt, scheme, streams[r]). A
-    stream that has already handed out a Generator would continue where
-    it stopped and give another path, so it is refused with a ValueError.
+    bit-identical to simulate_path(spec, T, dt, scheme, streams[r]).
+    A stream is an address: passing it again restarts the same path.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    used = next((s for s in streams if s.started), None)
-    if used is not None:
-        raise ValueError(f"{used!r} has already drawn; each path needs a "
-                         "fresh stream")
     for lo in range(0, len(streams), WIDE_ROWS):
         sub = streams[lo : lo + WIDE_ROWS]
         rows = slice(lo, lo + len(sub))
@@ -516,10 +512,12 @@ def simulate_critical_limit_process(
 
 def _stationary_y(spec: ModelSpec, rng: RngStream, size: int | None):
     """Y0 from the stationary gamma law: a scalar, or size draws."""
+    # a gamma-law start only exists for an ergodic positive Y factor
     if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
-        raise ValueError("stationary initialization requires a subcritical spec")
+        raise HypothesisError("a stationary start requires a subcritical spec "
+                              "(b > 0 and gamma > 0)")
     if not spec.sigma1 > 0.0:
-        raise ValueError("stationary initialization requires sigma1 > 0")
+        raise HypothesisError("a stationary start requires sigma1 > 0")
     shape = 2.0 * spec.a / spec.sigma1**2
     scale = spec.sigma1**2 / (2.0 * spec.b)
     return rng.generator(3).gamma(shape, scale, size)

@@ -71,6 +71,41 @@ def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+# the library raises HypothesisError for each of these; the CLI only maps
+# it to exit code 3
+HYPOTHESIS_CASES = {
+    "mc-verify": (["mc-verify"], dict(sigma1=0.0), "sigma1 > 0 required"),
+    "limit-sample": (["limit-sample", "--draws", "5"],
+                     dict(b=0.0, beta=0.2, gamma=1.0), "beta = 0 required"),
+    "moments": (["moments", "stationary"], dict(b=0.0, beta=0.0, gamma=0.0),
+                "stationary moments require a subcritical spec"),
+    "simulate": (["simulate"],
+                 dict(b=-0.5, gamma=-1.0, beta=0.0, init_kind="stationary-y"),
+                 "stationary start requires a subcritical spec"),
+}
+
+
+@pytest.mark.parametrize("case", list(HYPOTHESIS_CASES))
+def test_hypothesis_violation_exits_three(tmp_path, capsys, case):
+    argv, model, cause = HYPOTHESIS_CASES[case]
+    cfg = write_config(tmp_path, **model)
+    assert main(argv + ["--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hypothesis violation:")
+    assert cause in err
+    # no refused command leaves an output directory behind
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "diffstats"])
+def test_non_finite_path_file_is_config_error(tmp_path, capsys, command):
+    f = tmp_path / "p.txt"
+    f.write_text("# affine2f path v1\n# t0 = 0\n# dt = 0.5\n"
+                 "1 0\n2 nan\n3 1\n")
+    assert main([command, str(f), "--out", str(tmp_path)]) == 2
+    assert "line 5: value 'nan' is not finite" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_writes_paths_and_sidecars(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -111,12 +146,6 @@ class TestSimulate:
         cfg = write_config(tmp_path, rho=1.5)
         assert main(["simulate", "--config", cfg]) == 2
         assert "rho" in capsys.readouterr().err
-
-    def test_stationary_start_needs_ergodic_y(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, b=-0.5, gamma=-1.0, beta=0.0,
-                           init_kind="stationary-y")
-        assert main(["simulate", "--config", cfg]) == 3
-        assert "stationary start" in capsys.readouterr().err
 
     def test_config_flag_required(self, capsys):
         assert main(["simulate"]) == 2
@@ -189,10 +218,6 @@ class TestMoments:
         assert table[(1, 0)] == 1.0
         assert table[(0, 1)] == pytest.approx(0.2, rel=1e-12)
 
-    def test_stationary_needs_subcritical(self, tmp_path):
-        cfg = write_config(tmp_path, b=0.0, beta=0.0, gamma=0.0)
-        assert main(["moments", "stationary", "--config", cfg]) == 3
-
     def test_bad_arguments(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["moments", "yesterday", "--config", cfg]) == 2
@@ -241,11 +266,6 @@ class TestMcVerify:
         assert main(["mc-verify", "--config", cfg,
                      "--reference-draws", "10"]) == 0
         assert (out / "mc_verify.txt").read_bytes() == text
-
-    def test_hypothesis_violation_lists_cause(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, sigma1=0.0)
-        assert main(["mc-verify", "--config", cfg]) == 3
-        assert "sigma1" in capsys.readouterr().err
 
     def test_reference_draw_count_checked(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -204,6 +204,15 @@ class TestPathFiles:
         with pytest.raises(ConfigError, match="cannot read"):
             read_path_grid(tmp_path / "absent.txt")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_read_rejects_non_finite_values(self, tmp_path, raw):
+        # line 6: the blank line 5 still counts
+        f = tmp_path / "p.txt"
+        f.write_text(PATH_MAGIC + f"\n# t0 = 0\n# dt = 0.5\n1 0\n\n2 {raw}\n")
+        with pytest.raises(ConfigError) as exc:
+            read_path_grid(f)
+        assert str(exc.value) == f"{f}: line 6: value {raw!r} is not finite"
+
     def test_draws_table_shape(self):
         text = draws_text(np.arange(10.0).reshape(2, 5), "demo")
         lines = text.splitlines()

@@ -1,14 +1,13 @@
 """Replication experiments: plans, limit-law reports, quantile sweeps."""
 
 import math
-import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from affine2f import simulate
-from affine2f.errors import ExcessiveExclusions
+from affine2f.errors import ExcessiveExclusions, HypothesisError
 from affine2f.estimators import PathFunctionals, functionals_from_path
 from affine2f.experiments import (
     ExperimentPlan,
@@ -118,7 +117,7 @@ class TestPlan:
         bad = make_spec(a=1.0, b=0.0, alpha=0.5, beta=0.2, gamma=0.0,
                         sigma1=0.5, sigma2=0.3, sigma3=0.4, rho=0.3,
                         init=_point(1.0, 0.2))
-        with pytest.raises(ValueError):
+        with pytest.raises(HypothesisError, match="beta = 0 required"):
             ExperimentPlan(spec=bad, T=4.0, dt=0.01,
                            replications=2, base_seed=1)
 
@@ -172,21 +171,16 @@ class TestRunExperiment:
         for name in PathFunctionals.__dataclass_fields__:
             assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
 
-    def test_reused_streams_are_refused(self, sub_spec):
-        # a stationary-y start draws from substream 3 before any step, so
-        # the check must come before the start is resolved
+    def test_reused_streams_restart_their_paths(self, sub_spec):
+        # a stationary-y start also draws from substream 3, so every
+        # substream a row touches must restart on the second pass
         spec = ModelSpec(sub_spec.drift, sub_spec.diffusion,
                          InitialLaw("stationary-y", x0=0.2))
         streams = [RngStream(95, r) for r in range(3)]
-        assert not any(s.started for s in streams)
         first = _replicate(spec, 0.5, 0.01, "full_euler", streams)
-        assert all(s.started for s in streams)
-        with pytest.raises(ValueError, match=re.escape(repr(streams[0]))):
-            _replicate(spec, 0.5, 0.01, "full_euler", streams)
-        fresh = _replicate(spec, 0.5, 0.01, "full_euler",
-                           [RngStream(95, r) for r in range(3)])
+        again = _replicate(spec, 0.5, 0.01, "full_euler", streams)
         for name in PathFunctionals.__dataclass_fields__:
-            assert np.array_equal(getattr(first, name), getattr(fresh, name)), name
+            assert np.array_equal(getattr(first, name), getattr(again, name)), name
 
     def test_batched_engine_never_holds_whole_paths(self, sub_spec):
         # recorded (R, n) Y and X paths would take R * n * 16 bytes

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from affine2f import simulate
-from affine2f.errors import NonPositiveVY, SingularGram
+from affine2f.errors import HypothesisError, NonPositiveVY, SingularGram
 from affine2f.estimators import functionals_from_path
 from affine2f.limit_laws import (
     critical_limit_batch,
@@ -271,3 +271,12 @@ def test_batched_draws_follow_their_streams(monkeypatch, sigma3, rho):
         _, want = supercritical_limit_sample(spec, None, 0.07,
                                              RngStream(610, 4 + j))
         np.testing.assert_array_equal(row, want)
+
+
+def test_limit_draws_checks_every_regime():
+    # critical by min(b, gamma) = 0, but beta and gamma are not zero, so
+    # the critical limit law does not apply
+    spec = make_spec(1, 0, 0.5, 0.2, 1, 0.5, 0.3, 0.4, 0.3)
+    with pytest.raises(HypothesisError,
+                       match="beta = 0 required; gamma = 0 required"):
+        limit_draws(spec, 5, 0.01, 1, 0)

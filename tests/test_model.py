@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from affine2f.errors import HypothesisError
 from affine2f.model import (
     DiffusionParams,
     DriftParams,
@@ -13,6 +14,7 @@ from affine2f.model import (
     conditional_mean_x,
     conditional_mean_y,
     make_spec,
+    require,
     validate_spec,
 )
 
@@ -201,3 +203,12 @@ class TestValidate:
 
     def test_simulation_always_passes_for_constructible(self, ref_spec):
         assert validate_spec(ref_spec, "simulation").ok
+
+    def test_require_raises_every_violation(self):
+        spec = make_spec(1, 0.0, 0.3, 0.1, 0.2, 1.0, 0.5, 0.5, 0.0)
+        with pytest.raises(HypothesisError) as exc:
+            require(spec, "critical-limit")
+        assert str(exc.value) == "beta = 0 required; gamma = 0 required"
+        # existing `except ValueError` callers still catch it
+        assert isinstance(exc.value, ValueError)
+        require(spec, "simulation")

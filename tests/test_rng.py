@@ -21,12 +21,11 @@ def test_streams_and_substreams_differ():
     assert len(draws) == 4
 
 
-def test_generator_calls_share_state():
+def test_generator_calls_restart_the_substream():
+    # a stream is an address: every call starts substream k afresh
     stream = RngStream(1, 0)
-    gen = stream.generator(0)
-    first = gen.standard_normal()
-    assert stream.generator(0) is gen
-    assert stream.generator(0).standard_normal() != first
+    first = stream.generator(0).standard_normal(4)
+    assert_array_equal(stream.generator(0).standard_normal(4), first)
 
 
 def test_numpy_trailing_zero_canary():
