@@ -65,7 +65,20 @@ def _prepare_out(directory: str) -> str:
 
 def _file_out(args) -> str:
     # estimate/diffstats read a stored path, so only --out names a target
-    return _prepare_out(args.out if args.out is not None else ".")
+    return args.out if args.out is not None else "."
+
+
+def _publish(directory: str, name: str, text: str) -> int:
+    """Write text to directory/name, echo it and name the file.
+
+    The directory is made only now, once text exists, so a failed
+    command leaves no trace.
+    """
+    out = os.path.join(_prepare_out(directory), name)
+    write_text(out, text)
+    print(text, end="")
+    print(f"wrote {out}")
+    return EXIT_OK
 
 
 def _sidecar_text(cfg: RunConfig, command: str, replication: int,
@@ -145,12 +158,7 @@ def cmd_estimate(args) -> int:
     else:
         te = clse_discrete_transformed(path, stride=stride)
         est = gn_inverse(te) if method == "discrete" else clse_approx(te)
-    text = _estimate_text(est, te)
-    out = os.path.join(_file_out(args), "estimate.txt")
-    write_text(out, text)
-    print(text, end="")
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _publish(_file_out(args), "estimate.txt", _estimate_text(est, te))
 
 
 def cmd_moments(args) -> int:
@@ -169,23 +177,14 @@ def cmd_moments(args) -> int:
         if t < 0.0:
             raise ConfigError(f"moment time must be nonnegative, got {t}")
         table = transient_moments(cfg.spec, t, args.kmax, args.lmax)
-    text = table.to_text()
-    out = os.path.join(_prepare_out(cfg.output.directory), "moments.txt")
-    write_text(out, text)
-    print(text, end="")
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _publish(cfg.output.directory, "moments.txt",
+                    table.to_text())
 
 
 def cmd_diffstats(args) -> int:
     path = read_path_grid(args.path_file)
-    est = estimate_diffusion(path)
-    text = est.to_text()
-    out = os.path.join(_file_out(args), "diffstats.txt")
-    write_text(out, text)
-    print(text, end="")
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _publish(_file_out(args), "diffstats.txt",
+                    estimate_diffusion(path).to_text())
 
 
 def cmd_mc_verify(args) -> int:
@@ -197,12 +196,8 @@ def cmd_mc_verify(args) -> int:
     if args.reference_draws < 1:
         raise ConfigError("--reference-draws must be at least 1")
     report = run_experiment(plan, n_reference=args.reference_draws)
-    text = report.to_text() + "\n"
-    out = os.path.join(_prepare_out(cfg.output.directory), "mc_verify.txt")
-    write_text(out, text)
-    print(text, end="")
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _publish(cfg.output.directory, "mc_verify.txt",
+                    report.to_text() + "\n")
 
 
 def cmd_limit_sample(args) -> int:

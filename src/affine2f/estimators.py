@@ -14,6 +14,12 @@ Three flavors:
 
 The two estimation blocks never mix: (a, b) come from the Y series alone,
 (alpha, beta, gamma) from the X series given Y.
+
+One reduction, one gate: every flavor builds its blocks with gram_blocks
+and target_blocks from functionals_from_arrays (the discrete normal
+equations are the continuous ones of the thinned series at unit step)
+and solves them through solve_gated, as do the replication studies and
+the critical limit draws.
 """
 
 from __future__ import annotations
@@ -185,71 +191,44 @@ class DriftEstimate:
     conds: tuple[float, float] | None = None
 
 
-def _solve_block(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    cond = float(np.linalg.cond(G))
-    if not cond <= COND_LIMIT:
-        # callers reject or flag these rows; never divide by a zero det
-        return np.full(rhs.shape, np.nan), cond
-    if G.shape == (2, 2):
-        # adjugate form so zero-residual fits with representable
-        # coefficients come back exact, not within a QR rounding cloud
-        det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-        return np.array([
-            (G[1, 1] * rhs[0] - G[0, 1] * rhs[1]) / det,
-            (G[0, 0] * rhs[1] - G[1, 0] * rhs[0]) / det,
-        ]), cond
-    # rank-revealing SVD least squares for the 3x3 block; short paths sit
-    # close to the condition gate and a plain LU would hide how marginal
-    # they are
-    return np.linalg.lstsq(G, rhs, rcond=None)[0], cond
-
-
 def clse_discrete_transformed(path: PathGrid, stride: int = 1) -> TransformedEstimate:
     """Least squares on the subsampled increment regressions.
 
     Minimizes sum (dY_i - (c - d Y_{i-1}))^2 and
     sum (dX_i - (delta - epsilon Y_{i-1} - zeta X_{i-1}))^2 over the
     series thinned to every stride-th point (trailing partial interval
-    dropped). A singular Y block raises; a singular X block leaves
+    dropped). These normal equations are the integral ones of the thinned
+    series at unit step, so both blocks come from functionals_from_arrays
+    and solve_blocks. A singular Y block raises; a singular X block leaves
     (delta, epsilon, zeta) as NaN with the failure recorded, since the Y
     block is still informative.
     """
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
     y = path.y[::stride]
-    x = path.x[::stride]
     if y.size < 3:
         raise ValueError(f"need at least 3 subsampled points, got {y.size}")
-    n_freq = 1.0 / (stride * path.dt)
-    yl, xl = y[:-1], x[:-1]
-    dy, dx = np.diff(y), np.diff(x)
-    m = float(yl.size)
-
-    sy, sy2 = yl.sum(), (yl * yl).sum()
-    gram1 = np.array([[m, -sy], [-sy, sy2]])
-    phi1 = np.array([y[-1] - y[0], -(yl * dy).sum()])
-    (c, d), cond1 = _solve_block(gram1, phi1)
+    fn = functionals_from_arrays(y, path.x[::stride], 1.0)
+    gram1, gram2 = gram_blocks(fn)
+    phi1, phi2 = target_blocks(fn)
+    theta, cond1, cond2 = solve_blocks(gram1, phi1, gram2, phi2)
+    cond1, cond2 = float(cond1), float(cond2)
     if not cond1 <= COND_LIMIT:
         raise SingularGram(
             f"Y-block normal matrix has condition {cond1:.3e}; "
             "the Y series is (nearly) degenerate",
             cond=cond1,
         )
-
-    sx, sx2, sxy = xl.sum(), (xl * xl).sum(), (xl * yl).sum()
-    gram2 = np.array([[m, -sy, -sx], [-sy, sy2, sxy], [-sx, sxy, sx2]])
-    phi2 = np.array([x[-1] - x[0], -(yl * dx).sum(), -(xl * dx).sum()])
-    (delta, epsilon, zeta), cond2 = _solve_block(gram2, phi2)
     err = None
     if not cond2 <= COND_LIMIT:
-        delta = epsilon = zeta = float("nan")
         err = (
             f"X-block normal matrix has condition {cond2:.3e}; "
             "delta, epsilon, zeta are not identifiable from this path"
         )
+    c, d, delta, epsilon, zeta = (float(v) for v in theta)
     return TransformedEstimate(
-        c=float(c), d=float(d), delta=float(delta), epsilon=float(epsilon),
-        zeta=float(zeta), gram1=gram1, gram2=gram2, n=n_freq,
+        c=c, d=d, delta=delta, epsilon=epsilon, zeta=zeta,
+        gram1=gram1, gram2=gram2, n=1.0 / (stride * path.dt),
         cond1=cond1, cond2=cond2, x_block_error=err,
     )
 
@@ -314,17 +293,45 @@ def clse_approx(te: TransformedEstimate) -> DriftEstimate:
 def solve_gated(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve G x = rhs for one system or a stack, gated on conditioning.
 
-    G has shape (..., k, k) and rhs (..., k). Returns (x, cond); systems
-    whose condition number exceeds COND_LIMIT come back NaN rather than
-    raising, so batch callers can count exclusions.
+    G has shape (..., k, k) and rhs (..., k) with k = 2 or 3. Returns
+    (x, cond); systems whose condition number exceeds COND_LIMIT come
+    back NaN rather than raising, so batch callers can count exclusions.
+    This is the one gate and solve of every drift estimator.
+
+    2x2 systems use the adjugate form, so zero-residual fits with
+    representable coefficients come back exact rather than within an LU
+    rounding cloud. 3x3 systems use LU: the gate has already measured
+    how marginal a system is through the SVD inside np.linalg.cond, and
+    below COND_LIMIT a backward-stable LU is as accurate as a
+    rank-revealing least squares. Each row is solved on its own, so a
+    system gives the same bits alone or in any stack.
     """
     cond = np.asarray(np.linalg.cond(G), dtype=float)
     ok = cond <= COND_LIMIT
     x = np.full(rhs.shape, np.nan)
     if ok.any():
-        # trailing singleton keeps the stacked solve unambiguous
-        x[ok] = np.linalg.solve(G[ok], rhs[ok][..., None])[..., 0]
+        g, f = G[ok], rhs[ok]
+        if G.shape[-1] == 2:
+            det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+            x[ok] = np.stack([
+                (g[..., 1, 1] * f[..., 0] - g[..., 0, 1] * f[..., 1]) / det,
+                (g[..., 0, 0] * f[..., 1] - g[..., 1, 0] * f[..., 0]) / det,
+            ], axis=-1)
+        else:
+            # trailing singleton keeps the stacked solve unambiguous
+            x[ok] = np.linalg.solve(g, f[..., None])[..., 0]
     return x, cond
+
+
+def solve_blocks(g1, f1, g2, f2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both blocks through solve_gated, stacked on the last axis.
+
+    Returns (theta, cond1, cond2); theta has shape (..., 5), NaN in each
+    block whose condition gate fails.
+    """
+    ab, cond1 = solve_gated(g1, f1)
+    abg, cond2 = solve_gated(g2, f2)
+    return np.concatenate([ab, abg], axis=-1), cond1, cond2
 
 
 def solve_continuous(
@@ -332,14 +339,11 @@ def solve_continuous(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the integral normal equations for one path or a stack.
 
-    Returns (theta, cond1, cond2); rows whose blocks exceed the condition
-    limit come back NaN (see solve_gated). theta has shape (..., 5).
+    Returns (theta, cond1, cond2) as solve_blocks does.
     """
     g1, g2 = gram_blocks(fn)
     f1, f2 = target_blocks(fn)
-    ab, cond1 = solve_gated(g1, f1)
-    abg, cond2 = solve_gated(g2, f2)
-    return np.concatenate([ab, abg], axis=-1), cond1, cond2
+    return solve_blocks(g1, f1, g2, f2)
 
 
 def clse_continuous(path: PathGrid) -> DriftEstimate:
@@ -347,19 +351,17 @@ def clse_continuous(path: PathGrid) -> DriftEstimate:
     if len(path) < 3:
         raise ValueError(f"need at least 3 grid points, got {len(path)}")
     fn = functionals_from_path(path)
-    theta, cond1, cond2 = solve_continuous(fn)
-    if not float(cond1) <= COND_LIMIT:
-        raise SingularGram(
-            f"Y-block integral Gram has condition {float(cond1):.3e}", cond=float(cond1)
-        )
-    if not float(cond2) <= COND_LIMIT:
-        raise SingularGram(
-            f"X-block integral Gram has condition {float(cond2):.3e}", cond=float(cond2)
-        )
     g1, g2 = gram_blocks(fn)
+    f1, f2 = target_blocks(fn)
+    theta, cond1, cond2 = solve_blocks(g1, f1, g2, f2)
+    conds = (float(cond1), float(cond2))
+    for block, cond in zip("YX", conds):
+        if not cond <= COND_LIMIT:
+            raise SingularGram(
+                f"{block}-block integral Gram has condition {cond:.3e}", cond=cond
+            )
     return DriftEstimate(
-        theta_hat=theta, source="continuous", gram_cont=(g1, g2),
-        conds=(float(cond1), float(cond2)),
+        theta_hat=theta, source="continuous", gram_cont=(g1, g2), conds=conds,
     )
 
 

@@ -21,7 +21,7 @@ from .estimators import (
     functionals_from_arrays,
     functionals_from_path,
     gram_blocks,
-    solve_gated,
+    solve_blocks,
 )
 from .model import ModelSpec, Regime, classify_regime, make_spec, require
 from .moments import stationary_moments
@@ -34,6 +34,9 @@ from .simulate import (
     simulate_path,
 )
 
+
+# redraws allowed per critical draw whose Gram blocks fail the gate
+MAX_REDRAWS = 50
 
 # supercritical probe horizon in units of 1/|b|: the remaining drift of
 # e^{bT} Y_T and e^{gamma T} X_T is exponentially small there
@@ -133,16 +136,6 @@ def critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho):
     return g1, t1, g2, t2
 
 
-def _solve_critical(g1, t1, g2, t2):
-    """Both blocks solved, stacked on the last axis, and their conditions.
-
-    Draws whose blocks fail the condition gate come back NaN.
-    """
-    ab, c1 = solve_gated(g1, t1)
-    abg, c2 = solve_gated(g2, t2)
-    return np.concatenate([ab, abg], axis=-1), c1, c2
-
-
 def critical_limit_sample(
     a: float,
     alpha: float,
@@ -151,30 +144,28 @@ def critical_limit_sample(
     rho: float,
     dt: float,
     rng: RngStream,
-    max_redraws: int = 50,
-    return_redraws: bool = False,
-):
+) -> np.ndarray:
     """One draw of the critical limit of (a_hat-a, T b_hat, alpha_hat-alpha,
     T beta_hat, T gamma_hat).
 
     Simulates the auxiliary pair from (0, 0), assembles the two blocks,
     and solves. Near-singular draws (a finite-dt artifact; the limit law
     is supported on invertible Grams) are rejected and redrawn from
-    spawned substreams, up to max_redraws.
+    spawned substreams, up to MAX_REDRAWS.
     """
     conds = (math.nan, math.nan)
-    for attempt in range(max_redraws + 1):
+    for attempt in range(MAX_REDRAWS + 1):
         sub = rng if attempt == 0 else rng.spawn(attempt)
         path = simulate_critical_limit_process(a, alpha, sigma1, sigma2, rho,
                                                dt, sub)
         blocks = critical_limit_blocks(functionals_from_path(path),
                                        a, alpha, sigma1, sigma2, rho)
-        vec, c1, c2 = _solve_critical(*blocks)
+        vec, c1, c2 = solve_blocks(*blocks)
         if np.isfinite(vec).all():
-            return (vec, attempt) if return_redraws else vec
+            return vec
         conds = (float(c1), float(c2))
     raise SingularGram(
-        f"no invertible critical draw after {max_redraws} redraws: "
+        f"no invertible critical draw after {MAX_REDRAWS} redraws: "
         f"last conditions {conds[0]:.3e}, {conds[1]:.3e}",
         cond=max(conds),
     )
@@ -189,7 +180,6 @@ def critical_limit_batch(
     rho: float,
     dt: float,
     rng: RngStream,
-    max_redraws: int = 50,
 ) -> tuple[np.ndarray, int]:
     """n_draws critical limit samples, simulated as one vectorized ensemble.
 
@@ -201,13 +191,12 @@ def critical_limit_batch(
     res = simulate_ensemble(aux, 1.0, dt, n_paths=n_draws, rng=rng,
                             record="paths")
     fn = functionals_from_arrays(res.y, res.x, dt)
-    out, _, _ = _solve_critical(
+    out, _, _ = solve_blocks(
         *critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho))
     redrawn = 0
     for i in np.flatnonzero(~np.isfinite(out).all(axis=1)):
         out[i] = critical_limit_sample(a, alpha, sigma1, sigma2, rho,
-                                       dt, rng.spawn(n_draws + int(i)),
-                                       max_redraws=max_redraws)
+                                       dt, rng.spawn(n_draws + int(i)))
         redrawn += 1
     return out, redrawn
 

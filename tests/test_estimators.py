@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from affine2f import simulate
 from affine2f.errors import OutOfDomain, SingularGram
 from affine2f.estimators import (
+    COND_LIMIT,
     PathFunctionals,
     TransformedEstimate,
-    _solve_block,
     clse_approx,
     clse_continuous,
     clse_discrete_transformed,
@@ -24,6 +24,7 @@ from affine2f.estimators import (
     gram_blocks,
     h_vector,
     solve_continuous,
+    solve_gated,
     target_blocks,
 )
 from affine2f.model import (
@@ -123,7 +124,7 @@ class TestDiscreteTransformed:
             G = (q * np.logspace(0, -log_cond, 3)) @ q.T
             G = (G + G.T) / 2.0
             rhs = G @ rng.standard_normal(3)
-            got, cond = _solve_block(G, rhs)
+            got, cond = solve_gated(G, rhs)
             want = scipy.linalg.lstsq(G, rhs, lapack_driver="gelsy")[0]
             tol = max(1e-10, 10.0 * cond * np.finfo(float).eps)
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
@@ -131,9 +132,26 @@ class TestDiscreteTransformed:
     def test_path_gram_solve_matches_gelsy(self, noisy_path):
         te = clse_discrete_transformed(noisy_path)
         rhs = np.random.default_rng(5).standard_normal(3)
-        got, _ = _solve_block(te.gram2, rhs)
+        got, _ = solve_gated(te.gram2, rhs)
         want = scipy.linalg.lstsq(te.gram2, rhs, lapack_driver="gelsy")[0]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_is_the_unit_step_integral_solve(self, noisy_path, monkeypatch,
+                                             stride):
+        # short segments, so the segment-wise sums differ from plain ones
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
+        te = clse_discrete_transformed(noisy_path, stride=stride)
+        fn = functionals_from_arrays(noisy_path.y[::stride],
+                                     noisy_path.x[::stride], 1.0)
+        assert (len(noisy_path) - 1) // stride > 10 * simulate.BLOCK_STEPS
+        theta, cond1, cond2 = solve_continuous(fn)
+        got = np.array([te.c, te.d, te.delta, te.epsilon, te.zeta])
+        np.testing.assert_array_equal(got, theta)
+        assert (te.cond1, te.cond2) == (cond1, cond2)
+        g1, g2 = gram_blocks(fn)
+        np.testing.assert_array_equal(te.gram1, g1)
+        np.testing.assert_array_equal(te.gram2, g2)
 
     def test_stride_equals_thinned_path(self, noisy_path):
         te_a = clse_discrete_transformed(noisy_path, stride=4)
@@ -172,6 +190,35 @@ class TestDiscreteTransformed:
                                        - gn_inverse(te).theta_hat))
         ratio = gaps[1] / gaps[0]
         assert 0.3 < ratio < 0.7
+
+
+class TestSolveGated:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stacked_rows_equal_lone_solves(self, k):
+        rng = np.random.default_rng(17 + k)
+        G = [np.ones((k, k))]  # singular
+        rhs = [np.ones(k)]
+        if k == 2:
+            # criterion 04's toy Y block: a zero-residual integer fit
+            G.append(np.array([[2.0, -3.0], [-3.0, 5.0]]))
+            rhs.append(np.array([3.0, -5.0]))
+        for _ in range(6):
+            G.append(rng.standard_normal((k, k)))
+            rhs.append(rng.standard_normal(k))
+        G, rhs = np.array(G), np.array(rhs)
+        x, cond = solve_gated(G, rhs)
+        assert x.shape == rhs.shape and cond.shape == (len(G),)
+        assert cond[0] > COND_LIMIT and np.isnan(x[0]).all()
+        assert np.isfinite(x[1:]).all()
+        if k == 2:
+            assert x[1].tolist() == [0.0, -1.0]
+        for i in range(len(G)):
+            alone, cond_alone = solve_gated(G[i], rhs[i])
+            np.testing.assert_array_equal(x[i], alone)
+            assert cond[i] == cond_alone
+        # the random systems against a plain LU solve
+        np.testing.assert_allclose(
+            x[-6:], np.linalg.solve(G[-6:], rhs[-6:, :, None])[..., 0], rtol=1e-10)
 
 
 class TestBackTransform:

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from affine2f import simulate
+from affine2f import limit_laws, simulate
 from affine2f.errors import HypothesisError, NonPositiveVY, SingularGram
-from affine2f.estimators import functionals_from_path
+from affine2f.estimators import functionals_from_path, solve_blocks
 from affine2f.limit_laws import (
     critical_limit_batch,
     critical_limit_blocks,
@@ -131,18 +131,23 @@ class TestCritical:
         # X = (alpha/a) Y exactly, so the 3x3 block is rank-deficient
         assert np.linalg.cond(g2) > 1e12
 
-    def test_degenerate_draw_raises_after_redraws(self):
-        with pytest.raises(SingularGram, match="redraws"):
+    def test_degenerate_draw_raises_after_redraws(self, monkeypatch):
+        monkeypatch.setattr(limit_laws, "MAX_REDRAWS", 2)
+        with pytest.raises(SingularGram, match="after 2 redraws"):
             critical_limit_sample(1.4, -0.6, 0.0, 0.0, 0.0, 0.005,
-                                  RngStream(604), max_redraws=2)
+                                  RngStream(604))
 
     def test_draw_is_reproducible(self):
         args = (1.0, 0.3, 0.75, 0.5, -0.2, 2e-3)
         one = critical_limit_sample(*args, RngStream(601))
-        two, redraws = critical_limit_sample(*args, RngStream(601),
-                                             return_redraws=True)
+        two = critical_limit_sample(*args, RngStream(601))
         np.testing.assert_array_equal(one, two)
-        assert one.shape == (5,) and redraws == 0
+        assert one.shape == (5,)
+        # no redraw: the draw is the solve of the stream's own first path
+        path = simulate_critical_limit_process(*args, RngStream(601))
+        first, _, _ = solve_blocks(*critical_limit_blocks(
+            functionals_from_path(path), *args[:5]))
+        np.testing.assert_array_equal(one, first)
         assert not np.array_equal(one,
                                   critical_limit_sample(*args, RngStream(605)))
 
