@@ -19,7 +19,8 @@ One reduction, one gate: every flavor builds its blocks with gram_blocks
 and target_blocks from functionals_from_arrays (the discrete normal
 equations are the continuous ones of the thinned series at unit step)
 and solves them through solve_gated, as do the replication studies and
-the critical limit draws.
+the critical limit draws. gram_y/target_y and gram_x/target_x build one
+block each, for callers that solve only one.
 """
 
 from __future__ import annotations
@@ -120,39 +121,44 @@ def functionals_from_path(path: PathGrid) -> PathFunctionals:
     return functionals_from_arrays(path.y, path.x, path.dt)
 
 
-def gram_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
-    """G_T blocks, stacked over leading axes when fn holds arrays."""
-    T = np.broadcast_arrays(np.asarray(fn.horizon, dtype=float), np.asarray(fn.int_y))[0]
-    g1 = np.stack(
+def gram_y(fn: PathFunctionals) -> np.ndarray:
+    """The 2x2 Y block of G_T, stacked over leading axes when fn holds arrays."""
+    int_y = np.asarray(fn.int_y)
+    T = np.broadcast_arrays(np.asarray(fn.horizon, dtype=float), int_y)[0]
+    return np.stack(
         [
-            np.stack([T, -np.asarray(fn.int_y)], axis=-1),
-            np.stack([-np.asarray(fn.int_y), np.asarray(fn.int_y2)], axis=-1),
+            np.stack([T, -int_y], axis=-1),
+            np.stack([-int_y, np.asarray(fn.int_y2)], axis=-1),
         ],
         axis=-2,
     )
-    g2 = np.stack(
+
+
+def gram_x(fn: PathFunctionals) -> np.ndarray:
+    """The 3x3 X block of G_T, stacked like gram_y."""
+    int_y, int_x = np.asarray(fn.int_y), np.asarray(fn.int_x)
+    T = np.broadcast_arrays(np.asarray(fn.horizon, dtype=float), int_y)[0]
+    int_xy = np.asarray(fn.int_xy)
+    return np.stack(
         [
-            np.stack([T, -np.asarray(fn.int_y), -np.asarray(fn.int_x)], axis=-1),
-            np.stack(
-                [-np.asarray(fn.int_y), np.asarray(fn.int_y2), np.asarray(fn.int_xy)],
-                axis=-1,
-            ),
-            np.stack(
-                [-np.asarray(fn.int_x), np.asarray(fn.int_xy), np.asarray(fn.int_x2)],
-                axis=-1,
-            ),
+            np.stack([T, -int_y, -int_x], axis=-1),
+            np.stack([-int_y, np.asarray(fn.int_y2), int_xy], axis=-1),
+            np.stack([-int_x, int_xy, np.asarray(fn.int_x2)], axis=-1),
         ],
         axis=-2,
     )
-    return g1, g2
 
 
-def target_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
-    """f_T blocks matching gram_blocks."""
-    f1 = np.stack(
+def target_y(fn: PathFunctionals) -> np.ndarray:
+    """The f_T entries matching gram_y."""
+    return np.stack(
         [np.asarray(fn.y_end - fn.y0, dtype=float), -np.asarray(fn.s_y_dy)], axis=-1
     )
-    f2 = np.stack(
+
+
+def target_x(fn: PathFunctionals) -> np.ndarray:
+    """The f_T entries matching gram_x."""
+    return np.stack(
         [
             np.asarray(fn.x_end - fn.x0, dtype=float),
             -np.asarray(fn.s_y_dx),
@@ -160,7 +166,16 @@ def target_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
         ],
         axis=-1,
     )
-    return f1, f2
+
+
+def gram_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
+    """G_T blocks (gram_y, gram_x)."""
+    return gram_y(fn), gram_x(fn)
+
+
+def target_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
+    """f_T blocks (target_y, target_x), matching gram_blocks."""
+    return target_y(fn), target_x(fn)
 
 
 @dataclass(eq=False)

@@ -16,12 +16,12 @@ from .errors import ExcessiveExclusions, HypothesisError
 from .estimators import (
     PathFunctionals,
     functionals_from_arrays,
-    gram_blocks,
+    gram_y,
     solve_continuous,
     solve_gated,
-    target_blocks,
+    target_y,
 )
-from .limit_laws import limit_draws, subcritical_limit
+from .limit_laws import limit_draws, require_critical_dt, subcritical_limit
 from .model import ModelSpec, Regime, classify_regime, require
 from .rng import RngStream
 from .simulate import SCHEMES, euler_paths_per_stream
@@ -183,9 +183,7 @@ def _theta_rows(fn: PathFunctionals, y_only: bool = False) -> np.ndarray:
     """
     if not y_only:
         return solve_continuous(fn)[0]
-    g1, _ = gram_blocks(fn)
-    f1, _ = target_blocks(fn)
-    ab, _ = solve_gated(g1, f1)
+    ab, _ = solve_gated(gram_y(fn), target_y(fn))
     return np.concatenate([ab, np.full((ab.shape[0], 3), np.nan)], axis=1)
 
 
@@ -246,6 +244,9 @@ def run_experiment(
     if engine not in ("per-path", "batched"):
         raise ValueError(f"engine must be 'per-path' or 'batched', got {engine!r}")
     spec = plan.spec
+    ref_dt = plan.dt if reference_dt is None else reference_dt
+    if plan.regime is Regime.CRITICAL:
+        require_critical_dt(ref_dt)  # refuse before the replications run
     streams = [RngStream(plan.base_seed, r) for r in range(plan.replications)]
     fn = _replicate(spec, plan.T, plan.dt, plan.scheme, streams)
     thetas = _theta_rows(fn)
@@ -279,7 +280,6 @@ def run_experiment(
         tol = TWO_SAMPLE_KS_TOL
         if n_reference < 1:
             raise ValueError("sample-based comparison needs n_reference >= 1")
-        ref_dt = plan.dt if reference_dt is None else reference_dt
         reference, redraws = limit_draws(spec, n_reference, ref_dt,
                                          plan.base_seed, plan.replications)
         if plan.regime is Regime.SUPERCRITICAL:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveVY, SingularGram
+from .errors import HypothesisError, NonPositiveVY, SingularGram
 from .estimators import (
     functionals_from_arrays,
     functionals_from_path,
@@ -109,6 +109,20 @@ def subcritical_limit(spec: ModelSpec) -> SubcriticalLimit:
 # ------------------------------------------------------------------- critical
 
 
+def require_critical_dt(dt: float) -> None:
+    """Refuse a step that leaves fewer than 3 left grid points on [0, 1].
+
+    The 3x3 X Gram of a critical draw is a sum over the left grid
+    points, so with fewer than 3 it is singular on every draw and no
+    redraw can help.
+    """
+    if dt > 0.0 and math.floor(1.0 / dt + 1e-9) < 3:
+        raise HypothesisError(
+            f"critical limit dt={dt!r} leaves fewer than 3 grid steps on "
+            "[0, 1], so the X Gram is singular on every draw; dt must not "
+            "exceed 1/3")
+
+
 def critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho):
     """Gram blocks and target functionals of the critical limit vector.
 
@@ -151,8 +165,10 @@ def critical_limit_sample(
     Simulates the auxiliary pair from (0, 0), assembles the two blocks,
     and solves. Near-singular draws (a finite-dt artifact; the limit law
     is supported on invertible Grams) are rejected and redrawn from
-    spawned substreams, up to MAX_REDRAWS.
+    spawned substreams, up to MAX_REDRAWS. A dt above 1/3 raises
+    HypothesisError (see require_critical_dt).
     """
+    require_critical_dt(dt)
     conds = (math.nan, math.nan)
     for attempt in range(MAX_REDRAWS + 1):
         sub = rng if attempt == 0 else rng.spawn(attempt)
@@ -185,8 +201,10 @@ def critical_limit_batch(
 
     Returns (draws, n_redrawn) where draws has shape (n_draws, 5). Rows
     whose Gram blocks fail the condition threshold are redrawn one at a
-    time from spawned streams and counted.
+    time from spawned streams and counted. A dt above 1/3 raises
+    HypothesisError (see require_critical_dt).
     """
+    require_critical_dt(dt)
     aux = make_spec(a, 0.0, alpha, 0.0, 0.0, sigma1, sigma2, 0.0, rho)
     res = simulate_ensemble(aux, 1.0, dt, n_paths=n_draws, rng=rng,
                             record="paths")

@@ -79,6 +79,12 @@ HYPOTHESIS_CASES = {
                      dict(b=0.0, beta=0.2, gamma=1.0), "beta = 0 required"),
     "moments": (["moments", "stationary"], dict(b=0.0, beta=0.0, gamma=0.0),
                 "stationary moments require a subcritical spec"),
+    "critical-dt mc-verify": (["mc-verify"],
+                              dict(b=0.0, beta=0.0, gamma=0.0, dt=0.5),
+                              "critical limit dt=0.5"),
+    "critical-dt limit-sample": (["limit-sample", "--draws", "5"],
+                                 dict(b=0.0, beta=0.0, gamma=0.0, dt=0.5),
+                                 "critical limit dt=0.5"),
     "simulate": (["simulate"],
                  dict(b=-0.5, gamma=-1.0, beta=0.0, init_kind="stationary-y"),
                  "stationary start requires a subcritical spec"),

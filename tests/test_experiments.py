@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from affine2f import simulate
+from affine2f import experiments, simulate
 from affine2f.errors import ExcessiveExclusions, HypothesisError
 from affine2f.estimators import PathFunctionals, functionals_from_path
 from affine2f.experiments import (
@@ -123,6 +123,17 @@ class TestPlan:
 
 
 class TestRunExperiment:
+    def test_coarse_critical_reference_dt_refused_before_replicating(
+            self, crit_spec, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("replicated before refusing dt")
+
+        monkeypatch.setattr(experiments, "_replicate", no_replication)
+        plan = ExperimentPlan(spec=crit_spec, T=4.0, dt=0.01,
+                              replications=2, base_seed=1)
+        with pytest.raises(HypothesisError, match="dt=0.5"):
+            run_experiment(plan, n_reference=5, reference_dt=0.5)
+
     @pytest.mark.parametrize("scheme", simulate.SCHEMES)
     @pytest.mark.parametrize("case", ["point", "stationary-y", "stationary",
                                       "sigma1_zero", "no-l", "no-b"])

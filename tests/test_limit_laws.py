@@ -137,6 +137,30 @@ class TestCritical:
             critical_limit_sample(1.4, -0.6, 0.0, 0.0, 0.0, 0.005,
                                   RngStream(604))
 
+    @pytest.mark.parametrize("dt", [0.34, 0.5, 1.0])
+    def test_coarse_dt_is_refused_before_any_draw(self, dt, monkeypatch):
+        # fewer than 3 steps on [0, 1] leave the 3x3 X Gram singular on
+        # every draw; the refusal must not come from simulating redraws
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before refusing dt")
+
+        monkeypatch.setattr(limit_laws, "simulate_ensemble", no_simulation)
+        monkeypatch.setattr(limit_laws, "simulate_critical_limit_process",
+                            no_simulation)
+        args = (1.0, 0.3, 0.75, 0.5, -0.2, dt)
+        with pytest.raises(HypothesisError, match=f"dt={dt!r}"):
+            critical_limit_batch(300, *args, RngStream(77))
+        with pytest.raises(HypothesisError, match=f"dt={dt!r}"):
+            critical_limit_sample(*args, RngStream(77))
+        spec = make_spec(1.0, 0.0, 0.3, 0.0, 0.0, 0.75, 0.5, 0.4, -0.2)
+        with pytest.raises(HypothesisError, match=f"dt={dt!r}"):
+            limit_draws(spec, 5, dt, 1, 0)
+
+    def test_coarsest_accepted_dt_draws(self):
+        draws, redrawn = critical_limit_batch(
+            50, 1.0, 0.3, 0.75, 0.5, -0.2, 1.0 / 3.0, RngStream(77))
+        assert np.isfinite(draws).all() and redrawn == 0
+
     def test_draw_is_reproducible(self):
         args = (1.0, 0.3, 0.75, 0.5, -0.2, 2e-3)
         one = critical_limit_sample(*args, RngStream(601))

@@ -193,6 +193,58 @@ class TestNoiseBlocks:
         assert_array_equal(split.x, whole.x)
 
 
+class TestAbsentNoiseSources:
+    """The block-wide X term leaves out exactly the sources simulate_path skips."""
+
+    # (sigma2, sigma3, rho): no L, no B, sigma2 = 0 (so no B), neither B nor L
+    CASES = {
+        "no_l": (0.4, 0.0, -0.35),
+        "no_b": (0.4, 0.25, -1.0),
+        "sigma2_zero": (0.0, 0.25, -0.35),
+        "no_b_no_l": (0.4, 0.0, 1.0),
+    }
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 3)
+        monkeypatch.setattr(simulate, "WIDE_ROWS", 2)
+
+    def spec(self, case):
+        sigma2, sigma3, rho = self.CASES[case]
+        return make_spec(1.2, 1.0, 0.5, -0.3, 0.8, 0.6, sigma2, sigma3, rho,
+                         InitialLaw("point", 0.7, -0.4))
+
+    @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_ensemble_row_replays_scalar(self, case, scheme):
+        spec = self.spec(case)
+        path = simulate_path(spec, 0.5, 0.01, scheme, RngStream(61, 3))
+        ens = simulate_ensemble(spec, 0.5, 0.01, scheme, RngStream(61, 3), 1,
+                                record="paths")
+        assert_array_equal(ens.y[0], path.y)
+        assert_array_equal(ens.x[0], path.x)
+
+    @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_per_stream_rows_replay_scalar(self, case, scheme):
+        spec = self.spec(case)
+        streams = [RngStream(62, k) for k in range(5)]
+        y = np.empty((5, 51))
+        x = np.empty((5, 51))
+        lo = {}
+        for rows, yb, xb in simulate.euler_paths_per_stream(spec, 0.5, 0.01,
+                                                            scheme, streams):
+            c = lo.get(rows.start, 0)
+            y[rows, c : c + yb.shape[1]] = yb
+            x[rows, c : c + xb.shape[1]] = xb
+            lo[rows.start] = c + yb.shape[1] - 1
+        assert sorted(lo) == [0, 2, 4]  # three batches of WIDE_ROWS rows
+        for r, s in enumerate(streams):
+            path = simulate_path(spec, 0.5, 0.01, scheme, s)
+            assert_array_equal(y[r], path.y)
+            assert_array_equal(x[r], path.x)
+
+
 class TestCriticalLimitProcess:
     def test_zero_level_is_deterministic(self):
         p = simulate_critical_limit_process(0.0, 0.7, 1.0, 0.5, 0.2, 0.01, RngStream(3))
