@@ -11,6 +11,7 @@ HypothesisError), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -174,8 +175,9 @@ def cmd_moments(args) -> int:
             raise ConfigError(
                 f"moment time must be 'stationary' or a number, got {args.when!r}"
             ) from None
-        if t < 0.0:
-            raise ConfigError(f"moment time must be nonnegative, got {t}")
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ConfigError(
+                f"moment time must be finite and nonnegative, got {t}")
         table = transient_moments(cfg.spec, t, args.kmax, args.lmax)
     return _publish(cfg.output.directory, "moments.txt",
                     table.to_text())

@@ -2,7 +2,8 @@
 
 [model] holds the nine constants and the initial law, [experiment] the
 horizon, grid, replication count, seed and scheme, [output] the target
-directory and formats. Unknown sections or keys are fatal. Floats are
+directory and formats. Unknown sections or keys, and numbers that are
+not finite, are fatal. Floats are
 written back at 17 significant digits, so parse -> serialize -> parse
 is the identity map.
 """
@@ -10,6 +11,7 @@ is the identity map.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -57,11 +59,14 @@ def _reader() -> configparser.ConfigParser:
 
 def _float_of(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"{section}.{key}: could not parse {raw!r} as a number"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: {raw!r} is not a finite number")
+    return value
 
 
 def _int_of(section: str, key: str, raw: str) -> int:

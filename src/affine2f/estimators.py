@@ -15,12 +15,15 @@ Three flavors:
 The two estimation blocks never mix: (a, b) come from the Y series alone,
 (alpha, beta, gamma) from the X series given Y.
 
-One reduction, one gate: every flavor builds its blocks with gram_blocks
-and target_blocks from functionals_from_arrays (the discrete normal
-equations are the continuous ones of the thinned series at unit step)
-and solves them through solve_gated, as do the replication studies and
-the critical limit draws. gram_y/target_y and gram_x/target_x build one
-block each, for callers that solve only one.
+One reduction, one gate: every flavor solves the functionals of
+functionals_from_arrays with solve_continuous (the discrete normal
+equations are the continuous ones of the thinned series at unit step),
+which builds the blocks with gram_blocks and target_blocks and solves
+them through solve_gated, as do the replication studies and the critical
+limit draws. gram_y/target_y and gram_x/target_x build one block each,
+for callers that solve only one. functionals_from_arrays is the one
+place that decides how a path is summed: left to right in time, in
+segments of simulate.BLOCK_STEPS steps.
 """
 
 from __future__ import annotations
@@ -78,42 +81,65 @@ _SUMS = ("int_y", "int_y2", "int_x", "int_xy", "int_x2",
          "s_y_dy", "s_y_dx", "s_x_dx", "s_x_dy")
 
 
+def _sum_in_time(a: np.ndarray):
+    """The sum over axis 0 (time), taken left to right at every width.
+
+    numpy adds the rows of a C-contiguous block one after another when
+    each row holds 2 or more values, but reduces a lone column pairwise;
+    cumsum runs left to right at any width.
+    """
+    if a.size >= 2 * len(a):
+        return np.add.reduce(a, axis=0)
+    return np.cumsum(a, axis=0)[-1]
+
+
 def _segment(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunctionals:
-    yl, xl = y[..., :-1], x[..., :-1]
-    dy, dx = np.diff(y, axis=-1), np.diff(x, axis=-1)
+    # time on axis 0, C-contiguous (see _time_major)
+    yl, xl = y[:-1], x[:-1]
+    dy, dx = np.diff(y, axis=0), np.diff(x, axis=0)
     return PathFunctionals(
-        horizon=(y.shape[-1] - 1) * dt,
+        horizon=(len(y) - 1) * dt,
         # copies, not views: a view would pin the whole path buffer for
         # as long as a batch collector keeps the summary alive
-        y0=y[..., 0].copy(), x0=x[..., 0].copy(),
-        y_end=y[..., -1].copy(), x_end=x[..., -1].copy(),
-        int_y=yl.sum(axis=-1) * dt,
-        int_y2=(yl * yl).sum(axis=-1) * dt,
-        int_x=xl.sum(axis=-1) * dt,
-        int_xy=(xl * yl).sum(axis=-1) * dt,
-        int_x2=(xl * xl).sum(axis=-1) * dt,
-        s_y_dy=(yl * dy).sum(axis=-1),
-        s_y_dx=(yl * dx).sum(axis=-1),
-        s_x_dx=(xl * dx).sum(axis=-1),
-        s_x_dy=(xl * dy).sum(axis=-1),
+        y0=y[0, ...].copy(), x0=x[0, ...].copy(),
+        y_end=y[-1, ...].copy(), x_end=x[-1, ...].copy(),
+        int_y=_sum_in_time(yl) * dt,
+        int_y2=_sum_in_time(yl * yl) * dt,
+        int_x=_sum_in_time(xl) * dt,
+        int_xy=_sum_in_time(xl * yl) * dt,
+        int_x2=_sum_in_time(xl * xl) * dt,
+        s_y_dy=_sum_in_time(yl * dy),
+        s_y_dx=_sum_in_time(yl * dx),
+        s_x_dx=_sum_in_time(xl * dx),
+        s_x_dy=_sum_in_time(xl * dy),
     )
+
+
+def _time_major(a) -> np.ndarray:
+    """a with time moved from the last axis to the first, C-contiguous.
+
+    A per-stream block of the stepper is a transposed view of a
+    time-major block, so it comes back as that block, uncopied; a stack
+    of whole paths, or a strided series, is copied once.
+    """
+    t = np.moveaxis(a, -1, 0)
+    return t if t.flags.c_contiguous else t.copy(order="C")
 
 
 def functionals_from_arrays(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunctionals:
     """Left-point sums over the grid; last axis is time.
 
-    Every sum runs over segments of simulate.BLOCK_STEPS steps: pairwise
-    within a segment, in order across segments (PathFunctionals.then).
-    A replication study reduces its streamed time blocks the same way,
-    so a path reduced whole or block by block, alone or stacked with
-    others, gives the same bits.
+    Every sum runs over segments of simulate.BLOCK_STEPS steps: left to
+    right in time within a segment, in order across segments
+    (PathFunctionals.then). A replication study reduces its streamed
+    time blocks the same way, so a path reduced whole or block by block,
+    alone or stacked with others, gives the same bits.
     """
-    # pairwise summation along the last axis needs it contiguous
-    y, x = np.ascontiguousarray(y), np.ascontiguousarray(x)
+    y, x = _time_major(y), _time_major(x)
     block = simulate.BLOCK_STEPS
-    fn = _segment(y[..., : block + 1], x[..., : block + 1], dt)
-    for lo in range(block, y.shape[-1] - 1, block):
-        fn = fn.then(_segment(y[..., lo : lo + block + 1], x[..., lo : lo + block + 1], dt))
+    fn = _segment(y[: block + 1], x[: block + 1], dt)
+    for lo in range(block, len(y) - 1, block):
+        fn = fn.then(_segment(y[lo : lo + block + 1], x[lo : lo + block + 1], dt))
     return fn
 
 
@@ -214,7 +240,7 @@ def clse_discrete_transformed(path: PathGrid, stride: int = 1) -> TransformedEst
     series thinned to every stride-th point (trailing partial interval
     dropped). These normal equations are the integral ones of the thinned
     series at unit step, so both blocks come from functionals_from_arrays
-    and solve_blocks. A singular Y block raises; a singular X block leaves
+    and solve_continuous. A singular Y block raises; a singular X block leaves
     (delta, epsilon, zeta) as NaN with the failure recorded, since the Y
     block is still informative.
     """
@@ -224,9 +250,8 @@ def clse_discrete_transformed(path: PathGrid, stride: int = 1) -> TransformedEst
     if y.size < 3:
         raise ValueError(f"need at least 3 subsampled points, got {y.size}")
     fn = functionals_from_arrays(y, path.x[::stride], 1.0)
+    theta, cond1, cond2 = solve_continuous(fn)
     gram1, gram2 = gram_blocks(fn)
-    phi1, phi2 = target_blocks(fn)
-    theta, cond1, cond2 = solve_blocks(gram1, phi1, gram2, phi2)
     cond1, cond2 = float(cond1), float(cond2)
     if not cond1 <= COND_LIMIT:
         raise SingularGram(
@@ -366,9 +391,7 @@ def clse_continuous(path: PathGrid) -> DriftEstimate:
     if len(path) < 3:
         raise ValueError(f"need at least 3 grid points, got {len(path)}")
     fn = functionals_from_path(path)
-    g1, g2 = gram_blocks(fn)
-    f1, f2 = target_blocks(fn)
-    theta, cond1, cond2 = solve_blocks(g1, f1, g2, f2)
+    theta, cond1, cond2 = solve_continuous(fn)
     conds = (float(cond1), float(cond2))
     for block, cond in zip("YX", conds):
         if not cond <= COND_LIMIT:
@@ -376,7 +399,8 @@ def clse_continuous(path: PathGrid) -> DriftEstimate:
                 f"{block}-block integral Gram has condition {cond:.3e}", cond=cond
             )
     return DriftEstimate(
-        theta_hat=theta, source="continuous", gram_cont=(g1, g2), conds=conds,
+        theta_hat=theta, source="continuous", gram_cont=gram_blocks(fn),
+        conds=conds,
     )
 
 

@@ -20,6 +20,15 @@ from .errors import HypothesisError
 from .kernels import i1, i2, psi
 
 
+def _require_finite(params, names) -> None:
+    # a nan or inf constant would only surface later, as a numpy error
+    # deep in a stepper or as a table of NaN
+    for name in names:
+        v = getattr(params, name)
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 class Regime(Enum):
     SUBCRITICAL = "subcritical"
     CRITICAL = "critical"
@@ -37,6 +46,7 @@ class DriftParams:
     gamma: float
 
     def __post_init__(self):
+        _require_finite(self, ("a", "b", "alpha", "beta", "gamma"))
         if not self.a >= 0.0:
             raise ValueError(f"a must be nonnegative, got {self.a}")
 
@@ -49,6 +59,7 @@ class DiffusionParams:
     rho: float
 
     def __post_init__(self):
+        _require_finite(self, ("sigma1", "sigma2", "sigma3", "rho"))
         for name in ("sigma1", "sigma2", "sigma3"):
             v = getattr(self, name)
             if not v >= 0.0:
@@ -87,6 +98,7 @@ class InitialLaw:
     def __post_init__(self):
         if self.kind not in INIT_KINDS:
             raise ValueError(f"init kind must be one of {INIT_KINDS}, got {self.kind!r}")
+        _require_finite(self, ("y0", "x0", "burn_in"))
         if self.kind == "point" and not self.y0 >= 0.0:
             raise ValueError(f"point-mass initialization needs y0 >= 0, got {self.y0}")
         if self.burn_in is not None and not self.burn_in > 0.0:
@@ -193,8 +205,8 @@ class ValidationReport:
 def validate_spec(spec: ModelSpec, purpose: str) -> ValidationReport:
     """Check the standing hypotheses required by `purpose`. Report only.
 
-    Construction already guarantees a >= 0, sigma_i >= 0 and |rho| <= 1,
-    so those never appear as violations here.
+    Construction already guarantees finite constants, a >= 0, sigma_i >= 0
+    and |rho| <= 1, so those never appear as violations here.
     """
     if purpose not in PURPOSES:
         raise ValueError(f"unknown purpose {purpose!r}; expected one of {PURPOSES}")

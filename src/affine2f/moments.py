@@ -152,16 +152,22 @@ def transient_moments(spec: ModelSpec, t: float, k_max: int, l_max: int) -> Mome
     by the matrix exponential, m(t) = exp(A t) m(0), computed to machine
     precision by _expm_lower; no quadrature error enters.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if k_max < 0 or l_max < 0:
         raise ValueError("moment orders must be nonnegative")
     lattice = _extended_lattice(k_max, l_max)
     A = _generator_matrix(spec, lattice)
     m0 = _initial_moments(spec, lattice)
+    with np.errstate(over="ignore"):
+        At = A * t
+        norm = float(np.linalg.norm(At, 1))
+    if not math.isfinite(norm):
+        raise ValueError(f"t={t} is too large: the 1-norm of the generator "
+                         "matrix times t overflows")
     # lower triangular: each (k, l) equation pulls in lower l-levels and
     # lower k on its own level, and the lattice runs l-major
-    mt = _expm_lower(A * t) @ m0
+    mt = _expm_lower(At) @ m0
     values = {
         kl: float(v) for kl, v in zip(lattice, mt) if kl[0] <= k_max and kl[1] <= l_max
     }

@@ -1,11 +1,14 @@
 """Deterministic, independently addressable random number streams.
 
-Built on Philox, a counter-based bit generator, so any (seed, stream)
-pair reconstructs its state without touching any other stream. Paths,
-replications and reference draws each get their own stream id, which is
-what makes runs reproducible regardless of execution order. A stream is
-an address and holds no state: asking it twice for a substream gives
-two generators at the same start.
+Every generator is seeded by a SeedSequence over the entropy words
+(seed, stream, spawn path, substream), so any (seed, stream) pair
+reconstructs its state without touching any other stream. The address
+lives in those words, not in the bit generator's counter: Philox fills
+each generator, but any bit generator seeded the same way would keep
+the addresses. Paths, replications and reference draws each get their
+own stream id, which is what makes runs reproducible regardless of
+execution order. A stream is an address and holds no state: asking it
+twice for a substream gives two generators at the same start.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ supercritical reference probes) goes through
 one stepper that walks the grid in time blocks of BLOCK_STEPS steps: it
 steps Y alone, forms the block's Y-only terms of the X update at once,
 then steps X, all with simulate_path's elementwise operations in its
-order. The per-stream batches hand each block on as it is finished, so a
-replication study reduces paths block by block and never holds a whole
-path.
+order. The per-stream batches hand each block on as it is finished, as a
+transposed view of the stepper's time-major block, so a replication study
+reduces paths block by block, left to right in time and uncopied
+(estimators.functionals_from_arrays), and never holds a whole path.
 
 At a few hundred rows a ufunc call costs more in dispatch than in
 arithmetic, so the per-step loops make one call per elementwise
@@ -56,7 +57,9 @@ Y_FLOOR = 1e-12
 SCHEMES = ("exact_y_euler_x", "full_euler")
 DEFAULT_BURN_IN_RATE = 20.0
 # steps per time block of the vector stepper; the path reduction
-# (estimators.functionals_from_arrays) sums paths in the same segments
+# (estimators.functionals_from_arrays) sums a whole path in segments of
+# the same length, left to right within each and in order across them,
+# so it gets the same bits as a study that reduces the blocks one by one
 BLOCK_STEPS = 1024
 # no block array of the stepper holds more than BLOCK_STEPS * WIDE_ROWS
 # values (2 MiB): per-stream batches take WIDE_ROWS rows at a time, and
@@ -500,9 +503,9 @@ def euler_paths_per_stream(
     Steps either scheme. Rows come WIDE_ROWS at a time; each batch's grid
     arrives in consecutive blocks of BLOCK_STEPS steps (fewer in the
     last), y and x of shape (rows, m + 1) with time on the last axis,
-    C-contiguous, and column 0 repeating the previous block's last
-    column. So a consumer holds O(WIDE_ROWS * BLOCK_STEPS) values, never
-    a whole path.
+    and column 0 repeating the previous block's last column. y and x are
+    transposed views of the stepper's time-major blocks, not copies. So a
+    consumer holds O(WIDE_ROWS * BLOCK_STEPS) values, never a whole path.
 
     Unlike simulate_ensemble, every path here owns its RngStream, and its
     start comes from that stream as in simulate_path, so row r is
@@ -517,7 +520,7 @@ def euler_paths_per_stream(
         y0, x0 = np.array([_resolve_init(spec, dt, s, None) for s in sub],
                           dtype=float).T
         for y, x in _step(spec, T, dt, scheme, sub, y0, x0):
-            yield rows, y.T.copy(), x.T.copy()
+            yield rows, y.T, x.T
 
 
 def simulate_critical_limit_process(

@@ -112,6 +112,22 @@ def test_non_finite_path_file_is_config_error(tmp_path, capsys, command):
     assert "line 5: value 'nan' is not finite" in capsys.readouterr().err
 
 
+# a non-finite number in a config is refused before anything is drawn or
+# written, and the message names its section and key
+NON_FINITE_CASES = {"T": ("inf", "experiment.T"), "b": ("nan", "model.b"),
+                    "x0": ("nan", "model.init_x0"),
+                    "sigma2": ("inf", "model.sigma2")}
+
+
+@pytest.mark.parametrize("key", sorted(NON_FINITE_CASES))
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, key):
+    raw, name = NON_FINITE_CASES[key]
+    cfg = write_config(tmp_path, **{key: raw})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {name}: ")
+    assert not (tmp_path / "out").exists()
+
+
 class TestSimulate:
     def test_writes_paths_and_sidecars(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -229,6 +245,20 @@ class TestMoments:
         assert main(["moments", "yesterday", "--config", cfg]) == 2
         assert main(["moments", "-1", "--config", cfg]) == 2
         assert main(["moments", "1", "--config", cfg, "--kmax", "-1"]) == 2
+
+    @pytest.mark.parametrize("when", ["inf", "nan"])
+    def test_non_finite_time_is_config_error(self, tmp_path, capsys, when):
+        cfg = write_config(tmp_path)
+        assert main(["moments", when, "--config", cfg]) == 2
+        assert "moment time must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_time_is_numerical_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["moments", "1e308", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: t=1e+308 is too large")
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def _read_table(path):

@@ -141,6 +141,15 @@ class TestRejection:
         ("a = 1\n" + BASE, "malformed"),
         (_with("[model]", "[DEFAULT]\nx = 1\n\n[model]"), "DEFAULT"),
         (_with("b = 1.0", "b = 1.0\nb = 2.0"), "malformed"),
+        # a non-finite number names its key, whatever its range check
+        (_with("T = 10", "T = inf"), "experiment.T: 'inf' is not a finite"),
+        (_with("dt = 0.01", "dt = nan"), "experiment.dt: 'nan' is not a finite"),
+        (_with("b = 1.0", "b = nan"), "model.b: 'nan' is not a finite"),
+        (_with("sigma2 = 0.4", "sigma2 = inf"), "model.sigma2: 'inf'"),
+        (_with("gamma = 0.8", "gamma = -inf"), "model.gamma: '-inf'"),
+        (_with("init_x0 = -0.4", "init_x0 = nan"), "model.init_x0: 'nan'"),
+        (_with("init_y0 = 0.7",
+               "init_y0 = 0.7\ninit_burn_in = inf"), "model.init_burn_in"),
     ])
     def test_bad_configs(self, text, needle):
         with pytest.raises(ConfigError, match=needle):

@@ -350,6 +350,37 @@ class TestContinuous:
                 got = getattr(stacked, name)
                 assert (got if name == "horizon" else got[i]) == want, name
 
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3, 256])
+    def test_sums_run_left_to_right_at_every_width(self, rows):
+        # 300 steps: one segment, long enough for a pairwise sum to recurse
+        rng = np.random.default_rng(4108)
+        shape = (300,) if rows is None else (rows, 300)
+        y = rng.standard_normal(shape).cumsum(axis=-1)
+        x = rng.standard_normal(shape).cumsum(axis=-1)
+        fn = functionals_from_arrays(y, x, 0.01)
+
+        def left_to_right(terms):
+            total = terms[..., 0]
+            for k in range(1, terms.shape[-1]):
+                total = total + terms[..., k]
+            return total
+
+        yl, xl = y[..., :-1], x[..., :-1]
+        dy, dx = np.diff(y, axis=-1), np.diff(x, axis=-1)
+        want = {
+            "int_y": left_to_right(yl) * 0.01,
+            "int_y2": left_to_right(yl * yl) * 0.01,
+            "int_x": left_to_right(xl) * 0.01,
+            "int_xy": left_to_right(xl * yl) * 0.01,
+            "int_x2": left_to_right(xl * xl) * 0.01,
+            "s_y_dy": left_to_right(yl * dy),
+            "s_y_dx": left_to_right(yl * dx),
+            "s_x_dx": left_to_right(xl * dx),
+            "s_x_dy": left_to_right(xl * dy),
+        }
+        for name, value in want.items():
+            assert np.array_equal(getattr(fn, name), value), name
+
     def test_batched_solver_skips_degenerate_rows(self, ref_spec):
         good = simulate_path(ref_spec, 3.0, 0.01, rng=RngStream(4105))
         y = np.stack([good.y, np.full_like(good.y, 2.0)])

@@ -178,8 +178,10 @@ class TestRunExperiment:
             return _replicate(sub_spec, 0.5, 0.01, scheme,
                               [RngStream(93, r) for r in range(9)])
 
-        narrow, wide = rows_at(2), rows_at(256)
+        # width 1 reduces lone columns, which numpy would sum pairwise
+        single, narrow, wide = rows_at(1), rows_at(2), rows_at(256)
         for name in PathFunctionals.__dataclass_fields__:
+            assert np.array_equal(getattr(single, name), getattr(wide, name)), name
             assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
 
     def test_reused_streams_restart_their_paths(self, sub_spec):

@@ -58,6 +58,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="rho"):
             DiffusionParams(1.0, 1.0, 1.0, rho)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("cls,fields,name", [
+        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "a"),
+        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "b"),
+        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "alpha"),
+        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "beta"),
+        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "gamma"),
+        (DiffusionParams, (1.0, 1.0, 1.0, 0.0), "sigma1"),
+        (DiffusionParams, (1.0, 1.0, 1.0, 0.0), "sigma2"),
+        (DiffusionParams, (1.0, 1.0, 1.0, 0.0), "sigma3"),
+        (DiffusionParams, (1.0, 1.0, 1.0, 0.0), "rho"),
+        (InitialLaw, ("stationary", 0.0, 0.0, 2.0), "y0"),
+        (InitialLaw, ("stationary", 0.0, 0.0, 2.0), "x0"),
+        (InitialLaw, ("stationary", 0.0, 0.0, 2.0), "burn_in"),
+    ])
+    def test_non_finite_field_rejected(self, cls, fields, name, value):
+        kw = dict(zip(cls.__dataclass_fields__, fields), **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**kw)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma2"):
             DiffusionParams(1.0, -0.5, 1.0, 0.0)

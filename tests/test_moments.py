@@ -125,6 +125,16 @@ class TestTransient:
         with pytest.raises(ValueError):
             transient_moments(ref_spec, -1.0, 1, 1)
 
+    @pytest.mark.parametrize("t,needle", [
+        (math.inf, "finite and nonnegative"),
+        (math.nan, "finite and nonnegative"),
+        # finite t, but A*t overflows: no power of 2 scales it down
+        (1e308, "t=1e[+]308 is too large"),
+    ])
+    def test_rejects_non_finite_or_overflowing_time(self, ref_spec, t, needle):
+        with pytest.raises(ValueError, match=needle):
+            transient_moments(ref_spec, t, 1, 1)
+
     def test_negative_orders_read_zero(self, ref_spec):
         table = transient_moments(ref_spec, 1.0, 1, 1)
         assert table.get(-1, 0) == 0.0

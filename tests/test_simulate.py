@@ -244,6 +244,16 @@ class TestAbsentNoiseSources:
             assert_array_equal(y[r], path.y)
             assert_array_equal(x[r], path.x)
 
+    @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
+    def test_per_stream_blocks_are_uncopied_views(self, scheme):
+        # the reduction sums time-major blocks, so none is transposed
+        # into a copy on the way
+        streams = [RngStream(63, k) for k in range(5)]
+        for _, yb, xb in simulate.euler_paths_per_stream(
+                self.spec("no_l"), 0.5, 0.01, scheme, streams):
+            for block in (yb, xb):
+                assert block.base is not None and block.T.flags.c_contiguous
+
 
 class TestCriticalLimitProcess:
     def test_zero_level_is_deterministic(self):
