@@ -192,6 +192,10 @@ def cmd_diffstats(args) -> int:
 def cmd_mc_verify(args) -> int:
     cfg = _effective_config(args)
     spec, exp = cfg.spec, cfg.experiment
+    if exp.replications < 2:
+        # the scorecard's summary statistics need two replications
+        raise ConfigError("experiment.replications: mc-verify needs at "
+                          f"least 2, got {exp.replications}")
     plan = ExperimentPlan(spec=spec, T=exp.T, dt=exp.dt,
                           replications=exp.replications,
                           base_seed=exp.base_seed, scheme=exp.scheme)

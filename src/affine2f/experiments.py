@@ -67,8 +67,9 @@ class ExperimentPlan:
             raise ValueError("T and dt must be positive")
         if self.dt > self.T:
             raise ValueError("dt must not exceed T")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        if self.replications < 2:
+            raise ValueError("replications must be at least 2: the summary "
+                             "statistics need two of them")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         regime = classify_regime(self.spec.drift)

@@ -367,6 +367,8 @@ def limit_draws(
     RngStream(base_seed, first_stream + j)), and the first absorbed probe
     raises the same NonPositiveVY.
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     regime = classify_regime(spec.drift)
     require(spec, f"{regime.value}-limit")
     if regime is Regime.SUBCRITICAL:

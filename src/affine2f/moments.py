@@ -2,9 +2,10 @@
 
 These are the analytic oracles every Monte Carlo test is judged against.
 The mixed moments close under the generator: d/dt E(Y^k X^l) is a fixed
-linear combination of moments of order at most (k+1, l), so the transient
-lattice solves a constant-coefficient linear ODE system and the stationary
-lattice solves the corresponding balance recursion.
+linear combination of moments of order at most (k+1, l), written once in
+_generator_rows. The transient lattice solves that constant-coefficient
+linear ODE system, and the stationary lattice solves the balance
+equations of the same generator.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
+from .kernels import psi
 from .model import ModelSpec, Regime, classify_regime
 
 
@@ -55,23 +57,77 @@ def _extended_lattice(k_max: int, l_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def _generator_matrix(spec: ModelSpec, lattice: list[tuple[int, int]]) -> np.ndarray:
+def _generator_rows(
+    spec: ModelSpec, lattice: list[tuple[int, int]]
+) -> list[tuple[float, list[tuple[int, float]]]]:
+    """The generator on the lattice, row by row, as (rate, [(column, weight)]).
+
+    The generator maps y^k x^l to -rate * y^k x^l, with rate = k*b + l*gamma,
+    plus the weighted monomials of the row's terms, in this order. Zero
+    weights are left out, and every monomial of negative order has one, so
+    each column is on the lattice.
+    """
     d, q = spec.drift, spec.diffusion
     index = {kl: i for i, kl in enumerate(lattice)}
+    rows = []
+    for k, l in lattice:
+        terms = (
+            ((k - 1, l), k * d.a + k * (k - 1) * q.sigma1**2 / 2.0),
+            ((k, l - 1), l * (d.alpha + k * q.rho * q.sigma1 * q.sigma2)),
+            ((k + 1, l - 1), -l * d.beta),
+            ((k + 1, l - 2), l * (l - 1) * q.sigma2**2 / 2.0),
+            ((k, l - 2), l * (l - 1) * q.sigma3**2 / 2.0),
+        )
+        rows.append((k * d.b + l * d.gamma,
+                     [(index[kl], w) for kl, w in terms if w != 0.0]))
+    return rows
+
+
+def _generator_matrix(spec: ModelSpec, lattice: list[tuple[int, int]]) -> np.ndarray:
     A = np.zeros((len(lattice), len(lattice)))
-    for (k, l), row in index.items():
-
-        def put(kk, ll, w):
-            if w != 0.0 and kk >= 0 and ll >= 0:
-                A[row, index[(kk, ll)]] += w
-
-        A[row, row] = -(k * d.b + l * d.gamma)
-        put(k - 1, l, k * d.a + k * (k - 1) * q.sigma1**2 / 2.0)
-        put(k, l - 1, l * (d.alpha + k * q.rho * q.sigma1 * q.sigma2))
-        put(k + 1, l - 1, -l * d.beta)
-        put(k + 1, l - 2, l * (l - 1) * q.sigma2**2 / 2.0)
-        put(k, l - 2, l * (l - 1) * q.sigma3**2 / 2.0)
+    for i, (rate, terms) in enumerate(_generator_rows(spec, lattice)):
+        A[i, i] = -rate
+        for j, w in terms:
+            A[i, j] = w
     return A
+
+
+def _stationary_lattice(spec: ModelSpec, lattice: list[tuple[int, int]]) -> list[float]:
+    """Stationary moments on the lattice: 0 = A m with m[(0, 0)] = 1.
+
+    Each row reads rate * m[i] = sum of weight * m[column] over earlier
+    columns, so forward substitution solves it. Only nonzero weights are
+    summed, so an overflowed entry cannot turn a neighbour into NaN
+    through inf * 0.
+    """
+    if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
+        raise HypothesisError("stationary moments require a subcritical spec "
+                              "(b > 0 and gamma > 0)")
+    m: list[float] = []
+    for rate, terms in _generator_rows(spec, lattice):
+        acc = 0.0
+        for j, w in terms:
+            acc += w * m[j]
+        # rate is 0 only on the (0, 0) row, whose equation is the mass
+        m.append(acc / rate if rate else 1.0)
+    return m
+
+
+def _require_finite(what: str, lattice, m) -> None:
+    for (k, l), v in zip(lattice, m):
+        if not math.isfinite(v):
+            raise ValueError(f"the {what} table overflows double precision: "
+                             f"its moment at (k, l) = ({k}, {l}) is {float(v)}")
+
+
+def _table(mode: str, lattice: list[tuple[int, int]], m, k_max: int, l_max: int,
+           t: float | None = None) -> MomentTable:
+    """The k_max x l_max window of lattice values m, all of them finite."""
+    values = {
+        kl: float(v) for kl, v in zip(lattice, m) if kl[0] <= k_max and kl[1] <= l_max
+    }
+    _require_finite(mode, values, values.values())
+    return MomentTable(mode, values, k_max, l_max, t=t)
 
 
 def _gamma_raw_moment(shape: float, rate: float, k: int) -> float:
@@ -83,18 +139,18 @@ def _gamma_raw_moment(shape: float, rate: float, k: int) -> float:
 
 def _initial_moments(spec: ModelSpec, lattice: list[tuple[int, int]]) -> np.ndarray:
     init = spec.init
+    # numpy scalars overflow to inf, which the table refuses, where a
+    # float power would raise
+    y0, x0 = np.float64(init.y0), np.float64(init.x0)
     if init.kind == "point":
-        return np.array([init.y0**k * init.x0**l for k, l in lattice])
+        return np.array([y0**k * x0**l for k, l in lattice])
     if init.kind == "stationary-y":
         shape, rate = stationary_y_gamma_params(spec)
         return np.array(
-            [_gamma_raw_moment(shape, rate, k) * init.x0**l for k, l in lattice]
+            [_gamma_raw_moment(shape, rate, k) * x0**l for k, l in lattice]
         )
-    # burned-in stationary start: use the exact stationary lattice
-    k_hi = max(k for k, _ in lattice)
-    l_hi = max(l for _, l in lattice)
-    stat = stationary_moments(spec, k_hi, l_hi)
-    return np.array([stat.get(k, l) for k, l in lattice])
+    # burned-in stationary start: the exact stationary lattice
+    return np.array(_stationary_lattice(spec, lattice))
 
 
 # [13/13] Pade numerator coefficients b_0..b_13 and the largest 1-norm at
@@ -158,62 +214,40 @@ def transient_moments(spec: ModelSpec, t: float, k_max: int, l_max: int) -> Mome
         raise ValueError("moment orders must be nonnegative")
     lattice = _extended_lattice(k_max, l_max)
     A = _generator_matrix(spec, lattice)
-    m0 = _initial_moments(spec, lattice)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0 = _initial_moments(spec, lattice)
+        # one non-finite initial moment spreads NaN through the product
+        _require_finite("initial", lattice, m0)
         At = A * t
         norm = float(np.linalg.norm(At, 1))
-    if not math.isfinite(norm):
-        raise ValueError(f"t={t} is too large: the 1-norm of the generator "
-                         "matrix times t overflows")
-    # lower triangular: each (k, l) equation pulls in lower l-levels and
-    # lower k on its own level, and the lattice runs l-major
-    mt = _expm_lower(At) @ m0
-    values = {
-        kl: float(v) for kl, v in zip(lattice, mt) if kl[0] <= k_max and kl[1] <= l_max
-    }
-    return MomentTable("transient", values, k_max, l_max, t=t)
+        if not math.isfinite(norm):
+            raise ValueError(f"t={t} is too large: the 1-norm of the generator "
+                             "matrix times t overflows")
+        # lower triangular: each (k, l) equation pulls in lower l-levels
+        # and lower k on its own level, and the lattice runs l-major; an
+        # overflow shows as a non-finite entry, which _table refuses
+        mt = _expm_lower(At) @ m0
+    return _table("transient", lattice, mt, k_max, l_max, t=t)
 
 
 def stationary_moments(spec: ModelSpec, n_max: int, p_max: int) -> MomentTable:
     """E(Y_inf^n X_inf^p) on the lattice, subcritical models only.
 
-    Balance recursion: (n*b + p*gamma) * m[n,p] equals the same five
-    lower-order terms that drive the transient system.
+    The balance equations of the same generator as the transient system,
+    0 = A m with E(1) = 1, solved by forward substitution.
     """
-    if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
-        raise HypothesisError("stationary moments require a subcritical spec "
-                              "(b > 0 and gamma > 0)")
     if n_max < 0 or p_max < 0:
         raise ValueError("moment orders must be nonnegative")
-    d, q = spec.drift, spec.diffusion
-    m: dict[tuple[int, int], float] = {}
-
-    def get(n, p):
-        return m[(n, p)] if n >= 0 and p >= 0 else 0.0
-
-    for p in range(p_max + 1):
-        for n in range(n_max + (p_max - p) + 1):
-            if n == 0 and p == 0:
-                m[(0, 0)] = 1.0
-                continue
-            num = (
-                (n * d.a + n * (n - 1) * q.sigma1**2 / 2.0) * get(n - 1, p)
-                + p * (d.alpha + n * q.rho * q.sigma1 * q.sigma2) * get(n, p - 1)
-                - p * d.beta * get(n + 1, p - 1)
-                + p * (p - 1) * q.sigma2**2 / 2.0 * get(n + 1, p - 2)
-                + p * (p - 1) * q.sigma3**2 / 2.0 * get(n, p - 2)
-            )
-            m[(n, p)] = num / (n * d.b + p * d.gamma)
-    values = {
-        (n, p): v for (n, p), v in m.items() if n <= n_max and p <= p_max
-    }
-    return MomentTable("stationary", values, n_max, p_max)
+    lattice = _extended_lattice(n_max, p_max)
+    return _table("stationary", lattice, _stationary_lattice(spec, lattice),
+                  n_max, p_max)
 
 
 def stationary_y_gamma_params(spec: ModelSpec) -> tuple[float, float]:
     """(shape, rate) of the stationary gamma law of Y."""
     if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
-        raise HypothesisError("the stationary Y law requires a subcritical spec")
+        raise HypothesisError("the stationary Y law requires a subcritical spec "
+                              "(b > 0 and gamma > 0)")
     if not spec.sigma1 > 0.0:
         raise HypothesisError("the stationary Y law is degenerate when sigma1 = 0")
     return 2.0 * spec.a / spec.sigma1**2, 2.0 * spec.b / spec.sigma1**2
@@ -235,8 +269,6 @@ def laplace_y(spec: ModelSpec, t: float, lam: float, y0: float) -> float:
         raise ValueError(f"t must be positive, got {t}")
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    from .kernels import psi
-
     base = 1.0 + spec.sigma1**2 * lam * psi(spec.b, t) / 2.0
     expo = lam * math.exp(-spec.b * t) * y0 / base
     return base ** (-2.0 * spec.a / spec.sigma1**2) * math.exp(-expo)
@@ -259,16 +291,6 @@ class MeanGrowth:
     x_coef: float
 
 
-def _initial_means(spec: ModelSpec) -> tuple[float, float]:
-    init = spec.init
-    if init.kind == "point":
-        return init.y0, init.x0
-    if init.kind == "stationary-y":
-        return spec.a / spec.b, init.x0
-    stat = stationary_moments(spec, 1, 1)
-    return stat.get(1, 0), stat.get(0, 1)
-
-
 def mean_growth_check(spec: ModelSpec) -> MeanGrowth:
     """Classify how E(Y_t) and E(X_t) behave as t grows.
 
@@ -279,7 +301,7 @@ def mean_growth_check(spec: ModelSpec) -> MeanGrowth:
     a, b, al, be, g = (
         spec.a, spec.b, spec.alpha, spec.beta, spec.gamma,
     )
-    ey0, ex0 = _initial_means(spec)
+    _, ey0, ex0 = _initial_moments(spec, _extended_lattice(0, 1)).tolist()
 
     if b > 0.0:
         y = ("constant", 0.0, a / b)

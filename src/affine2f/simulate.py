@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError
 from .kernels import psi
-from .model import InitialLaw, ModelSpec, Regime, classify_regime, make_spec
+from .model import InitialLaw, ModelSpec, make_spec
+from .moments import stationary_moments, stationary_y_gamma_params
 from .rng import RngStream
 
 Y_FLOOR = 1e-12
@@ -545,15 +545,8 @@ def simulate_critical_limit_process(
 
 def _stationary_y(spec: ModelSpec, rng: RngStream, size: int | None):
     """Y0 from the stationary gamma law: a scalar, or size draws."""
-    # a gamma-law start only exists for an ergodic positive Y factor
-    if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
-        raise HypothesisError("a stationary start requires a subcritical spec "
-                              "(b > 0 and gamma > 0)")
-    if not spec.sigma1 > 0.0:
-        raise HypothesisError("a stationary start requires sigma1 > 0")
-    shape = 2.0 * spec.a / spec.sigma1**2
-    scale = spec.sigma1**2 / (2.0 * spec.b)
-    return rng.generator(3).gamma(shape, scale, size)
+    shape, rate = stationary_y_gamma_params(spec)
+    return rng.generator(3).gamma(shape, 1.0 / rate, size)
 
 
 def _stationary_start(
@@ -574,7 +567,7 @@ def _stationary_start(
         burn_in = DEFAULT_BURN_IN_RATE / min(spec.b, spec.gamma)
     if not burn_in > 0.0:
         raise ValueError(f"burn_in must be positive, got {burn_in}")
-    x_eq = (spec.b * spec.alpha - spec.a * spec.beta) / (spec.b * spec.gamma)
+    x_eq = stationary_moments(spec, 0, 1).get(0, 1)
     T = max(burn_in, dt)
     if size is None:
         start = ModelSpec(spec.drift, spec.diffusion,
@@ -597,7 +590,7 @@ def stationary_init(
 
     y0 comes exactly from the stationary gamma law of Y. X has no closed
     stationary form, so x0 is produced operationally: start X at its
-    stationary mean (b*alpha - a*beta)/(b*gamma), run the pair for
+    stationary mean E(X_inf) from stationary_moments, run the pair for
     burn_in time units, and return the evolved pair. Y's marginal is
     preserved exactly by the evolution; X forgets its starting point at
     rate gamma.

@@ -3,10 +3,12 @@
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from affine2f import cli
 from affine2f.cli import main
 from affine2f.config import load_config
 from affine2f.limit_laws import limit_draws, supercritical_limit_sample
@@ -87,7 +89,7 @@ HYPOTHESIS_CASES = {
                                  "critical limit dt=0.5"),
     "simulate": (["simulate"],
                  dict(b=-0.5, gamma=-1.0, beta=0.0, init_kind="stationary-y"),
-                 "stationary start requires a subcritical spec"),
+                 "stationary Y law requires a subcritical spec"),
 }
 
 
@@ -260,6 +262,27 @@ class TestMoments:
         assert err.startswith("numerical failure: t=1e+308 is too large")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["stationary", "--kmax", "100000", "--lmax", "0"],
+         "the stationary table overflows double precision: "
+         "its moment at (k, l) = (268, 0) is inf"),
+        (["stationary", "--kmax", "300", "--lmax", "2"],
+         "the stationary table overflows double precision: "
+         "its moment at (k, l) = (268, 0) is inf"),
+        (["1.0", "--kmax", "300", "--lmax", "0"],
+         "the transient table overflows double precision: "
+         "its moment at (k, l) = (292, 0) is inf"),
+    ], ids=["stationary-long", "stationary-mixed", "transient"])
+    def test_overflowing_table_is_numerical_failure(self, tmp_path, capsys,
+                                                    argv, needle):
+        cfg = write_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            assert main(["moments", *argv, "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {needle}")
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _read_table(path):
         out = {}
@@ -307,6 +330,18 @@ class TestMcVerify:
         cfg = write_config(tmp_path)
         assert main(["mc-verify", "--config", cfg,
                      "--reference-draws", "0"]) == 2
+
+    def test_one_replication_refused_before_stepping(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def stepped(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(cli, "run_experiment", stepped)
+        cfg = write_config(tmp_path, replications=1)
+        assert main(["mc-verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: experiment.replications: mc-verify needs at least 2")
+        assert not (tmp_path / "out").exists()
 
 
 class TestLimitSample:

@@ -103,9 +103,11 @@ class TestPlan:
                            replications=2, base_seed=1)
 
     def test_rejects_bad_replications(self, sub_spec):
-        with pytest.raises(ValueError, match="replications"):
-            ExperimentPlan(spec=sub_spec, T=1.0, dt=0.01,
-                           replications=0, base_seed=1)
+        # the summary statistics need two replications
+        for replications in (0, 1):
+            with pytest.raises(ValueError, match="replications must be at least 2"):
+                ExperimentPlan(spec=sub_spec, T=1.0, dt=0.01,
+                               replications=replications, base_seed=1)
 
     def test_rejects_unknown_scheme(self, sub_spec):
         with pytest.raises(ValueError, match="scheme"):

@@ -309,3 +309,15 @@ def test_limit_draws_checks_every_regime():
     with pytest.raises(HypothesisError,
                        match="beta = 0 required; gamma = 0 required"):
         limit_draws(spec, 5, 0.01, 1, 0)
+
+
+@pytest.mark.parametrize("n_draws", [0, -1])
+@pytest.mark.parametrize("args", [
+    (1.0, 1.0, 0.5, 0.3, 0.6, 0.5, 0.3, 0.4, 0.3),
+    (1.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.3, 0.4, 0.3),
+    (1.2, -0.5, 0.4, 0.0, -1.0, 0.5, 0.3, 0.4, 0.2),
+], ids=["subcritical", "critical", "supercritical"])
+def test_limit_draws_refuses_no_draws(args, n_draws):
+    spec = make_spec(*args, init=InitialLaw("point", y0=1.0, x0=0.5))
+    with pytest.raises(ValueError, match=f"n_draws must be at least 1, got {n_draws}"):
+        limit_draws(spec, n_draws, 0.01, 1, 0)

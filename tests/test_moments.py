@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from affine2f.errors import HypothesisError
 from affine2f.model import InitialLaw, ModelSpec, conditional_mean_x, conditional_mean_y, make_spec
 from affine2f.moments import (
     MomentTable,
@@ -135,6 +136,20 @@ class TestTransient:
         with pytest.raises(ValueError, match=needle):
             transient_moments(ref_spec, t, 1, 1)
 
+    @pytest.mark.parametrize("init, k_max, needle", [
+        # the generator's own growth overflows inside the exponential
+        (InitialLaw("point", 0.7, -0.4), 300, "transient table overflows"),
+        # the start already overflows: refused before the exponential
+        (InitialLaw("point", 2.0, 0.2), 1100,
+         "initial table overflows double precision: "
+         "its moment at [(]k, l[)] = [(]1024, 0[)] is inf"),
+        (InitialLaw("stationary"), 300, "initial table overflows"),
+    ], ids=["point", "large-point", "stationary"])
+    def test_overflowing_table_is_refused(self, ref_spec, init, k_max, needle):
+        spec = ModelSpec(ref_spec.drift, ref_spec.diffusion, init)
+        with pytest.raises(ValueError, match=needle):
+            transient_moments(spec, 1.0, k_max, 0)
+
     def test_negative_orders_read_zero(self, ref_spec):
         table = transient_moments(ref_spec, 1.0, 1, 1)
         assert table.get(-1, 0) == 0.0
@@ -210,6 +225,14 @@ class TestExponential:
         assert_allclose([got[kl] for kl in sorted(got)],
                         [exact[kl] for kl in sorted(got)], rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("name", sorted(EXPM_SPECS))
+    def test_generator_matches_the_balance_rule(self, name):
+        # _generator_rows against the test-side transcription, entry by entry
+        lattice = _extended_lattice(4, 4)
+        spec = EXPM_SPECS[name]
+        np.testing.assert_array_equal(_generator_matrix(spec, lattice),
+                                      _rule_matrix(spec, lattice))
+
     def test_generator_is_lower_triangular(self):
         # _expm_lower keeps the triangle; the l-major lattice must give one
         for spec in EXPM_SPECS.values():
@@ -282,6 +305,23 @@ class TestStationary:
         crit = make_spec(1, 0, 0, 0, 1, 1, 0, 0, 0)
         with pytest.raises(ValueError, match="subcritical"):
             stationary_moments(crit, 2, 2)
+
+    def test_stationary_start_solves_on_the_transient_lattice(self, ref_spec):
+        # the start of a stationary-init transient is the stationary table
+        spec = ModelSpec(ref_spec.drift, ref_spec.diffusion, InitialLaw("stationary"))
+        lattice = _extended_lattice(3, 2)
+        wide = stationary_moments(ref_spec, 5, 2)
+        np.testing.assert_array_equal(_initial_moments(spec, lattice),
+                                      [wide.get(*kl) for kl in lattice])
+
+    def test_overflowing_table_is_refused(self, ref_spec):
+        with pytest.raises(ValueError,
+                           match=r"stationary table overflows double precision: "
+                                 r"its moment at \(k, l\) = \(\d+, 0\) is inf"):
+            stationary_moments(ref_spec, 300, 2)
+        # every table that is returned is finite
+        table = stationary_moments(ref_spec, 100, 2)
+        assert all(math.isfinite(v) for v in table.values.values())
 
 
 def _ext(spec, n, p):
@@ -380,6 +420,17 @@ class TestMeanGrowth:
         g = mean_growth_check(spec)
         assert g.x_kind == "quadratic"
         assert_allclose(g.x_coef, -1.5 * 0.4 / 2.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["stationary-y", "stationary"])
+    @pytest.mark.parametrize("args", [
+        (1, 0, 0.5, 0, 0, 0.5, 0.3, 0.4, 0.3),
+        (1, -0.5, 0.2, 0, -1, 0.5, 0.3, 0.4, 0.3),
+    ], ids=["critical", "supercritical"])
+    def test_stationary_start_needs_subcritical_spec(self, args, kind):
+        # no stationary law, so no stationary mean to start from
+        spec = make_spec(*args, init=InitialLaw(kind, x0=0.5))
+        with pytest.raises(HypothesisError, match="subcritical"):
+            mean_growth_check(spec)
 
     def test_growth_against_transient_oracle(self):
         # supercritical: E(Y_t) e^{b t} should flatten to the predicted coef
