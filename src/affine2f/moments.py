@@ -163,6 +163,12 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
+# _expm_lower holds about a dozen dense N x N float64 arrays at once (A t,
+# its scaled copy, three powers, U, V, P, Q, E and the temporaries of
+# their sums), so a transient lattice of more rows than this is refused
+# before anything is allocated: its working set would pass 2 GiB
+_MAX_TRANSIENT_ROWS = math.isqrt(2**31 // (12 * 8))
+
 
 def _expm_lower(M: np.ndarray) -> np.ndarray:
     """exp(M) for a lower-triangular M, by scaling and squaring.
@@ -212,6 +218,13 @@ def transient_moments(spec: ModelSpec, t: float, k_max: int, l_max: int) -> Mome
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     if k_max < 0 or l_max < 0:
         raise ValueError("moment orders must be nonnegative")
+    # the size of _extended_lattice(k_max, l_max), counted before it is built
+    rows = (k_max + 1) * (l_max + 1) + l_max * (l_max + 1) // 2
+    if rows > _MAX_TRANSIENT_ROWS:
+        raise ValueError(f"(k_max, l_max) = ({k_max}, {l_max}) needs a transient "
+                         f"lattice of {rows} rows, more than the "
+                         f"{_MAX_TRANSIENT_ROWS} whose dense matrix exponential "
+                         "fits in memory")
     lattice = _extended_lattice(k_max, l_max)
     A = _generator_matrix(spec, lattice)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,9 +237,18 @@ def transient_moments(spec: ModelSpec, t: float, k_max: int, l_max: int) -> Mome
             raise ValueError(f"t={t} is too large: the 1-norm of the generator "
                              "matrix times t overflows")
         # lower triangular: each (k, l) equation pulls in lower l-levels
-        # and lower k on its own level, and the lattice runs l-major; an
-        # overflow shows as a non-finite entry, which _table refuses
-        mt = _expm_lower(At) @ m0
+        # and lower k on its own level, and the lattice runs l-major
+        E = _expm_lower(At)
+        # an overflow inside the squarings leaves inf * 0 = NaN entries, and
+        # they would make small moments, even E(1), read NaN; a moment that
+        # only overflows itself shows as inf in the product, which _table
+        # refuses by its (k, l)
+        nan = int(np.isnan(E).sum())
+        if nan:
+            raise ValueError("the transient table overflows double precision: "
+                             f"the matrix exponential exp(A t) at t={t!r} has "
+                             f"{nan} NaN entries of {E.size}")
+        mt = E @ m0
     return _table("transient", lattice, mt, k_max, l_max, t=t)
 
 

@@ -14,15 +14,17 @@ Two schemes:
 Both consume substreams 0 (Y drivers), 1 (B), 2 (L) and 3 (initial draws)
 of one RngStream, so a path is addressed entirely by (seed, stream_id).
 
-simulate_path is the scalar reference. Every vector run (ensembles, the
-burn-in leg, the per-stream batches of a replication study or of the
-supercritical reference probes) goes through
-one stepper that walks the grid in time blocks of BLOCK_STEPS steps: it
-steps Y alone, forms the block's Y-only terms of the X update at once,
-then steps X, all with simulate_path's elementwise operations in its
-order. The per-stream batches hand each block on as it is finished, as a
-transposed view of the stepper's time-major block, so a replication study
-reduces paths block by block, left to right in time and uncopied
+simulate_path is the scalar reference. _start draws every path's start,
+from one shared stream or from a list of per-row streams. Every vector
+run (ensembles, the per-stream batches of a replication study or of the
+supercritical reference probes, and each stationary start's burn-in leg,
+one run over all the start's rows) goes through one stepper that walks
+the grid in time blocks of BLOCK_STEPS steps: it steps Y alone, forms
+the block's Y-only terms of the X update at once, then steps X, all with
+simulate_path's elementwise operations in its order. The per-stream
+batches hand each block on as it is finished, as a transposed view of
+the stepper's time-major block, so a replication study reduces paths
+block by block, left to right in time and uncopied
 (estimators.functionals_from_arrays), and never holds a whole path.
 
 At a few hundred rows a ufunc call costs more in dispatch than in
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import psi
-from .model import InitialLaw, ModelSpec, make_spec
+from .model import ModelSpec, make_spec
 from .moments import stationary_moments, stationary_y_gamma_params
 from .rng import RngStream
 
@@ -174,19 +176,6 @@ def _wants_l(spec: ModelSpec) -> bool:
     return spec.sigma3 > 0.0
 
 
-def _resolve_init(spec: ModelSpec, dt: float, rng: RngStream, size: int | None):
-    """Initial (y0, x0) scalars or vectors according to spec.init."""
-    init = spec.init
-    if init.kind == "point":
-        if size is None:
-            return init.y0, init.x0
-        return np.full(size, init.y0), np.full(size, init.x0)
-    if init.kind == "stationary-y":
-        y0 = _stationary_y(spec, rng, size)
-        return y0, (init.x0 if size is None else np.full(size, init.x0))
-    return _stationary_start(spec, init.burn_in, dt, rng.spawn(0), size)
-
-
 def simulate_path(
     spec: ModelSpec,
     T: float,
@@ -200,7 +189,7 @@ def simulate_path(
     if rng is None:
         raise ValueError("an RngStream is required")
     n = _n_grid(T, dt)
-    y0, x0 = _resolve_init(spec, dt, rng, None)
+    (y0,), (x0,) = _start(spec, dt, [rng])
 
     d, q = spec.drift, spec.diffusion
     a, b, alpha, beta = d.a, d.b, d.alpha, d.beta
@@ -371,7 +360,8 @@ def _step(
     (rows,)-shaped draws per step, or a list of RngStreams, one per row.
     Either way each substream is consumed in simulate_path's order, so a
     size-1 ensemble, or row r of a per-row batch, is bit-identical to the
-    scalar engine on the same stream.
+    scalar engine on the same stream. That holds for the burn-in legs of
+    stationary starts too, which run here, one run over all the rows.
 
     Yields time-major (y, x) blocks of shape (m + 1, rows): row 0 is the
     previous block's last row (the start on the first block), then m
@@ -477,7 +467,7 @@ def simulate_ensemble(
         raise ValueError("an RngStream is required")
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
-    y0, x0 = _resolve_init(spec, dt, rng, n_paths)
+    y0, x0 = _start(spec, dt, rng, n_paths)
     y_rec = x_rec = None
     if record == "paths":
         n = _n_grid(T, dt)
@@ -517,8 +507,7 @@ def euler_paths_per_stream(
     for lo in range(0, len(streams), WIDE_ROWS):
         sub = streams[lo : lo + WIDE_ROWS]
         rows = slice(lo, lo + len(sub))
-        y0, x0 = np.array([_resolve_init(spec, dt, s, None) for s in sub],
-                          dtype=float).T
+        y0, x0 = _start(spec, dt, sub)
         for y, x in _step(spec, T, dt, scheme, sub, y0, x0):
             yield rows, y.T, x.T
 
@@ -543,39 +532,49 @@ def simulate_critical_limit_process(
     return simulate_path(aux, 1.0, dt, scheme="full_euler", rng=rng)
 
 
-def _stationary_y(spec: ModelSpec, rng: RngStream, size: int | None):
-    """Y0 from the stationary gamma law: a scalar, or size draws."""
-    shape, rate = stationary_y_gamma_params(spec)
-    return rng.generator(3).gamma(shape, 1.0 / rate, size)
+def _children(rng):
+    """The spawn(0) children of rng, one stream or a list, as _step takes it."""
+    return rng.spawn(0) if isinstance(rng, RngStream) else [s.spawn(0) for s in rng]
 
 
-def _stationary_start(
-    spec: ModelSpec,
-    burn_in: float | None,
-    dt: float,
-    rng: RngStream,
-    size: int | None = None,
-):
-    """The burned-in start of stationary_init: one pair, or size-vectors.
+def _start(spec: ModelSpec, dt: float, rng, rows: int = 1):
+    """Every path's start: (y0, x0) row vectors drawn as spec.init says.
 
-    One path runs through simulate_path, several through the vector
-    stepper; both consume rng alike, so a size-1 start matches the
-    scalar one bit for bit.
+    rng is what _step takes: one stream that rows paths share, or a list
+    of per-row streams, each giving its row simulate_path's start on it.
+    A stationary start is _stationary_start on the spawn(0) children.
     """
-    y0 = _stationary_y(spec, rng, size)
+    init = spec.init
+    if init.kind == "stationary":
+        return _stationary_start(spec, init.burn_in, dt, _children(rng), rows)
+    rows = rows if isinstance(rng, RngStream) else len(rng)
+    y0 = (np.full(rows, init.y0) if init.kind == "point"
+          else _stationary_y(spec, rng, rows))
+    return y0, np.full(rows, init.x0)
+
+
+def _stationary_y(spec: ModelSpec, rng, rows: int) -> np.ndarray:
+    """Y0 from the stationary gamma law: rows draws, or one per stream."""
+    shape, rate = stationary_y_gamma_params(spec)
+    if isinstance(rng, RngStream):
+        return rng.generator(3).gamma(shape, 1.0 / rate, rows)
+    return np.array([s.generator(3).gamma(shape, 1.0 / rate) for s in rng])
+
+
+def _stationary_start(spec: ModelSpec, burn_in, dt: float, rng, rows: int):
+    """stationary_init for rows paths at once, rng taken as by _step.
+
+    One exact-Y _step run on the children spawn(0) burns every row in, so
+    a per-row start is the burn-in simulate_path would run on its stream.
+    """
+    y0 = _stationary_y(spec, rng, rows)
     if burn_in is None:
         burn_in = DEFAULT_BURN_IN_RATE / min(spec.b, spec.gamma)
     if not burn_in > 0.0:
         raise ValueError(f"burn_in must be positive, got {burn_in}")
     x_eq = stationary_moments(spec, 0, 1).get(0, 1)
-    T = max(burn_in, dt)
-    if size is None:
-        start = ModelSpec(spec.drift, spec.diffusion,
-                          InitialLaw("point", y0=float(y0), x0=x_eq))
-        path = simulate_path(start, T, dt, "exact_y_euler_x", rng.spawn(0))
-        return float(path.y[-1]), float(path.x[-1])
-    for y, x in _step(spec, T, dt, "exact_y_euler_x", rng.spawn(0), y0,
-                      np.full(size, x_eq)):
+    for y, x in _step(spec, max(burn_in, dt), dt, "exact_y_euler_x",
+                      _children(rng), y0, np.full(y0.size, x_eq)):
         pass
     return y[-1].copy(), x[-1].copy()
 
@@ -591,8 +590,9 @@ def stationary_init(
     y0 comes exactly from the stationary gamma law of Y. X has no closed
     stationary form, so x0 is produced operationally: start X at its
     stationary mean E(X_inf) from stationary_moments, run the pair for
-    burn_in time units, and return the evolved pair. Y's marginal is
-    preserved exactly by the evolution; X forgets its starting point at
-    rate gamma.
+    burn_in time units on rng.spawn(0) through the vector stepper, and
+    return the evolved pair. Y's marginal is preserved exactly by the
+    evolution; X forgets its starting point at rate gamma.
     """
-    return _stationary_start(spec, burn_in, dt, rng)
+    (y0,), (x0,) = _stationary_start(spec, burn_in, dt, [rng], 1)
+    return float(y0), float(x0)

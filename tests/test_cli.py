@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from affine2f import cli
+from affine2f import cli, moments
 from affine2f.cli import main
 from affine2f.config import load_config
 from affine2f.limit_laws import limit_draws, supercritical_limit_sample
@@ -281,6 +281,21 @@ class TestMoments:
             assert main(["moments", *argv, "--config", cfg]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: {needle}")
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_lattice_is_numerical_failure(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # refused by its size alone: the 248154-row lattice is never built
+        def build(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(moments, "_extended_lattice", build)
+        cfg = write_config(tmp_path)
+        assert main(["moments", "1.0", "--kmax", "3", "--lmax", "700",
+                     "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: (k_max, l_max) = (3, 700) "
+                              "needs a transient lattice of 248154 rows")
         assert not (tmp_path / "out").exists()
 
     @staticmethod

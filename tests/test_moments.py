@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from affine2f import moments
 from affine2f.errors import HypothesisError
 from affine2f.model import InitialLaw, ModelSpec, conditional_mean_x, conditional_mean_y, make_spec
 from affine2f.moments import (
@@ -149,6 +150,28 @@ class TestTransient:
         spec = ModelSpec(ref_spec.drift, ref_spec.diffusion, init)
         with pytest.raises(ValueError, match=needle):
             transient_moments(spec, 1.0, k_max, 0)
+
+    def test_overflowing_exponential_is_named(self, ref_spec):
+        # exp(A t) itself overflows to NaN here, which made even E(1) read
+        # NaN; the refusal names t and the exponential, not a table entry
+        with pytest.raises(ValueError, match="transient table overflows double "
+                           r"precision: the matrix exponential exp\(A t\) at "
+                           r"t=1.0 has \d+ NaN entries of 90601") as info:
+            transient_moments(ref_spec, 1.0, 300, 0)
+        assert "(0, 0)" not in str(info.value)
+
+    @pytest.mark.parametrize("k_max, l_max", [(3, 700), (3, 100)])
+    def test_oversized_lattice_is_refused_before_building(self, ref_spec,
+                                                          monkeypatch, k_max, l_max):
+        rows = len(_extended_lattice(k_max, l_max))
+
+        def build(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(moments, "_extended_lattice", build)
+        with pytest.raises(ValueError, match=rf"\(k_max, l_max\) = \({k_max}, "
+                           rf"{l_max}\) needs a transient lattice of {rows} rows"):
+            transient_moments(ref_spec, 1.0, k_max, l_max)
 
     def test_negative_orders_read_zero(self, ref_spec):
         table = transient_moments(ref_spec, 1.0, 1, 1)

@@ -6,7 +6,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from affine2f import simulate
 from affine2f.model import InitialLaw, ModelSpec, make_spec
-from affine2f.moments import laplace_y
+from affine2f.moments import (
+    laplace_y,
+    stationary_moments,
+    stationary_y_gamma_params,
+)
 from affine2f.rng import RngStream
 from affine2f.simulate import (
     PathGrid,
@@ -147,9 +151,10 @@ class TestEnsembleConsistency:
         assert_array_equal(ens.y[0], path.y)
         assert_array_equal(ens.x[0], path.x)
 
-    def test_single_path_bit_identity_stationary_init(self, ref_spec):
+    @pytest.mark.parametrize("kind", ["stationary-y", "stationary"])
+    def test_single_path_bit_identity_stationary_init(self, ref_spec, kind):
         spec = ModelSpec(ref_spec.drift, ref_spec.diffusion,
-                         InitialLaw("stationary", burn_in=2.0))
+                         InitialLaw(kind, x0=0.3, burn_in=2.0))
         path = simulate_path(spec, 1.0, 0.05, rng=RngStream(99))
         ens = simulate_ensemble(spec, 1.0, 0.05, rng=RngStream(99), n_paths=1,
                                 record="paths")
@@ -253,6 +258,46 @@ class TestAbsentNoiseSources:
                 self.spec("no_l"), 0.5, 0.01, scheme, streams):
             for block in (yb, xb):
                 assert block.base is not None and block.T.flags.c_contiguous
+
+
+class TestPerStreamStarts:
+    """Per-stream batches draw their starts as one batch, through the stepper."""
+
+    SPEC_ARGS = (1.2, 1.0, 0.5, -0.3, 0.8, 0.6, 0.4, 0.25, -0.35)
+
+    def starts(self, spec, streams):
+        return {rows.start: (y[:, 0].copy(), x[:, 0].copy())
+                for rows, y, x in simulate.euler_paths_per_stream(
+                    spec, 0.05, 0.01, "full_euler", streams)}
+
+    def test_stationary_batch_never_calls_the_scalar_engine(self, monkeypatch):
+        spec = make_spec(*self.SPEC_ARGS, InitialLaw("stationary", burn_in=0.5))
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("a start went through simulate_path")
+
+        monkeypatch.setattr(simulate, "simulate_path", scalar)
+        starts = self.starts(spec, [RngStream(64, k) for k in range(4)])
+        assert len(starts[0][0]) == 4
+
+    def test_rows_equal_the_scalar_reference_burn_in(self, monkeypatch):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)  # the leg crosses blocks
+        monkeypatch.setattr(simulate, "WIDE_ROWS", 3)
+        spec = make_spec(*self.SPEC_ARGS, InitialLaw("stationary", burn_in=0.5))
+        streams = [RngStream(65, k) for k in range(5)]
+        starts = self.starts(spec, streams)
+        assert sorted(starts) == [0, 3]
+        y0 = np.concatenate([starts[0][0], starts[3][0]])
+        x0 = np.concatenate([starts[0][1], starts[3][1]])
+        shape, rate = stationary_y_gamma_params(spec)
+        x_eq = stationary_moments(spec, 0, 1).get(0, 1)
+        for r, s in enumerate(streams):
+            y_r = s.spawn(0).generator(3).gamma(shape, 1.0 / rate)
+            point = make_spec(*self.SPEC_ARGS, InitialLaw("point", y_r, x_eq))
+            leg = simulate_path(point, 0.5, 0.01, "exact_y_euler_x",
+                                s.spawn(0).spawn(0))
+            assert len(leg) > 7
+            assert (y0[r], x0[r]) == (leg.y[-1], leg.x[-1])
 
 
 class TestCriticalLimitProcess:
