@@ -23,13 +23,18 @@ them through solve_gated, as do the replication studies and the critical
 limit draws. gram_y/target_y and gram_x/target_x build one block each,
 for callers that solve only one. functionals_from_arrays is the one
 place that decides how a path is summed: left to right in time, in
-segments of simulate.BLOCK_STEPS steps.
+segments of simulate.BLOCK_STEPS steps. functionals_from_blocks is the
+one place that folds the stepper's time blocks into those sums: every
+Monte Carlo batch (replications, supercritical probes, critical limit
+draws) is reduced as it is stepped and never holds a whole path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import groupby
 
 import numpy as np
 
@@ -145,6 +150,39 @@ def functionals_from_arrays(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunc
 
 def functionals_from_path(path: PathGrid) -> PathFunctionals:
     return functionals_from_arrays(path.y, path.x, path.dt)
+
+
+def functionals_from_blocks(blocks, dt: float) -> PathFunctionals:
+    """The functionals of one batch of paths handed on in time blocks.
+
+    blocks yields consecutive (y, x) blocks of the same rows, time on the
+    last axis, each starting where the one before ended. Each is reduced
+    as it arrives and continues the sums before it, so a batch holds one
+    block at a time, never a whole path.
+    """
+    return reduce(PathFunctionals.then,
+                  (functionals_from_arrays(y, x, dt) for y, x in blocks))
+
+
+def functionals_per_stream(spec, T: float, dt: float, scheme: str,
+                           streams) -> PathFunctionals:
+    """Stacked path functionals, one row per stream.
+
+    Row r is the path simulate_path would draw from streams[r], stepped
+    WIDE_ROWS streams at a time (simulate.euler_paths_per_stream) and
+    folded by functionals_from_blocks, so it equals functionals_from_path
+    of the scalar path bit for bit.
+    """
+    if not streams:
+        raise ValueError("functionals_per_stream needs at least one stream")
+    blocks = simulate.euler_paths_per_stream(spec, T, dt, scheme, streams)
+    parts = [functionals_from_blocks(((y, x) for _, y, x in batch), dt)
+             for _, batch in groupby(blocks, key=lambda item: item[0].start)]
+    # every batch rides the same grid, so horizon stays scalar
+    return PathFunctionals(horizon=parts[0].horizon, **{
+        name: np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
+        for name in ("y0", "x0", "y_end", "x_end") + _SUMS
+    })
 
 
 def gram_y(fn: PathFunctionals) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ExcessiveExclusions, HypothesisError
 from .estimators import (
     PathFunctionals,
-    functionals_from_arrays,
+    functionals_per_stream,
     gram_y,
     solve_continuous,
     solve_gated,
@@ -24,9 +24,9 @@ from .estimators import (
 from .limit_laws import limit_draws, require_critical_dt, subcritical_limit
 from .model import ModelSpec, Regime, classify_regime, require
 from .rng import RngStream
-from .simulate import SCHEMES, euler_paths_per_stream
-# the scalar reference each row of _replicate equals; unused here, but
-# bench/tests checks that the tracer rewraps this binding
+from .simulate import SCHEMES
+# the scalar reference each row of functionals_per_stream equals; unused
+# here, but bench/tests checks that the tracer rewraps this binding
 from .simulate import simulate_path  # noqa: F401
 
 # fraction of replications allowed to fail with a singular Gram matrix
@@ -147,34 +147,6 @@ def _theta_true(spec: ModelSpec) -> np.ndarray:
     return np.array([d.a, d.b, d.alpha, d.beta, d.gamma])
 
 
-_FN_FIELDS = tuple(PathFunctionals.__dataclass_fields__)
-
-
-def _replicate(spec, T, dt, scheme, streams) -> PathFunctionals:
-    """Stacked path functionals, one row per stream.
-
-    Row r is the path simulate_path would draw from streams[r], stepped
-    WIDE_ROWS streams at a time and reduced one time block at a time as
-    it arrives, so the study holds O(WIDE_ROWS * BLOCK_STEPS) path values
-    and its rows equal functionals_from_path of the scalar path bit for
-    bit.
-    """
-    # running functionals per batch of rows, keyed by its first row; each
-    # time block of a batch continues the sums of the blocks before it
-    running: dict[int, PathFunctionals] = {}
-    for rows, y, x in euler_paths_per_stream(spec, T, dt, scheme, streams):
-        part = functionals_from_arrays(y, x, dt)
-        head = running.get(rows.start)
-        running[rows.start] = part if head is None else head.then(part)
-    parts = list(running.values())
-    # every batch rides the same grid, so horizon stays scalar
-    data = {
-        name: np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
-        for name in _FN_FIELDS if name != "horizon"
-    }
-    return PathFunctionals(horizon=parts[0].horizon, **data)
-
-
 def _theta_rows(fn: PathFunctionals, y_only: bool = False) -> np.ndarray:
     """Per-path estimates, NaN in each block whose condition gate fails.
 
@@ -237,7 +209,8 @@ def run_experiment(
 ) -> LimitLawReport:
     """Run the replications and score the scaled errors against theory.
 
-    Replication r runs on its own RngStream(base_seed, r); see _replicate.
+    Replication r runs on its own RngStream(base_seed, r), and the study
+    holds O(WIDE_ROWS * BLOCK_STEPS) path values; see functionals_per_stream.
     engine selects nothing: every plan runs the one replication path. It
     accepts only the names of the two engines that path replaced,
     "per-path" and "batched", so that callers written for them still run.
@@ -246,10 +219,13 @@ def run_experiment(
         raise ValueError(f"engine must be 'per-path' or 'batched', got {engine!r}")
     spec = plan.spec
     ref_dt = plan.dt if reference_dt is None else reference_dt
+    # refuse a reference that cannot be drawn before the replications run
     if plan.regime is Regime.CRITICAL:
-        require_critical_dt(ref_dt)  # refuse before the replications run
+        require_critical_dt(ref_dt)
+    if plan.regime is not Regime.SUBCRITICAL and n_reference < 1:
+        raise ValueError("sample-based comparison needs n_reference >= 1")
     streams = [RngStream(plan.base_seed, r) for r in range(plan.replications)]
-    fn = _replicate(spec, plan.T, plan.dt, plan.scheme, streams)
+    fn = functionals_per_stream(spec, plan.T, plan.dt, plan.scheme, streams)
     thetas = _theta_rows(fn)
 
     good = _apply_exclusion_cap(thetas, plan.replications)
@@ -279,8 +255,6 @@ def run_experiment(
     else:
         theory = "sample-based"
         tol = TWO_SAMPLE_KS_TOL
-        if n_reference < 1:
-            raise ValueError("sample-based comparison needs n_reference >= 1")
         reference, redraws = limit_draws(spec, n_reference, ref_dt,
                                          plan.base_seed, plan.replications)
         if plan.regime is Regime.SUPERCRITICAL:
@@ -363,7 +337,7 @@ def consistency_sweep(
     for i, T in enumerate(T_list):
         branch = rng.spawn(i)
         streams = [branch.spawn(r) for r in range(replications)]
-        fn = _replicate(spec, T, dt, scheme, streams)
+        fn = functionals_per_stream(spec, T, dt, scheme, streams)
         thetas = _theta_rows(fn, y_only=y_only)
         good = _apply_exclusion_cap(thetas, replications, y_only=y_only)
         abs_err = np.abs(thetas[good] - theta)

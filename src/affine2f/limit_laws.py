@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import HypothesisError, NonPositiveVY, SingularGram
 from .estimators import (
-    functionals_from_arrays,
+    functionals_from_blocks,
     functionals_from_path,
+    functionals_per_stream,
     gram_blocks,
     solve_blocks,
 )
@@ -28,9 +29,9 @@ from .moments import stationary_moments
 from .rng import RngStream
 from .simulate import (
     _n_grid,
-    euler_paths_per_stream,
+    _start,
+    _step,
     simulate_critical_limit_process,
-    simulate_ensemble,
     simulate_path,
 )
 
@@ -199,16 +200,19 @@ def critical_limit_batch(
 ) -> tuple[np.ndarray, int]:
     """n_draws critical limit samples, simulated as one vectorized ensemble.
 
-    Returns (draws, n_redrawn) where draws has shape (n_draws, 5). Rows
-    whose Gram blocks fail the condition threshold are redrawn one at a
-    time from spawned streams and counted. A dt above 1/3 raises
-    HypothesisError (see require_critical_dt).
+    simulate_ensemble's exact-Y run on rng, folded block by block as it
+    is stepped. Returns (draws, n_redrawn) where draws has shape
+    (n_draws, 5). Rows whose Gram blocks fail the condition threshold
+    are redrawn one at a time from spawned streams and counted. A dt
+    above 1/3 raises HypothesisError (see require_critical_dt).
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     require_critical_dt(dt)
     aux = make_spec(a, 0.0, alpha, 0.0, 0.0, sigma1, sigma2, 0.0, rho)
-    res = simulate_ensemble(aux, 1.0, dt, n_paths=n_draws, rng=rng,
-                            record="paths")
-    fn = functionals_from_arrays(res.y, res.x, dt)
+    blocks = _step(aux, 1.0, dt, "exact_y_euler_x", rng,
+                   *_start(aux, dt, rng, n_draws))
+    fn = functionals_from_blocks(((y.T, x.T) for y, x in blocks), dt)
     out, _, _ = solve_blocks(
         *critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho))
     redrawn = 0
@@ -361,11 +365,11 @@ def limit_draws(
     first_stream + j). Only the critical law redraws. A spec outside its
     regime's hypotheses raises HypothesisError.
 
-    The supercritical probes are stepped WIDE_ROWS at a time through
-    euler_paths_per_stream, keeping only each row's end point, so draw j
-    is bit-identical to supercritical_limit_sample(spec, None, dt,
-    RngStream(base_seed, first_stream + j)), and the first absorbed probe
-    raises the same NonPositiveVY.
+    The supercritical probes are reduced through
+    estimators.functionals_per_stream, which keeps each row's end point,
+    so draw j is bit-identical to supercritical_limit_sample(spec, None,
+    dt, RngStream(base_seed, first_stream + j)), and the first absorbed
+    probe raises the same NonPositiveVY.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
@@ -382,12 +386,9 @@ def limit_draws(
             dt, RngStream(base_seed, first_stream))
     T_probe = PROBE_SPAN / abs(spec.b)
     streams = [RngStream(base_seed, first_stream + j) for j in range(n_draws)]
-    y_T, x_T = np.empty(n_draws), np.empty(n_draws)
-    for rows, y, x in euler_paths_per_stream(spec, T_probe, dt,
-                                             "exact_y_euler_x", streams):
-        y_T[rows], x_T[rows] = y[:, -1], x[:, -1]
-    T = (_n_grid(T_probe, dt) - 1) * dt  # simulate_path's horizon
+    fn = functionals_per_stream(spec, T_probe, dt, "exact_y_euler_x", streams)
+    T = (_n_grid(T_probe, dt) - 1) * dt  # simulate_path's, not fn.horizon
     draws = np.empty((n_draws, 5))
     for j, rng in enumerate(streams):
-        _, draws[j] = _supercritical_draw(spec, T, y_T[j], x_T[j], rng)
+        _, draws[j] = _supercritical_draw(spec, T, fn.y_end[j], fn.x_end[j], rng)
     return draws, 0

@@ -16,16 +16,16 @@ of one RngStream, so a path is addressed entirely by (seed, stream_id).
 
 simulate_path is the scalar reference. _start draws every path's start,
 from one shared stream or from a list of per-row streams. Every vector
-run (ensembles, the per-stream batches of a replication study or of the
-supercritical reference probes, and each stationary start's burn-in leg,
-one run over all the start's rows) goes through one stepper that walks
-the grid in time blocks of BLOCK_STEPS steps: it steps Y alone, forms
-the block's Y-only terms of the X update at once, then steps X, all with
-simulate_path's elementwise operations in its order. The per-stream
-batches hand each block on as it is finished, as a transposed view of
-the stepper's time-major block, so a replication study reduces paths
-block by block, left to right in time and uncopied
-(estimators.functionals_from_arrays), and never holds a whole path.
+run (ensembles, the critical limit draws, the per-stream batches of a
+replication study or of the supercritical reference probes, and each
+stationary start's burn-in leg, one run over all the start's rows) goes
+through one stepper that walks the grid in time blocks of BLOCK_STEPS
+steps: it steps Y alone, forms the block's Y-only terms of the X update
+at once, then steps X, all with simulate_path's elementwise operations
+in its order. No vector run keeps a whole path: simulate_ensemble and
+the burn-in legs keep the end points, and the other runs are folded into
+path sums block by block as they are stepped, uncopied
+(estimators.functionals_from_blocks).
 
 At a few hundred rows a ufunc call costs more in dispatch than in
 arithmetic, so the per-step loops make one call per elementwise
@@ -106,12 +106,10 @@ class PathGrid:
 
 @dataclass(eq=False)
 class EnsembleResult:
-    """Cross-path simulation output. Arrays indexed by path."""
+    """Cross-path end points (Y_T, X_T), indexed by path."""
 
     y_end: np.ndarray
     x_end: np.ndarray
-    y: np.ndarray | None = None  # (n_paths, n_grid) when paths were recorded
-    x: np.ndarray | None = None
 
 
 def _n_grid(T: float, dt: float) -> int:
@@ -451,34 +449,22 @@ def simulate_ensemble(
     scheme: str = "exact_y_euler_x",
     rng: RngStream | None = None,
     n_paths: int = 1,
-    record: str = "endpoints",
 ) -> EnsembleResult:
     """Simulate n_paths trajectories at once from a single stream.
 
-    record="endpoints" keeps only (Y_T, X_T); record="paths" stores the
-    full (n_paths, n_grid) arrays. All paths share the stream's
+    Keeps only the end points (Y_T, X_T). All paths share the stream's
     substreams with (n_paths,)-shaped draws per step.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if record not in ("endpoints", "paths"):
-        raise ValueError(f"record must be 'endpoints' or 'paths', got {record!r}")
     if rng is None:
         raise ValueError("an RngStream is required")
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     y0, x0 = _start(spec, dt, rng, n_paths)
-    y_rec = x_rec = None
-    if record == "paths":
-        n = _n_grid(T, dt)
-        y_rec, x_rec = np.empty((n_paths, n)), np.empty((n_paths, n))
-    lo = 0
     for y, x in _step(spec, T, dt, scheme, rng, y0, x0):
-        if y_rec is not None:
-            y_rec[:, lo : lo + y.shape[0]] = y.T
-            x_rec[:, lo : lo + x.shape[0]] = x.T
-        lo += y.shape[0] - 1
-    return EnsembleResult(y_end=y[-1].copy(), x_end=x[-1].copy(), y=y_rec, x=x_rec)
+        pass
+    return EnsembleResult(y_end=y[-1].copy(), x_end=x[-1].copy())
 
 
 def euler_paths_per_stream(

@@ -203,7 +203,7 @@ def test_criterion_07_critical_limit_two_sample():
              f"{report.excluded_ids.size}, {elapsed:.0f}s of 1200s")
 
 
-def test_criterion_08_supercritical_consistency_and_v_identity():
+def test_criterion_08_supercritical_consistency_and_v_identity(stepped_paths):
     spec = make_spec(1.0, -0.5, 0.2, 0.0, -1.0, 0.5, 0.3, 0.4, 0.3,
                      init=InitialLaw("point", y0=1.0, x0=0.5))
     start = time.time()
@@ -230,9 +230,9 @@ def test_criterion_08_supercritical_consistency_and_v_identity():
         gap_det = max(gap_det, abs(det - closed) / abs(closed))
 
     # (iii) exp(bT) Y_T has a stabilizing mean on shared noise
-    res = simulate_ensemble(spec, 30.0, 0.01, "exact_y_euler_x",
-                            RngStream(2029, 0), n_paths=2000, record="paths")
-    means = [float(np.mean(np.exp(spec.drift.b * T) * res.y[:, int(round(T / 0.01))]))
+    y, _ = stepped_paths(spec, 30.0, 0.01, "exact_y_euler_x",
+                         RngStream(2029, 0), 2000)
+    means = [float(np.mean(np.exp(spec.drift.b * T) * y[:, int(round(T / 0.01))]))
              for T in (10, 20, 30)]
     drift_rel = (max(means) - min(means)) / means[-1]
     elapsed = time.time() - start

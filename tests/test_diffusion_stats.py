@@ -15,7 +15,7 @@ from affine2f.diffusion_stats import (
 from affine2f.errors import SingularSystem
 from affine2f.model import InitialLaw, make_spec
 from affine2f.rng import RngStream
-from affine2f.simulate import PathGrid, simulate_ensemble, simulate_path
+from affine2f.simulate import PathGrid, simulate_path
 
 
 def make_qv(**kw):
@@ -47,12 +47,12 @@ class TestRealizedQV:
         assert qv.qv_x_halfT == pytest.approx(2.0, rel=0.07)
         assert qv.qv_y_T == 0.0
 
-    def test_cross_variation_centered_when_uncoupled(self):
+    def test_cross_variation_centered_when_uncoupled(self, stepped_paths):
         spec = make_spec(1.0, 1.0, 0.2, 0.1, 0.5, 0.5, 0.5, 0.1, 0.0,
                          init=InitialLaw("point", y0=1.0, x0=0.0))
-        res = simulate_ensemble(spec, 1.0, 0.01, n_paths=300,
-                                rng=RngStream(522), record="paths")
-        qcov = (np.diff(res.y, axis=1) * np.diff(res.x, axis=1)).sum(axis=1)
+        y, x = stepped_paths(spec, 1.0, 0.01, "exact_y_euler_x",
+                             RngStream(522), 300)
+        qcov = (np.diff(y, axis=1) * np.diff(x, axis=1)).sum(axis=1)
         se = qcov.std(ddof=1) / math.sqrt(qcov.size)
         assert abs(qcov.mean()) < 4.0 * se + 1e-6
 
@@ -119,7 +119,7 @@ class TestDiffusionEstimate:
         with pytest.raises(ValueError):
             estimate_diffusion(path)
 
-    def test_recovers_simulated_coefficients(self):
+    def test_recovers_simulated_coefficients(self, stepped_paths):
         # The (sigma2^2, sigma3^2) system needs the half- and full-horizon
         # Y averages to differ; a transient start (y0 far above a/b)
         # provides that contrast deterministically. Per-path noise on the
@@ -127,9 +127,9 @@ class TestDiffusionEstimate:
         # 20-path average.
         spec = make_spec(1.0, 1.0, 0.2, 0.1, 0.5, 0.6, 0.4, 0.3, 0.5,
                          init=InitialLaw("point", y0=20.0, x0=0.0))
-        res = simulate_ensemble(spec, 50.0, 1e-3, n_paths=20,
-                                rng=RngStream(523), record="paths")
-        ests = [estimate_diffusion(PathGrid(0.0, 1e-3, res.y[i], res.x[i]))
+        y, x = stepped_paths(spec, 50.0, 1e-3, "exact_y_euler_x",
+                             RngStream(523), 20)
+        ests = [estimate_diffusion(PathGrid(0.0, 1e-3, y[i], x[i]))
                 for i in range(20)]
         mean = lambda f: float(np.mean([f(e) for e in ests]))
         assert mean(lambda e: e.sigma1_sq) == pytest.approx(0.36, rel=0.05)
@@ -154,16 +154,16 @@ class TestDiffusionEstimate:
         assert (estimate_diffusion(path).sigma1_sq
                 == estimate_diffusion(other).sigma1_sq)
 
-    def test_error_decays_when_grid_refines(self):
+    def test_error_decays_when_grid_refines(self, stepped_paths):
         """Halving dt should shrink the error roughly like sqrt(dt)."""
         spec = make_spec(1.0, 1.0, 0.2, 0.1, 0.5, 0.6, 0.4, 0.3, 0.5,
                          init=InitialLaw("point", y0=1.0, x0=0.0))
         errs = []
         for k, dt in enumerate((2e-3, 1e-3)):
-            res = simulate_ensemble(spec, 2.0, dt, n_paths=100,
-                                    rng=RngStream(525, k), record="paths")
-            qv_y = (np.diff(res.y, axis=1) ** 2).sum(axis=1)
-            int_y = res.y[:, :-1].sum(axis=1) * dt
+            y, _ = stepped_paths(spec, 2.0, dt, "exact_y_euler_x",
+                                 RngStream(525, k), 100)
+            qv_y = (np.diff(y, axis=1) ** 2).sum(axis=1)
+            int_y = y[:, :-1].sum(axis=1) * dt
             errs.append(np.abs(qv_y / int_y - 0.36).mean())
         assert 0.5 < errs[1] / errs[0] < 0.9
 

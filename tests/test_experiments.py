@@ -8,17 +8,24 @@ from scipy import stats
 
 from affine2f import experiments, simulate
 from affine2f.errors import ExcessiveExclusions, HypothesisError
-from affine2f.estimators import PathFunctionals, functionals_from_path
+from affine2f.estimators import (
+    PathFunctionals,
+    functionals_from_path,
+    functionals_per_stream,
+)
 from affine2f.experiments import (
     ExperimentPlan,
     _ks_normal,
     _ks_two_sample,
-    _replicate,
     consistency_sweep,
     run_experiment,
     scale_vector,
 )
-from affine2f.limit_laws import limit_draws, supercritical_limit_sample
+from affine2f.limit_laws import (
+    critical_limit_batch,
+    limit_draws,
+    supercritical_limit_sample,
+)
 from affine2f.model import InitialLaw, ModelSpec, Regime, make_spec
 from affine2f.rng import RngStream
 
@@ -130,11 +137,15 @@ class TestRunExperiment:
         def no_replication(*args, **kwargs):
             raise AssertionError("replicated before refusing dt")
 
-        monkeypatch.setattr(experiments, "_replicate", no_replication)
+        monkeypatch.setattr(experiments, "functionals_per_stream", no_replication)
         plan = ExperimentPlan(spec=crit_spec, T=4.0, dt=0.01,
                               replications=2, base_seed=1)
         with pytest.raises(HypothesisError, match="dt=0.5"):
             run_experiment(plan, n_reference=5, reference_dt=0.5)
+
+    def test_no_streams_refused(self, sub_spec):
+        with pytest.raises(ValueError, match="at least one stream"):
+            functionals_per_stream(sub_spec, 0.5, 0.01, "full_euler", [])
 
     @pytest.mark.parametrize("scheme", simulate.SCHEMES)
     @pytest.mark.parametrize("case", ["point", "stationary-y", "stationary",
@@ -159,8 +170,8 @@ class TestRunExperiment:
             # the stationary start's burn-in leg crosses blocks too
             spec = ModelSpec(sub_spec.drift, sub_spec.diffusion,
                              InitialLaw(case, x0=0.2, burn_in=0.3))
-        got = _replicate(spec, 0.5, 0.01, scheme,
-                         [RngStream(91, r) for r in range(9)])
+        got = functionals_per_stream(spec, 0.5, 0.01, scheme,
+                                     [RngStream(91, r) for r in range(9)])
         for r in range(9):
             want = functionals_from_path(simulate.simulate_path(
                 spec, 0.5, 0.01, scheme, RngStream(91, r)))
@@ -177,8 +188,8 @@ class TestRunExperiment:
 
         def rows_at(width):
             monkeypatch.setattr(simulate, "WIDE_ROWS", width)
-            return _replicate(sub_spec, 0.5, 0.01, scheme,
-                              [RngStream(93, r) for r in range(9)])
+            return functionals_per_stream(sub_spec, 0.5, 0.01, scheme,
+                                          [RngStream(93, r) for r in range(9)])
 
         # width 1 reduces lone columns, which numpy would sum pairwise
         single, narrow, wide = rows_at(1), rows_at(2), rows_at(256)
@@ -192,8 +203,8 @@ class TestRunExperiment:
         spec = ModelSpec(sub_spec.drift, sub_spec.diffusion,
                          InitialLaw("stationary-y", x0=0.2))
         streams = [RngStream(95, r) for r in range(3)]
-        first = _replicate(spec, 0.5, 0.01, "full_euler", streams)
-        again = _replicate(spec, 0.5, 0.01, "full_euler", streams)
+        first = functionals_per_stream(spec, 0.5, 0.01, "full_euler", streams)
+        again = functionals_per_stream(spec, 0.5, 0.01, "full_euler", streams)
         for name in PathFunctionals.__dataclass_fields__:
             assert np.array_equal(getattr(first, name), getattr(again, name)), name
 
@@ -201,17 +212,27 @@ class TestRunExperiment:
         # recorded (R, n) Y and X paths would take R * n * 16 bytes
         import tracemalloc
 
+        def peak_of(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         R, T, dt = 32, 40.0, 1e-3
         plan = ExperimentPlan(spec=sub_spec, T=T, dt=dt, replications=R,
                               base_seed=5, scheme="full_euler")
         path_bytes = R * round(T / dt) * 16
-        tracemalloc.start()
-        try:
-            run_experiment(plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_of(lambda: run_experiment(plan))
         assert peak < path_bytes / 4, (peak, path_bytes)
+        # the critical reference draws: 300 rows, wider than a per-stream
+        # batch, of 10^4 steps on [0, 1]
+        R, dt = 300, 1e-4
+        path_bytes = R * round(1.0 / dt) * 16
+        peak = peak_of(lambda: critical_limit_batch(
+            R, 1.0, 0.3, 0.75, 0.5, -0.2, dt, RngStream(5)))
+        assert peak < path_bytes / 2, (peak, path_bytes)
 
     def test_supercritical_reference_draws_follow_streams(self, sup_spec,
                                                           sup_report):
@@ -315,11 +336,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="engine"):
             run_experiment(sub_plan, engine="vectorised")
 
-    def test_reference_count_checked(self, crit_spec):
-        plan = ExperimentPlan(spec=crit_spec, T=2.0, dt=0.01,
-                              replications=3, base_seed=1)
-        with pytest.raises(ValueError, match="n_reference"):
-            run_experiment(plan, n_reference=0)
+    def test_reference_count_checked(self, crit_spec, sup_spec, monkeypatch):
+        # refused before the replications run, not after
+        def no_replication(*args, **kwargs):
+            raise AssertionError("replicated before refusing n_reference")
+
+        monkeypatch.setattr(experiments, "functionals_per_stream", no_replication)
+        for spec in (crit_spec, sup_spec):
+            plan = ExperimentPlan(spec=spec, T=2.0, dt=0.01,
+                                  replications=3, base_seed=1)
+            for n_reference in (0, -1):
+                with pytest.raises(ValueError, match="n_reference"):
+                    run_experiment(plan, n_reference=n_reference)
 
 
 class TestKsStatistics:

@@ -7,7 +7,11 @@ import pytest
 
 from affine2f import limit_laws, simulate
 from affine2f.errors import HypothesisError, NonPositiveVY, SingularGram
-from affine2f.estimators import functionals_from_path, solve_blocks
+from affine2f.estimators import (
+    functionals_from_arrays,
+    functionals_from_path,
+    solve_blocks,
+)
 from affine2f.limit_laws import (
     critical_limit_batch,
     critical_limit_blocks,
@@ -144,7 +148,7 @@ class TestCritical:
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated before refusing dt")
 
-        monkeypatch.setattr(limit_laws, "simulate_ensemble", no_simulation)
+        monkeypatch.setattr(limit_laws, "_step", no_simulation)
         monkeypatch.setattr(limit_laws, "simulate_critical_limit_process",
                             no_simulation)
         args = (1.0, 0.3, 0.75, 0.5, -0.2, dt)
@@ -155,6 +159,30 @@ class TestCritical:
         spec = make_spec(1.0, 0.0, 0.3, 0.0, 0.0, 0.75, 0.5, 0.4, -0.2)
         with pytest.raises(HypothesisError, match=f"dt={dt!r}"):
             limit_draws(spec, 5, dt, 1, 0)
+
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_batch_refuses_no_draws(self, n_draws):
+        with pytest.raises(ValueError,
+                           match=f"n_draws must be at least 1, got {n_draws}"):
+            critical_limit_batch(n_draws, 1.0, 0.3, 0.75, 0.5, -0.2, 0.01,
+                                 RngStream(77))
+
+    def test_batch_folds_the_whole_path_reduction(self, monkeypatch,
+                                                  stepped_paths):
+        # 7-step blocks: the batch folds 15 of them per row; the reference
+        # stacks the same run's whole paths and reduces them at once
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
+        args = (1.0, 0.3, 0.75, 0.5, -0.2, 0.01)
+        n_draws = 40
+        assert n_draws <= simulate.WIDE_ROWS
+        draws, redrawn = critical_limit_batch(n_draws, *args, RngStream(611))
+        assert redrawn == 0
+        aux = make_spec(1.0, 0.0, 0.3, 0.0, 0.0, 0.75, 0.5, 0.0, -0.2)
+        y, x = stepped_paths(aux, 1.0, 0.01, "exact_y_euler_x", RngStream(611),
+                             n_draws)
+        want, _, _ = solve_blocks(*critical_limit_blocks(
+            functionals_from_arrays(y, x, 0.01), *args[:5]))
+        np.testing.assert_array_equal(draws, want)
 
     def test_coarsest_accepted_dt_draws(self):
         draws, redrawn = critical_limit_batch(

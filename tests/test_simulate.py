@@ -27,6 +27,15 @@ def within_mc_error(sample, target, factor=4.0):
     return abs(sample.mean() - target) <= factor * se
 
 
+def assert_ensemble_replays(path, stepped_paths, spec, T, dt, scheme, rng):
+    """A one-path ensemble on rng is path at every grid point, end included."""
+    y, x = stepped_paths(spec, T, dt, scheme, rng, 1)
+    assert_array_equal(y[0], path.y)
+    assert_array_equal(x[0], path.x)
+    ens = simulate_ensemble(spec, T, dt, scheme, rng, 1)
+    assert (ens.y_end[0], ens.x_end[0]) == (path.y[-1], path.x[-1])
+
+
 class TestPathGrid:
     def test_basic_properties(self):
         p = PathGrid(0.0, 0.5, np.array([1.0, 2.0, 0.0]), np.array([0.0, -1.0, 3.0]))
@@ -133,33 +142,27 @@ class TestSimulatePath:
 
 class TestEnsembleConsistency:
     @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
-    def test_single_path_bit_identity(self, ref_spec, scheme):
-        stream_args = (54321, 17)
-        path = simulate_path(ref_spec, 2.0, 0.01, scheme, RngStream(*stream_args))
-        ens = simulate_ensemble(
-            ref_spec, 2.0, 0.01, scheme, RngStream(*stream_args), 1, record="paths"
-        )
-        assert_array_equal(ens.y[0], path.y)
-        assert_array_equal(ens.x[0], path.x)
+    def test_single_path_bit_identity(self, ref_spec, scheme, stepped_paths):
+        stream = RngStream(54321, 17)
+        path = simulate_path(ref_spec, 2.0, 0.01, scheme, stream)
+        assert_ensemble_replays(path, stepped_paths, ref_spec, 2.0, 0.01,
+                                scheme, stream)
 
-    def test_single_path_bit_identity_sigma1_zero(self):
+    def test_single_path_bit_identity_sigma1_zero(self, stepped_paths):
         spec = make_spec(1.0, 0.5, 0.2, 0.1, 0.3, 0.0, 0.7, 0.2, 0.4,
                          InitialLaw("point", 1.0, 0.0))
         path = simulate_path(spec, 1.0, 0.05, rng=RngStream(88))
-        ens = simulate_ensemble(spec, 1.0, 0.05, rng=RngStream(88), n_paths=1,
-                                record="paths")
-        assert_array_equal(ens.y[0], path.y)
-        assert_array_equal(ens.x[0], path.x)
+        assert_ensemble_replays(path, stepped_paths, spec, 1.0, 0.05,
+                                "exact_y_euler_x", RngStream(88))
 
     @pytest.mark.parametrize("kind", ["stationary-y", "stationary"])
-    def test_single_path_bit_identity_stationary_init(self, ref_spec, kind):
+    def test_single_path_bit_identity_stationary_init(self, ref_spec, kind,
+                                                      stepped_paths):
         spec = ModelSpec(ref_spec.drift, ref_spec.diffusion,
                          InitialLaw(kind, x0=0.3, burn_in=2.0))
         path = simulate_path(spec, 1.0, 0.05, rng=RngStream(99))
-        ens = simulate_ensemble(spec, 1.0, 0.05, rng=RngStream(99), n_paths=1,
-                                record="paths")
-        assert_array_equal(ens.y[0], path.y)
-        assert_array_equal(ens.x[0], path.x)
+        assert_ensemble_replays(path, stepped_paths, spec, 1.0, 0.05,
+                                "exact_y_euler_x", RngStream(99))
 
     def test_paths_differ_across_ensemble(self, ref_spec):
         ens = simulate_ensemble(ref_spec, 1.0, 0.1, rng=RngStream(5), n_paths=8)
@@ -170,7 +173,8 @@ class TestNoiseBlocks:
     """Runs that cross many time blocks still replay the scalar engine."""
 
     @pytest.mark.parametrize("case", ["exact", "euler", "sigma1_zero", "stationary"])
-    def test_single_path_bit_identity_across_blocks(self, ref_spec, case, monkeypatch):
+    def test_single_path_bit_identity_across_blocks(self, ref_spec, case, monkeypatch,
+                                                    stepped_paths):
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 3)
         scheme = "full_euler" if case == "euler" else "exact_y_euler_x"
         spec = ref_spec
@@ -182,20 +186,17 @@ class TestNoiseBlocks:
             spec = ModelSpec(ref_spec.drift, ref_spec.diffusion,
                              InitialLaw("stationary", burn_in=0.5))
         path = simulate_path(spec, 1.0, 0.01, scheme, RngStream(31, 2))
-        ens = simulate_ensemble(spec, 1.0, 0.01, scheme, RngStream(31, 2), 1,
-                                record="paths")
-        assert_array_equal(ens.y[0], path.y)
-        assert_array_equal(ens.x[0], path.x)
+        assert_ensemble_replays(path, stepped_paths, spec, 1.0, 0.01, scheme,
+                                RngStream(31, 2))
 
     @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
-    def test_block_size_never_changes_ensembles(self, ref_spec, scheme, monkeypatch):
-        whole = simulate_ensemble(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5,
-                                  record="paths")
+    def test_block_size_never_changes_ensembles(self, ref_spec, scheme, monkeypatch,
+                                                stepped_paths):
+        whole = stepped_paths(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5)
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
-        split = simulate_ensemble(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5,
-                                  record="paths")
-        assert_array_equal(split.y, whole.y)
-        assert_array_equal(split.x, whole.x)
+        split = stepped_paths(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5)
+        assert_array_equal(split[0], whole[0])
+        assert_array_equal(split[1], whole[1])
 
 
 class TestAbsentNoiseSources:
@@ -221,13 +222,11 @@ class TestAbsentNoiseSources:
 
     @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_ensemble_row_replays_scalar(self, case, scheme):
+    def test_ensemble_row_replays_scalar(self, case, scheme, stepped_paths):
         spec = self.spec(case)
         path = simulate_path(spec, 0.5, 0.01, scheme, RngStream(61, 3))
-        ens = simulate_ensemble(spec, 0.5, 0.01, scheme, RngStream(61, 3), 1,
-                                record="paths")
-        assert_array_equal(ens.y[0], path.y)
-        assert_array_equal(ens.x[0], path.x)
+        assert_ensemble_replays(path, stepped_paths, spec, 0.5, 0.01, scheme,
+                                RngStream(61, 3))
 
     @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
     @pytest.mark.parametrize("case", sorted(CASES))
