@@ -19,7 +19,6 @@ import numpy as np
 from .errors import HypothesisError, NonPositiveVY, SingularGram
 from .estimators import (
     functionals_from_blocks,
-    functionals_from_path,
     functionals_per_stream,
     gram_blocks,
     solve_blocks,
@@ -27,13 +26,7 @@ from .estimators import (
 from .model import ModelSpec, Regime, classify_regime, make_spec, require
 from .moments import stationary_moments
 from .rng import RngStream
-from .simulate import (
-    _n_grid,
-    _start,
-    _step,
-    simulate_critical_limit_process,
-    simulate_path,
-)
+from .simulate import _n_grid, _start, _step, simulate_path
 
 
 # redraws allowed per critical draw whose Gram blocks fail the gate
@@ -151,6 +144,42 @@ def critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho):
     return g1, t1, g2, t2
 
 
+def _auxiliary(a, alpha, sigma1, sigma2, rho) -> ModelSpec:
+    """The auxiliary pair as a model: b = beta = gamma = 0, no sigma3, from (0, 0)."""
+    return make_spec(a, 0.0, alpha, 0.0, 0.0, sigma1, sigma2, 0.0, rho)
+
+
+def _critical_draws(aux: ModelSpec, dt: float, streams) -> np.ndarray:
+    """One critical draw per stream, shape (len(streams), 5).
+
+    Every attempt is a full_euler row of functionals_per_stream, so row
+    r equals the solve of simulate_path(aux, 1.0, dt, "full_euler", s)
+    bit for bit, where s is streams[r] on attempt 0 and
+    streams[r].spawn(k) on attempt k. Near-singular draws (a finite-dt
+    artifact; the limit law is supported on invertible Grams) are
+    attempted again, up to MAX_REDRAWS times; then SingularGram names
+    the first stream that used them up.
+    """
+    out = np.empty((len(streams), 5))
+    todo = np.arange(len(streams))
+    for attempt in range(MAX_REDRAWS + 1):
+        fn = functionals_per_stream(aux, 1.0, dt, "full_euler", [
+            streams[i] if attempt == 0 else streams[i].spawn(attempt)
+            for i in todo])
+        vec, c1, c2 = solve_blocks(*critical_limit_blocks(
+            fn, aux.a, aux.alpha, aux.sigma1, aux.sigma2, aux.rho))
+        ok = np.isfinite(vec).all(axis=1)
+        out[todo[ok]] = vec[ok]
+        todo, c1, c2 = todo[~ok], c1[~ok], c2[~ok]
+        if not todo.size:
+            return out
+    raise SingularGram(
+        f"{streams[todo[0]]!r}: no invertible critical draw after "
+        f"{MAX_REDRAWS} redraws: last conditions {c1[0]:.3e}, {c2[0]:.3e}",
+        cond=float(max(c1[0], c2[0])),
+    )
+
+
 def critical_limit_sample(
     a: float,
     alpha: float,
@@ -163,29 +192,16 @@ def critical_limit_sample(
     """One draw of the critical limit of (a_hat-a, T b_hat, alpha_hat-alpha,
     T beta_hat, T gamma_hat).
 
-    Simulates the auxiliary pair from (0, 0), assembles the two blocks,
-    and solves. Near-singular draws (a finite-dt artifact; the limit law
-    is supported on invertible Grams) are rejected and redrawn from
-    spawned substreams, up to MAX_REDRAWS. A dt above 1/3 raises
-    HypothesisError (see require_critical_dt).
+    Simulates the auxiliary pair from (0, 0) with full-truncation Euler
+    (the exact-Y scheme reconstructs W increments by dividing by
+    sqrt(Y), which degenerates at Y0 = 0), assembles the two blocks and
+    solves: the one-row case of _critical_draws, whose redraw k runs on
+    rng.spawn(k). A dt above 1/3 raises HypothesisError (see
+    require_critical_dt).
     """
     require_critical_dt(dt)
-    conds = (math.nan, math.nan)
-    for attempt in range(MAX_REDRAWS + 1):
-        sub = rng if attempt == 0 else rng.spawn(attempt)
-        path = simulate_critical_limit_process(a, alpha, sigma1, sigma2, rho,
-                                               dt, sub)
-        blocks = critical_limit_blocks(functionals_from_path(path),
-                                       a, alpha, sigma1, sigma2, rho)
-        vec, c1, c2 = solve_blocks(*blocks)
-        if np.isfinite(vec).all():
-            return vec
-        conds = (float(c1), float(c2))
-    raise SingularGram(
-        f"no invertible critical draw after {MAX_REDRAWS} redraws: "
-        f"last conditions {conds[0]:.3e}, {conds[1]:.3e}",
-        cond=max(conds),
-    )
+    return _critical_draws(_auxiliary(a, alpha, sigma1, sigma2, rho), dt,
+                           [rng])[0]
 
 
 def critical_limit_batch(
@@ -200,27 +216,28 @@ def critical_limit_batch(
 ) -> tuple[np.ndarray, int]:
     """n_draws critical limit samples, simulated as one vectorized ensemble.
 
-    simulate_ensemble's exact-Y run on rng, folded block by block as it
-    is stepped. Returns (draws, n_redrawn) where draws has shape
-    (n_draws, 5). Rows whose Gram blocks fail the condition threshold
-    are redrawn one at a time from spawned streams and counted. A dt
-    above 1/3 raises HypothesisError (see require_critical_dt).
+    Returns (draws, n_redrawn) where draws has shape (n_draws, 5). First
+    draws are exact-Y rows of one _step run on the shared stream rng,
+    folded block by block as they are stepped. Row i whose Gram blocks
+    fail the condition gate is redrawn as critical_limit_sample on
+    rng.spawn(n_draws + i): all such rows go through the per-stream
+    reducer together, as full_euler rows, and are counted. A dt above
+    1/3 raises HypothesisError (see require_critical_dt).
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     require_critical_dt(dt)
-    aux = make_spec(a, 0.0, alpha, 0.0, 0.0, sigma1, sigma2, 0.0, rho)
+    aux = _auxiliary(a, alpha, sigma1, sigma2, rho)
     blocks = _step(aux, 1.0, dt, "exact_y_euler_x", rng,
                    *_start(aux, dt, rng, n_draws))
     fn = functionals_from_blocks(((y.T, x.T) for y, x in blocks), dt)
     out, _, _ = solve_blocks(
         *critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho))
-    redrawn = 0
-    for i in np.flatnonzero(~np.isfinite(out).all(axis=1)):
-        out[i] = critical_limit_sample(a, alpha, sigma1, sigma2, rho,
-                                       dt, rng.spawn(n_draws + int(i)))
-        redrawn += 1
-    return out, redrawn
+    redo = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if redo.size:
+        out[redo] = _critical_draws(
+            aux, dt, [rng.spawn(n_draws + int(i)) for i in redo])
+    return out, int(redo.size)
 
 
 # --------------------------------------------------------------- supercritical

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import psi
-from .model import ModelSpec, make_spec
+from .model import ModelSpec
 from .moments import stationary_moments, stationary_y_gamma_params
 from .rng import RngStream
 
@@ -496,26 +496,6 @@ def euler_paths_per_stream(
         y0, x0 = _start(spec, dt, sub)
         for y, x in _step(spec, T, dt, scheme, sub, y0, x0):
             yield rows, y.T, x.T
-
-
-def simulate_critical_limit_process(
-    a: float,
-    alpha: float,
-    sigma1: float,
-    sigma2: float,
-    rho: float,
-    dt: float,
-    rng: RngStream,
-) -> PathGrid:
-    """The critical-regime auxiliary pair on [0, 1] started from (0, 0).
-
-    Solves dY = a dt + sigma1*sqrt(Y) dW and
-    dX = alpha dt + sigma2*sqrt(Y)*(rho dW + sqrt(1-rho^2) dB).
-    Full-truncation Euler: the exact-Y scheme reconstructs W increments
-    by dividing by sqrt(Y), which degenerates at the Y0 = 0 start.
-    """
-    aux = make_spec(a, 0.0, alpha, 0.0, 0.0, sigma1, sigma2, 0.0, rho)
-    return simulate_path(aux, 1.0, dt, scheme="full_euler", rng=rng)
 
 
 def _children(rng):

@@ -32,3 +32,15 @@ def _stepped_paths(spec, T, dt, scheme, rng, n_paths):
 @pytest.fixture(scope="session")
 def stepped_paths():
     return _stepped_paths
+
+
+def _aux_path(a, alpha, sigma1, sigma2, rho, dt, rng):
+    """The critical limit's auxiliary pair on [0, 1] by the scalar stepper:
+    the model with b = beta = gamma = sigma3 = 0, from (0, 0), full_euler."""
+    aux = make_spec(a, 0.0, alpha, 0.0, 0.0, sigma1, sigma2, 0.0, rho)
+    return simulate.simulate_path(aux, 1.0, dt, "full_euler", rng)
+
+
+@pytest.fixture(scope="session")
+def aux_path():
+    return _aux_path

@@ -27,7 +27,6 @@ from affine2f.limit_laws import (
 from affine2f.model import InitialLaw, make_spec
 from affine2f.moments import stationary_moments
 from affine2f.rng import RngStream
-from affine2f.simulate import simulate_critical_limit_process
 
 
 class TestSubcritical:
@@ -120,11 +119,10 @@ class TestSubcritical:
 
 
 class TestCritical:
-    def test_deterministic_pair_closed_forms(self):
+    def test_deterministic_pair_closed_forms(self, aux_path):
         """With all noise off the functionals reduce to dt-exact algebra."""
         a, alpha, dt = 1.4, -0.6, 1e-3
-        path = simulate_critical_limit_process(a, alpha, 0.0, 0.0, 0.0, dt,
-                                               RngStream(600))
+        path = aux_path(a, alpha, 0.0, 0.0, 0.0, dt, RngStream(600))
         g1, t1, g2, t2 = critical_limit_blocks(
             functionals_from_path(path), a, alpha, 0.0, 0.0, 0.0)
         assert abs(t1[0]) < 1e-10
@@ -137,9 +135,16 @@ class TestCritical:
 
     def test_degenerate_draw_raises_after_redraws(self, monkeypatch):
         monkeypatch.setattr(limit_laws, "MAX_REDRAWS", 2)
-        with pytest.raises(SingularGram, match="after 2 redraws"):
+        with pytest.raises(SingularGram, match=r"^RngStream\(seed=604, "
+                           r"stream=0\): .* after 2 redraws"):
             critical_limit_sample(1.4, -0.6, 0.0, 0.0, 0.0, 0.005,
                                   RngStream(604))
+        # no noise at all: every row of the batch is singular, and the
+        # error names the first row's redraw stream, n_draws + 0
+        with pytest.raises(SingularGram, match=r"^RngStream\(seed=604, "
+                           r"stream=3\.6\): .* after 2 redraws"):
+            critical_limit_batch(6, 1.4, -0.6, 0.0, 0.0, 0.0, 0.005,
+                                 RngStream(604, 3))
 
     @pytest.mark.parametrize("dt", [0.34, 0.5, 1.0])
     def test_coarse_dt_is_refused_before_any_draw(self, dt, monkeypatch):
@@ -149,7 +154,7 @@ class TestCritical:
             raise AssertionError("simulated before refusing dt")
 
         monkeypatch.setattr(limit_laws, "_step", no_simulation)
-        monkeypatch.setattr(limit_laws, "simulate_critical_limit_process",
+        monkeypatch.setattr(limit_laws, "functionals_per_stream",
                             no_simulation)
         args = (1.0, 0.3, 0.75, 0.5, -0.2, dt)
         with pytest.raises(HypothesisError, match=f"dt={dt!r}"):
@@ -184,19 +189,52 @@ class TestCritical:
             functionals_from_arrays(y, x, 0.01), *args[:5]))
         np.testing.assert_array_equal(draws, want)
 
+    @pytest.mark.parametrize("a, retries", [(0.01, False), (1e-5, True)])
+    def test_batch_redraws_are_sample_draws_on_their_streams(
+            self, a, retries, stepped_paths, aux_path):
+        # small a against sigma1 = 1 on 10 steps: Y sits at 0 often
+        # enough that a fifth (a = 0.01) or nearly all (a = 1e-5) of the
+        # rows fail the first pass, and at a = 1e-5 about half of the
+        # redraws fail again, so rows reach their spawn(k) attempts
+        args = (a, 0.5, 1.0, 0.3, 0.3, 0.1)
+        n_draws, rng = 300, RngStream(5, 0)
+        draws, redrawn = critical_limit_batch(n_draws, *args, rng)
+        aux = make_spec(a, 0.0, 0.5, 0.0, 0.0, 1.0, 0.3, 0.0, 0.3)
+        y, x = stepped_paths(aux, 1.0, 0.1, "exact_y_euler_x", rng, n_draws)
+        first, _, _ = solve_blocks(*critical_limit_blocks(
+            functionals_from_arrays(y, x, 0.1), *args[:5]))
+        failed = ~np.isfinite(first).all(axis=1)
+        assert redrawn == failed.sum() > 0
+        np.testing.assert_array_equal(draws[~failed], first[~failed])
+        retried = 0
+        for i in np.flatnonzero(failed):
+            row = rng.spawn(n_draws + int(i))
+            np.testing.assert_array_equal(draws[i],
+                                          critical_limit_sample(*args, row))
+            # scalar replay: attempt k of the row runs on row.spawn(k)
+            for k in range(limit_laws.MAX_REDRAWS + 1):
+                path = aux_path(*args, row if k == 0 else row.spawn(k))
+                want, _, _ = solve_blocks(*critical_limit_blocks(
+                    functionals_from_path(path), *args[:5]))
+                if np.isfinite(want).all():
+                    break
+            np.testing.assert_array_equal(draws[i], want)
+            retried += k > 0
+        assert (retried > 0) == retries
+
     def test_coarsest_accepted_dt_draws(self):
         draws, redrawn = critical_limit_batch(
             50, 1.0, 0.3, 0.75, 0.5, -0.2, 1.0 / 3.0, RngStream(77))
         assert np.isfinite(draws).all() and redrawn == 0
 
-    def test_draw_is_reproducible(self):
+    def test_draw_is_reproducible(self, aux_path):
         args = (1.0, 0.3, 0.75, 0.5, -0.2, 2e-3)
         one = critical_limit_sample(*args, RngStream(601))
         two = critical_limit_sample(*args, RngStream(601))
         np.testing.assert_array_equal(one, two)
         assert one.shape == (5,)
         # no redraw: the draw is the solve of the stream's own first path
-        path = simulate_critical_limit_process(*args, RngStream(601))
+        path = aux_path(*args, RngStream(601))
         first, _, _ = solve_blocks(*critical_limit_blocks(
             functionals_from_path(path), *args[:5]))
         np.testing.assert_array_equal(one, first)

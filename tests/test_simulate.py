@@ -15,7 +15,6 @@ from affine2f.rng import RngStream
 from affine2f.simulate import (
     PathGrid,
     sample_cir_transition,
-    simulate_critical_limit_process,
     simulate_ensemble,
     simulate_path,
     stationary_init,
@@ -300,23 +299,21 @@ class TestPerStreamStarts:
 
 
 class TestCriticalLimitProcess:
-    def test_zero_level_is_deterministic(self):
-        p = simulate_critical_limit_process(0.0, 0.7, 1.0, 0.5, 0.2, 0.01, RngStream(3))
+    def test_zero_level_is_deterministic(self, aux_path):
+        p = aux_path(0.0, 0.7, 1.0, 0.5, 0.2, 0.01, RngStream(3))
         assert_array_equal(p.y, np.zeros(101))
         assert_allclose(p.x, 0.7 * p.t, atol=1e-12)
 
-    def test_unit_horizon(self):
-        p = simulate_critical_limit_process(1.0, 0.0, 1.0, 1.0, 0.0, 0.02, RngStream(4))
+    def test_unit_horizon(self, aux_path):
+        p = aux_path(1.0, 0.0, 1.0, 1.0, 0.0, 0.02, RngStream(4))
         assert_allclose(p.horizon, 1.0)
 
-    def test_mean_level(self):
+    def test_mean_level(self, aux_path):
         # E(Y_1) = a and E(X_1) = alpha for the auxiliary pair
         ys = np.empty(2000)
         xs = np.empty(2000)
         for r in range(2000):
-            p = simulate_critical_limit_process(
-                0.8, -0.3, 0.9, 0.6, 0.4, 0.01, RngStream(777, r)
-            )
+            p = aux_path(0.8, -0.3, 0.9, 0.6, 0.4, 0.01, RngStream(777, r))
             ys[r], xs[r] = p.y[-1], p.x[-1]
         assert within_mc_error(ys, 0.8)
         assert within_mc_error(xs, -0.3)
