@@ -20,8 +20,7 @@ functionals_from_arrays with solve_continuous (the discrete normal
 equations are the continuous ones of the thinned series at unit step),
 which builds the blocks with gram_blocks and target_blocks and solves
 them through solve_gated, as do the replication studies and the critical
-limit draws. gram_y/target_y and gram_x/target_x build one block each,
-for callers that solve only one. functionals_from_arrays is the one
+limit draws, in every regime. functionals_from_arrays is the one
 place that decides how a path is summed: left to right in time, in
 segments of simulate.BLOCK_STEPS steps. functionals_from_blocks is the
 one place that folds the stepper's time blocks into those sums: every
@@ -185,61 +184,30 @@ def functionals_per_stream(spec, T: float, dt: float, scheme: str,
     })
 
 
-def gram_y(fn: PathFunctionals) -> np.ndarray:
-    """The 2x2 Y block of G_T, stacked over leading axes when fn holds arrays."""
-    int_y = np.asarray(fn.int_y)
-    T = np.broadcast_arrays(np.asarray(fn.horizon, dtype=float), int_y)[0]
-    return np.stack(
-        [
-            np.stack([T, -int_y], axis=-1),
-            np.stack([-int_y, np.asarray(fn.int_y2)], axis=-1),
-        ],
-        axis=-2,
-    )
+def gram_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 Y block and the 3x3 X block of G_T.
 
-
-def gram_x(fn: PathFunctionals) -> np.ndarray:
-    """The 3x3 X block of G_T, stacked like gram_y."""
+    Stacked over leading axes when fn holds arrays. The Y block is the
+    leading 2x2 corner of the X block.
+    """
     int_y, int_x = np.asarray(fn.int_y), np.asarray(fn.int_x)
     T = np.broadcast_arrays(np.asarray(fn.horizon, dtype=float), int_y)[0]
-    int_xy = np.asarray(fn.int_xy)
-    return np.stack(
-        [
-            np.stack([T, -int_y, -int_x], axis=-1),
-            np.stack([-int_y, np.asarray(fn.int_y2), int_xy], axis=-1),
-            np.stack([-int_x, int_xy, np.asarray(fn.int_x2)], axis=-1),
-        ],
-        axis=-2,
-    )
-
-
-def target_y(fn: PathFunctionals) -> np.ndarray:
-    """The f_T entries matching gram_y."""
-    return np.stack(
-        [np.asarray(fn.y_end - fn.y0, dtype=float), -np.asarray(fn.s_y_dy)], axis=-1
-    )
-
-
-def target_x(fn: PathFunctionals) -> np.ndarray:
-    """The f_T entries matching gram_x."""
-    return np.stack(
-        [
-            np.asarray(fn.x_end - fn.x0, dtype=float),
-            -np.asarray(fn.s_y_dx),
-            -np.asarray(fn.s_x_dx),
-        ],
-        axis=-1,
-    )
-
-
-def gram_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
-    """G_T blocks (gram_y, gram_x)."""
-    return gram_y(fn), gram_x(fn)
+    int_y2, int_xy = np.asarray(fn.int_y2), np.asarray(fn.int_xy)
+    g2 = np.stack([
+        np.stack([T, -int_y, -int_x], axis=-1),
+        np.stack([-int_y, int_y2, int_xy], axis=-1),
+        np.stack([-int_x, int_xy, np.asarray(fn.int_x2)], axis=-1),
+    ], axis=-2)
+    return g2[..., :2, :2].copy(), g2
 
 
 def target_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
-    """f_T blocks (target_y, target_x), matching gram_blocks."""
-    return target_y(fn), target_x(fn)
+    """The f_T entries matching gram_blocks."""
+    f1 = np.stack([np.asarray(fn.y_end - fn.y0, dtype=float),
+                   -np.asarray(fn.s_y_dy)], axis=-1)
+    f2 = np.stack([np.asarray(fn.x_end - fn.x0, dtype=float),
+                   -np.asarray(fn.s_y_dx), -np.asarray(fn.s_x_dx)], axis=-1)
+    return f1, f2
 
 
 @dataclass(eq=False)
@@ -372,19 +340,34 @@ def solve_gated(G: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Solve G x = rhs for one system or a stack, gated on conditioning.
 
     G has shape (..., k, k) and rhs (..., k) with k = 2 or 3. Returns
-    (x, cond); systems whose condition number exceeds COND_LIMIT come
-    back NaN rather than raising, so batch callers can count exclusions.
-    This is the one gate and solve of every drift estimator.
+    (x, cond); systems whose condition exceeds COND_LIMIT come back NaN
+    rather than raising, so batch callers can count exclusions. This is
+    the one gate and solve of every drift estimator, in every regime.
 
-    2x2 systems use the adjugate form, so zero-residual fits with
-    representable coefficients come back exact rather than within an LU
-    rounding cloud. 3x3 systems use LU: the gate has already measured
-    how marginal a system is through the SVD inside np.linalg.cond, and
-    below COND_LIMIT a backward-stable LU is as accurate as a
-    rank-revealing least squares. Each row is solved on its own, so a
-    system gives the same bits alone or in any stack.
+    cond is the condition number of D G D, with D = diag(G)^(-1/2)
+    rounded to powers of two (van der Sluis equilibration): the integrals
+    of an explosive path grow like e^(2|gamma|T), which inflates the raw
+    condition of G without bringing it closer to singular. Powers of two
+    scale exactly, so G and S G S, for S a diagonal of powers of two, get
+    the same cond. A diagonal entry that is zero, negative or not finite
+    keeps its scale at 1, so such a system still fails the gate: a
+    system is rejected only when it is close to singular, as the Gram of
+    a path whose Y was absorbed at 0 is.
+
+    The solve itself runs on G. 2x2 systems use the adjugate form, so
+    zero-residual fits with representable coefficients come back exact
+    rather than within an LU rounding cloud. 3x3 systems use LU: the gate
+    has already measured how marginal a system is through the SVD inside
+    np.linalg.cond, and below COND_LIMIT a backward-stable LU is as
+    accurate as a rank-revealing least squares. Each row is solved on its
+    own, so a system gives the same bits alone or in any stack.
     """
-    cond = np.asarray(np.linalg.cond(G), dtype=float)
+    d = np.diagonal(G, axis1=-2, axis2=-1)
+    usable = np.isfinite(d) & (d > 0.0)
+    e = np.round(-0.5 * np.log2(np.where(usable, d, 1.0))).astype(int)
+    s = np.ldexp(1.0, e)
+    cond = np.asarray(np.linalg.cond(G * s[..., :, None] * s[..., None, :]),
+                      dtype=float)
     ok = cond <= COND_LIMIT
     x = np.full(rhs.shape, np.nan)
     if ok.any():

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExcessiveExclusions, HypothesisError
-from .estimators import (
-    PathFunctionals,
-    functionals_per_stream,
-    gram_y,
-    solve_continuous,
-    solve_gated,
-    target_y,
-)
+from .estimators import functionals_per_stream, solve_continuous
 from .limit_laws import limit_draws, require_critical_dt, subcritical_limit
 from .model import ModelSpec, Regime, classify_regime, require
 from .rng import RngStream
@@ -93,6 +86,7 @@ class LimitLawReport:
     ks_distance: np.ndarray
     ks_pass: np.ndarray
     ks_tolerance: float
+    max_cond: tuple[float, float]  # largest (Y, X) cond of the included rows
     theory_cov: np.ndarray | None = None
     frobenius_gap: float | None = None
     frobenius_tolerance: float | None = None
@@ -118,6 +112,7 @@ class LimitLawReport:
             f"replications = {self.plan.replications}",
             f"included = {self.included}",
             f"excluded = {self.excluded}",
+            "max_cond_y_x = " + row(self.max_cond),
             "component_mean = " + row(self.component_mean),
             "component_sd = " + row(self.component_sd),
             "ks_distance = " + row(self.ks_distance),
@@ -147,29 +142,22 @@ def _theta_true(spec: ModelSpec) -> np.ndarray:
     return np.array([d.a, d.b, d.alpha, d.beta, d.gamma])
 
 
-def _theta_rows(fn: PathFunctionals, y_only: bool = False) -> np.ndarray:
-    """Per-path estimates, NaN in each block whose condition gate fails.
+def _gated_rows(fn, replications):
+    """Per-path estimates, the rows that pass the gate, and their largest
+    (Y, X) conditions.
 
-    y_only solves just the 2x2 block (the supercritical X Gram overflows
-    any double-precision condition budget once exp(2|gamma|T) is large)
-    and leaves the last three components NaN by contract.
+    A row is excluded when either Gram block fails the condition gate of
+    solve_gated; more than EXCLUSION_CAP of them raise.
     """
-    if not y_only:
-        return solve_continuous(fn)[0]
-    ab, _ = solve_gated(gram_y(fn), target_y(fn))
-    return np.concatenate([ab, np.full((ab.shape[0], 3), np.nan)], axis=1)
-
-
-def _apply_exclusion_cap(thetas, replications, y_only: bool = False):
-    cols = thetas[:, :2] if y_only else thetas
-    good = np.isfinite(cols).all(axis=1)
+    thetas, cond1, cond2 = solve_continuous(fn)
+    good = np.isfinite(thetas).all(axis=1)
     excluded = int(replications - good.sum())
     if excluded > EXCLUSION_CAP * replications:
         raise ExcessiveExclusions(
             f"{excluded} of {replications} replications were singular "
             f"(cap {EXCLUSION_CAP:.0%})"
         )
-    return good
+    return thetas, good, (float(cond1[good].max()), float(cond2[good].max()))
 
 
 def _ks_normal(x: np.ndarray, sd: float) -> float:
@@ -226,9 +214,7 @@ def run_experiment(
         raise ValueError("sample-based comparison needs n_reference >= 1")
     streams = [RngStream(plan.base_seed, r) for r in range(plan.replications)]
     fn = functionals_per_stream(spec, plan.T, plan.dt, plan.scheme, streams)
-    thetas = _theta_rows(fn)
-
-    good = _apply_exclusion_cap(thetas, plan.replications)
+    thetas, good, max_cond = _gated_rows(fn, plan.replications)
     if good.sum() < 2:
         raise ValueError("summary statistics need at least 2 included replications")
     ids = np.flatnonzero(good)
@@ -275,6 +261,7 @@ def run_experiment(
         ks_distance=ks,
         ks_pass=ks <= tol,
         ks_tolerance=tol,
+        max_cond=max_cond,
         theory_cov=theory_cov,
         frobenius_gap=frob,
         frobenius_tolerance=frob_tol,
@@ -297,6 +284,7 @@ class SweepRow:
 class SweepResult:
     rows: tuple
     trend: np.ndarray  # fraction of T-steps where the q90 error shrank
+    max_cond: tuple[float, float]  # largest (Y, X) cond of the included rows
 
     def to_text(self) -> str:
         lines = ["T included excluded median_abs... q90_abs..."]
@@ -306,6 +294,7 @@ class SweepResult:
             lines.append("%.17g %d %d %s" % (r.T, r.included, r.excluded, vals))
         lines.append("q90_decreasing_fraction = "
                      + " ".join("%.17g" % t for t in self.trend))
+        lines.append("max_cond_y_x = %.17g %.17g" % self.max_cond)
         return "\n".join(lines)
 
 
@@ -319,9 +308,11 @@ def consistency_sweep(
 ) -> SweepResult:
     """Absolute-error quantiles of the drift estimator across horizons.
 
-    Subcritical models back the full five-component claim; supercritical
-    ones are admitted for the second component (the Y reversion rate)
-    only, the others stay informational.
+    Every regime but the critical one solves all five components through
+    the one gate. Subcritical models back the full five-component claim.
+    In supercritical ones the errors of b, beta and gamma shrink; those
+    of a and alpha stay informational, since their scaling T e^(bT/2)
+    goes to 0, so their errors need not shrink.
     """
     regime = classify_regime(spec.drift)
     if regime is Regime.CRITICAL:
@@ -332,14 +323,13 @@ def consistency_sweep(
     if replications < 2:
         raise ValueError("need at least two replications per horizon")
     theta = _theta_true(spec)
-    y_only = regime is Regime.SUPERCRITICAL
-    rows = []
+    rows, conds = [], []
     for i, T in enumerate(T_list):
         branch = rng.spawn(i)
         streams = [branch.spawn(r) for r in range(replications)]
         fn = functionals_per_stream(spec, T, dt, scheme, streams)
-        thetas = _theta_rows(fn, y_only=y_only)
-        good = _apply_exclusion_cap(thetas, replications, y_only=y_only)
+        thetas, good, max_cond = _gated_rows(fn, replications)
+        conds.append(max_cond)
         abs_err = np.abs(thetas[good] - theta)
         rows.append(SweepRow(
             T=float(T),
@@ -350,5 +340,5 @@ def consistency_sweep(
         ))
     q90 = np.stack([r.q90_abs_error for r in rows])
     trend = (q90[1:] < q90[:-1]).mean(axis=0).astype(float)
-    trend[np.isnan(q90).any(axis=0)] = np.nan
-    return SweepResult(rows=tuple(rows), trend=trend)
+    return SweepResult(rows=tuple(rows), trend=trend,
+                       max_cond=tuple(float(c) for c in np.max(conds, axis=0)))

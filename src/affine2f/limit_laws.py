@@ -29,7 +29,7 @@ from .rng import RngStream
 from .simulate import _n_grid, _start, _step, simulate_path
 
 
-# redraws allowed per critical draw whose Gram blocks fail the gate
+# redraws allowed per critical draw whose Gram blocks are singular
 MAX_REDRAWS = 50
 
 # supercritical probe horizon in units of 1/|b|: the remaining drift of
@@ -155,8 +155,10 @@ def _critical_draws(aux: ModelSpec, dt: float, streams) -> np.ndarray:
     Every attempt is a full_euler row of functionals_per_stream, so row
     r equals the solve of simulate_path(aux, 1.0, dt, "full_euler", s)
     bit for bit, where s is streams[r] on attempt 0 and
-    streams[r].spawn(k) on attempt k. Near-singular draws (a finite-dt
-    artifact; the limit law is supported on invertible Grams) are
+    streams[r].spawn(k) on attempt k. A draw whose Gram blocks fail the
+    equilibrated gate of solve_gated is truly singular, not merely badly
+    scaled: a finite-dt artifact, such as Y absorbed at 0 on the whole
+    grid, since the limit law is supported on invertible Grams. It is
     attempted again, up to MAX_REDRAWS times; then SingularGram names
     the first stream that used them up.
     """
@@ -219,7 +221,8 @@ def critical_limit_batch(
     Returns (draws, n_redrawn) where draws has shape (n_draws, 5). First
     draws are exact-Y rows of one _step run on the shared stream rng,
     folded block by block as they are stepped. Row i whose Gram blocks
-    fail the condition gate is redrawn as critical_limit_sample on
+    fail the condition gate, which happens only when they are truly
+    singular (see _critical_draws), is redrawn as critical_limit_sample on
     rng.spawn(n_draws + i): all such rows go through the per-stream
     reducer together, as full_euler rows, and are counted. A dt above
     1/3 raises HypothesisError (see require_critical_dt).

@@ -218,6 +218,20 @@ class TestEstimate:
         write_path_grid(PathGrid(0.0, 0.1, np.ones(n), np.zeros(n)), f)
         assert main(["estimate", str(f)]) == 4
 
+    def test_supercritical_path_solves_both_blocks(self, tmp_path):
+        # at T = 20 the raw X Gram condition is past 1e15: it measures
+        # the e^(2|gamma|T) growth of the path, not singularity
+        cfg = write_config(tmp_path, a=1.0, b=-0.5, alpha=0.2, beta=0.0,
+                           gamma=-1.0, y0=1.0, x0=0.5, T=20.0,
+                           replications=1)
+        assert main(["simulate", "--config", cfg]) == 0
+        out = tmp_path / "out"
+        assert main(["estimate", str(out / "path_000.txt"), "--method",
+                     "continuous", "--out", str(out)]) == 0
+        rec = read_record(out / "estimate.txt")
+        assert np.isfinite(theta_of(rec)).all()
+        assert float(rec["cond_x_block"]) < 1e3
+
     def test_bad_method_is_config_error(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
         write_path_grid(PathGrid(0.0, 0.5, [1.0, 1.1, 1.2], [0, 0.1, 0.2]), f)
@@ -382,9 +396,9 @@ class TestLimitSample:
         assert len(rows) == 4
 
     def test_critical_header_states_redraws(self, tmp_path):
-        # a low level against sigma1 on a coarse grid leaves some critical
-        # Grams singular, so some draws are redrawn
-        cfg = write_config(tmp_path, a=0.01, b=0.0, beta=0.0, gamma=0.0,
+        # a level this low against sigma1 leaves exact Y absorbed at 0 on
+        # most first draws, so their Y Grams are singular and redrawn
+        cfg = write_config(tmp_path, a=1e-5, b=0.0, beta=0.0, gamma=0.0,
                            sigma1=1.0, dt=0.1)
         assert main(["limit-sample", "--config", cfg, "--draws", "20"]) == 0
         lines = (tmp_path / "out" / "limit_draws.txt").read_text().splitlines()

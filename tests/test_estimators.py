@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -219,6 +220,53 @@ class TestSolveGated:
         # the random systems against a plain LU solve
         np.testing.assert_allclose(
             x[-6:], np.linalg.solve(G[-6:], rhs[-6:, :, None])[..., 0], rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_power_of_two_scaling_keeps_cond_and_bits(self, k):
+        # S G S, S a diagonal of powers of two, equilibrates to the same
+        # D G D bit for bit, so the gate reads the same cond. The solve
+        # of S G S y = S f is y = x / S exactly: the adjugate scales
+        # exactly, and so does LU while it pivots on the same rows (here
+        # G is diagonally dominant and S falls along the diagonal)
+        rng = np.random.default_rng(29 + k)
+        base = np.diag([4.0, 3.0, 2.0]) + 0.1 * rng.uniform(-1.0, 1.0, (3, 3))
+        G, f = (base + base.T)[:k, :k], rng.standard_normal(k)
+        x, cond = solve_gated(G, f)
+        assert np.isfinite(x).all() and cond < 10.0
+        for scale in ([2.0**40, 1.0, 2.0**-40], [2.0**40] * 3, [2.0**-40] * 3,
+                      [2.0**7, 2.0**-3, 2.0**-60]):
+            S = np.array(scale[:k])
+            xs, cond_s = solve_gated(S[:, None] * G * S[None, :], S * f)
+            assert cond_s == cond
+            np.testing.assert_array_equal(xs * S, x)
+
+    @pytest.mark.parametrize("T, block", [(20.0, 1), (30.0, 0)])
+    def test_explosive_path_solves_both_blocks(self, T, block):
+        # the supercritical criterion-08 spec: its path integrals grow
+        # like e^(2|gamma|T), so the raw condition of one block is past
+        # COND_LIMIT (X at T = 20, Y at T = 30) while the system is far
+        # from singular
+        spec = make_spec(1.0, -0.5, 0.2, 0.0, -1.0, 0.5, 0.3, 0.4, 0.3,
+                         init=InitialLaw("point", y0=1.0, x0=0.5))
+        path = simulate_path(spec, T, 0.01, rng=RngStream(7, 0))
+        est = clse_continuous(path)
+        assert np.isfinite(est.theta_hat).all()
+        assert max(est.conds) < 1e3
+        fn = functionals_from_path(path)
+        grams, targets = gram_blocks(fn), target_blocks(fn)
+        assert np.linalg.cond(grams[block]) > COND_LIMIT
+        # against a 50-digit solve of the same Gram. The error is measured
+        # in the equilibrated unknowns D^-1 theta, whose conditioning the
+        # gate bounds: a one-ulp change of G already moves the small
+        # alpha and beta by about 1e-5 relative at T = 30
+        with mpmath.workdps(50):
+            for G, f, got in zip(grams, targets,
+                                 (est.theta_hat[:2], est.theta_hat[2:])):
+                want = np.array([float(v) for v in mpmath.lu_solve(
+                    mpmath.matrix(G.tolist()), mpmath.matrix(f.tolist()))])
+                w = np.sqrt(np.diagonal(G))
+                assert (np.linalg.norm(w * (got - want))
+                        <= 1e-10 * np.linalg.norm(w * want))
 
 
 class TestBackTransform:

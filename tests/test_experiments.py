@@ -12,6 +12,7 @@ from affine2f.estimators import (
     PathFunctionals,
     functionals_from_path,
     functionals_per_stream,
+    solve_continuous,
 )
 from affine2f.experiments import (
     ExperimentPlan,
@@ -308,6 +309,20 @@ class TestRunExperiment:
         assert sum(rep.vx_sign_counts) <= rep.included
         assert "vx_signs = 10 positive, 0 negative" in rep.to_text()
 
+    def test_report_states_largest_gate_conditions(self, sup_report):
+        # the largest equilibrated (Y, X) condition of the included rows,
+        # from the same solves that produced the estimates
+        plan = sup_report.plan
+        fn = functionals_per_stream(
+            plan.spec, plan.T, plan.dt, plan.scheme,
+            [RngStream(plan.base_seed, r) for r in range(plan.replications)])
+        _, cond1, cond2 = solve_continuous(fn)
+        ids = sup_report.replication_ids
+        assert sup_report.max_cond == (cond1[ids].max(), cond2[ids].max())
+        assert max(sup_report.max_cond) < 1e3
+        assert ("\nmax_cond_y_x = %.17g %.17g\n" % sup_report.max_cond
+                in sup_report.to_text())
+
     def test_critical_report_fields(self, crit_spec):
         plan = ExperimentPlan(spec=crit_spec, T=20.0, dt=0.01,
                               replications=12, base_seed=888)
@@ -322,9 +337,9 @@ class TestRunExperiment:
         assert rep.frobenius_gap is None
 
     def test_exclusion_cap_trips(self, sup_spec):
-        # at T = 30 the X Gram condition is astronomically past the gate
-        # on every path, so the full five-parameter run must refuse
-        plan = ExperimentPlan(spec=sup_spec, T=30.0, dt=0.01,
+        # T = 2 dt: the 3x3 X Gram sums only 2 left points, so it is
+        # singular by construction on every path and the run must refuse
+        plan = ExperimentPlan(spec=sup_spec, T=0.02, dt=0.01,
                               replications=5, base_seed=11)
         with pytest.raises(ExcessiveExclusions, match="5 of 5"):
             run_experiment(plan)
@@ -384,19 +399,24 @@ class TestConsistencySweep:
         for row in sw.rows:
             assert row.included == 10 and row.excluded == 0
 
-    def test_supercritical_sweep_estimates_y_block_only(self, sup_spec):
-        """Exploding X integrals bar the full system, so only (a, b)
-        errors are reported and the X components stay NaN."""
-        sw = consistency_sweep(sup_spec, [6.0, 12.0], 0.01, 8,
+    def test_supercritical_sweep_estimates_all_five(self, sup_spec):
+        """Every component is solved through the one gate. The errors of
+        b, beta and gamma shrink; those of a and alpha are informational,
+        since their scaling T e^(bT/2) goes to 0."""
+        sw = consistency_sweep(sup_spec, [6.0, 12.0, 18.0], 0.01, 8,
                                RngStream(123, 0))
         for row in sw.rows:
-            assert row.included == 8
-            assert np.isnan(row.median_abs_error[2:]).all()
-            assert np.isnan(row.q90_abs_error[2:]).all()
-        assert sw.rows[1].median_abs_error[1] < sw.rows[0].median_abs_error[1]
-        assert sw.trend[1] == 1.0
-        assert np.isnan(sw.trend[2:]).all()
-        assert "q90_decreasing_fraction" in sw.to_text()
+            assert row.included == 8 and row.excluded == 0
+            assert np.isfinite(row.median_abs_error).all()
+            assert np.isfinite(row.q90_abs_error).all()
+        np.testing.assert_array_equal(sw.trend[[1, 3, 4]], 1.0)
+        assert np.isfinite(sw.trend).all()
+        # the equilibrated conditions stay small while the raw ones grow
+        # like e^(2|gamma|T)
+        assert max(sw.max_cond) < 1e3
+        text = sw.to_text()
+        assert "q90_decreasing_fraction" in text
+        assert text.splitlines()[-1] == "max_cond_y_x = %.17g %.17g" % sw.max_cond
 
     def test_rejects_critical_model(self, crit_spec):
         with pytest.raises(ValueError, match="noncritical"):

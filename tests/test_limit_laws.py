@@ -189,17 +189,20 @@ class TestCritical:
             functionals_from_arrays(y, x, 0.01), *args[:5]))
         np.testing.assert_array_equal(draws, want)
 
-    @pytest.mark.parametrize("a, retries", [(0.01, False), (1e-5, True)])
+    @pytest.mark.parametrize("alpha, rho, retries",
+                             [(0.5, 0.3, False), (3e-6, 1.0, True)])
     def test_batch_redraws_are_sample_draws_on_their_streams(
-            self, a, retries, stepped_paths, aux_path):
-        # small a against sigma1 = 1 on 10 steps: Y sits at 0 often
-        # enough that a fifth (a = 0.01) or nearly all (a = 1e-5) of the
-        # rows fail the first pass, and at a = 1e-5 about half of the
-        # redraws fail again, so rows reach their spawn(k) attempts
-        args = (a, 0.5, 1.0, 0.3, 0.3, 0.1)
+            self, alpha, rho, retries, stepped_paths, aux_path):
+        # a = 1e-5 against sigma1 = 1 on 10 steps: exact Y stays absorbed
+        # at 0 on nearly all first-pass rows, whose Y Grams are singular.
+        # The full_euler redraws leave 0 at once (Y_1 = a dt). With
+        # rho = 1 and alpha = a sigma2 / sigma1 their X is sigma2 / sigma1
+        # times Y until Y first truncates, so the redraws whose Y never
+        # truncates have a singular X Gram too, and reach spawn(k)
+        args = (1e-5, alpha, 1.0, 0.3, rho, 0.1)
         n_draws, rng = 300, RngStream(5, 0)
         draws, redrawn = critical_limit_batch(n_draws, *args, rng)
-        aux = make_spec(a, 0.0, 0.5, 0.0, 0.0, 1.0, 0.3, 0.0, 0.3)
+        aux = make_spec(1e-5, 0.0, alpha, 0.0, 0.0, 1.0, 0.3, 0.0, rho)
         y, x = stepped_paths(aux, 1.0, 0.1, "exact_y_euler_x", rng, n_draws)
         first, _, _ = solve_blocks(*critical_limit_blocks(
             functionals_from_arrays(y, x, 0.1), *args[:5]))
