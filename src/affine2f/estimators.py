@@ -15,14 +15,15 @@ Three flavors:
 The two estimation blocks never mix: (a, b) come from the Y series alone,
 (alpha, beta, gamma) from the X series given Y.
 
-One reduction, one gate: every flavor solves the functionals of
-functionals_from_arrays with solve_continuous (the discrete normal
-equations are the continuous ones of the thinned series at unit step),
-which builds the blocks with gram_blocks and target_blocks and solves
-them through solve_gated, as do the replication studies and the critical
-limit draws, in every regime. functionals_from_arrays is the one
-place that decides how a path is summed: left to right in time, in
-segments of simulate.BLOCK_STEPS steps. functionals_from_blocks is the
+One reduction, one gate, one refusal: every single-path estimate is one
+_fit (the discrete normal equations are the continuous ones of the
+thinned series at unit step), which refuses a singular Y or X block in
+every flavor. It solves with solve_continuous, which builds the blocks
+with gram_blocks and target_blocks and solves them through solve_gated,
+as do the replication studies and the critical limit draws, in every
+regime; it returns a singular block as NaN, never raising.
+functionals_from_arrays is the one place that decides how a path is
+summed: left to right in time, in segments of simulate.BLOCK_STEPS steps. functionals_from_blocks is the
 one place that folds the stepper's time blocks into those sums: every
 Monte Carlo batch (replications, supercritical probes, critical limit
 draws) is reduced as it is stepped and never holds a whole path.
@@ -212,7 +213,7 @@ def target_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class TransformedEstimate:
-    """Solution of the discrete normal equations, before back-transform."""
+    """Gated solution of the discrete normal equations, before back-transform."""
 
     c: float
     d: float
@@ -224,7 +225,6 @@ class TransformedEstimate:
     n: float  # sampling frequency: steps per unit time
     cond1: float
     cond2: float
-    x_block_error: str | None = None
 
 
 @dataclass(eq=False)
@@ -238,6 +238,23 @@ class DriftEstimate:
     conds: tuple[float, float] | None = None
 
 
+def _fit(y: np.ndarray, x: np.ndarray, dt: float):
+    """Check, reduce, solve and refuse one series: (theta, grams, conds).
+
+    A block that solve_gated returned as NaN raises SingularGram, which
+    names it and its equilibrated condition.
+    """
+    if len(y) < 3:
+        raise ValueError(f"need at least 3 grid points, got {len(y)}")
+    fn = functionals_from_arrays(y, x, dt)
+    theta, cond1, cond2 = solve_continuous(fn)
+    conds = (float(cond1), float(cond2))
+    for block, part, cond in zip("YX", (theta[:2], theta[2:]), conds):
+        if np.isnan(part).any():
+            raise SingularGram(f"{block}-block Gram has condition {cond:.3e}", cond=cond)
+    return theta, gram_blocks(fn), conds
+
+
 def clse_discrete_transformed(path: PathGrid, stride: int = 1) -> TransformedEstimate:
     """Least squares on the subsampled increment regressions.
 
@@ -245,37 +262,18 @@ def clse_discrete_transformed(path: PathGrid, stride: int = 1) -> TransformedEst
     sum (dX_i - (delta - epsilon Y_{i-1} - zeta X_{i-1}))^2 over the
     series thinned to every stride-th point (trailing partial interval
     dropped). These normal equations are the integral ones of the thinned
-    series at unit step, so both blocks come from functionals_from_arrays
-    and solve_continuous. A singular Y block raises; a singular X block leaves
-    (delta, epsilon, zeta) as NaN with the failure recorded, since the Y
-    block is still informative.
+    series at unit step, so this is _fit of that series: a singular Y or
+    X block raises SingularGram.
     """
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    y = path.y[::stride]
-    if y.size < 3:
-        raise ValueError(f"need at least 3 subsampled points, got {y.size}")
-    fn = functionals_from_arrays(y, path.x[::stride], 1.0)
-    theta, cond1, cond2 = solve_continuous(fn)
-    gram1, gram2 = gram_blocks(fn)
-    cond1, cond2 = float(cond1), float(cond2)
-    if not cond1 <= COND_LIMIT:
-        raise SingularGram(
-            f"Y-block normal matrix has condition {cond1:.3e}; "
-            "the Y series is (nearly) degenerate",
-            cond=cond1,
-        )
-    err = None
-    if not cond2 <= COND_LIMIT:
-        err = (
-            f"X-block normal matrix has condition {cond2:.3e}; "
-            "delta, epsilon, zeta are not identifiable from this path"
-        )
+    theta, (gram1, gram2), (cond1, cond2) = _fit(path.y[::stride],
+                                                 path.x[::stride], 1.0)
     c, d, delta, epsilon, zeta = (float(v) for v in theta)
     return TransformedEstimate(
         c=c, d=d, delta=delta, epsilon=epsilon, zeta=zeta,
         gram1=gram1, gram2=gram2, n=1.0 / (stride * path.dt),
-        cond1=cond1, cond2=cond2, x_block_error=err,
+        cond1=cond1, cond2=cond2,
     )
 
 
@@ -305,9 +303,8 @@ def gn_inverse(te: TransformedEstimate) -> DriftEstimate:
         b = -n log(1-d),  a = c / psi(b, 1/n)
         gamma = -n log(1-zeta),  beta = epsilon / i1(b, gamma, 1/n)
         alpha = (delta + a beta i2(b, gamma, 1/n)) / psi(gamma, 1/n)
+    te's blocks passed the gate; only the domain d, zeta < 1 is checked.
     """
-    if te.x_block_error is not None:
-        raise SingularGram(te.x_block_error, cond=te.cond2)
     if te.d >= 1.0 or te.zeta >= 1.0:
         raise OutOfDomain(
             f"back-transform undefined: d={te.d!r}, zeta={te.zeta!r} "
@@ -408,21 +405,10 @@ def solve_continuous(
 
 
 def clse_continuous(path: PathGrid) -> DriftEstimate:
-    """Continuous-record CLSE from the discretized integral functionals."""
-    if len(path) < 3:
-        raise ValueError(f"need at least 3 grid points, got {len(path)}")
-    fn = functionals_from_path(path)
-    theta, cond1, cond2 = solve_continuous(fn)
-    conds = (float(cond1), float(cond2))
-    for block, cond in zip("YX", conds):
-        if not cond <= COND_LIMIT:
-            raise SingularGram(
-                f"{block}-block integral Gram has condition {cond:.3e}", cond=cond
-            )
-    return DriftEstimate(
-        theta_hat=theta, source="continuous", gram_cont=gram_blocks(fn),
-        conds=conds,
-    )
+    """Continuous-record CLSE: _fit of the path at its own step."""
+    theta, grams, conds = _fit(path.y, path.x, path.dt)
+    return DriftEstimate(theta_hat=theta, source="continuous",
+                         gram_cont=grams, conds=conds)
 
 
 def h_vector(path: PathGrid, true_theta: DriftParams) -> np.ndarray:

@@ -498,21 +498,15 @@ def euler_paths_per_stream(
             yield rows, y.T, x.T
 
 
-def _children(rng):
-    """The spawn(0) children of rng, one stream or a list, as _step takes it."""
-    return rng.spawn(0) if isinstance(rng, RngStream) else [s.spawn(0) for s in rng]
-
-
 def _start(spec: ModelSpec, dt: float, rng, rows: int = 1):
     """Every path's start: (y0, x0) row vectors drawn as spec.init says.
 
     rng is what _step takes: one stream that rows paths share, or a list
     of per-row streams, each giving its row simulate_path's start on it.
-    A stationary start is _stationary_start on the spawn(0) children.
     """
     init = spec.init
     if init.kind == "stationary":
-        return _stationary_start(spec, init.burn_in, dt, _children(rng), rows)
+        return _stationary_start(spec, init.burn_in, dt, rng, rows)
     rows = rows if isinstance(rng, RngStream) else len(rng)
     y0 = (np.full(rows, init.y0) if init.kind == "point"
           else _stationary_y(spec, rng, rows))
@@ -539,8 +533,9 @@ def _stationary_start(spec: ModelSpec, burn_in, dt: float, rng, rows: int):
     if not burn_in > 0.0:
         raise ValueError(f"burn_in must be positive, got {burn_in}")
     x_eq = stationary_moments(spec, 0, 1).get(0, 1)
+    leg = rng.spawn(0) if isinstance(rng, RngStream) else [s.spawn(0) for s in rng]
     for y, x in _step(spec, max(burn_in, dt), dt, "exact_y_euler_x",
-                      _children(rng), y0, np.full(y0.size, x_eq)):
+                      leg, y0, np.full(y0.size, x_eq)):
         pass
     return y[-1].copy(), x[-1].copy()
 

@@ -129,8 +129,9 @@ def test_criterion_04_estimator_algebra_identities():
         truth = np.array([drift.a, drift.b, drift.alpha, drift.beta, drift.gamma])
         gap_rt = max(gap_rt, float(np.max(np.abs(back - truth) / np.maximum(np.abs(truth), 1.0))))
 
-    # (iii) doubling series with constant-increment X: zero residual, no rounding
-    toy = PathGrid(0.0, 1.0, np.array([1.0, 2.0, 4.0]), np.array([5.0, 7.0, 9.0]))
+    # (iii) doubling series with integer X: zero residual in Y, no rounding
+    toy = PathGrid(0.0, 1.0, np.array([1.0, 2.0, 4.0, 8.0]),
+                   np.array([5.0, 7.0, 9.0, 20.0]))
     toy_te = clse_discrete_transformed(toy)
     exact = toy_te.c == 0.0 and toy_te.d == -1.0
 

@@ -212,6 +212,15 @@ class TestEstimate:
         assert main(["estimate", str(f)]) == 4
         assert "3 grid points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["continuous", "discrete:1", "approx:1"])
+    def test_singular_x_block_exits_four(self, tmp_path, capsys, method):
+        # two X increments cannot pin down three coefficients
+        f = tmp_path / "toy.txt"
+        write_path_grid(PathGrid(0.0, 1.0, [1.0, 2.0, 4.0], [5.0, 7.0, 9.0]), f)
+        assert main(["estimate", str(f), "--method", method,
+                     "--out", str(tmp_path / "est")]) == 4
+        assert "X-block Gram" in capsys.readouterr().err
+
     def test_flat_y_is_singular(self, tmp_path):
         f = tmp_path / "flat.txt"
         n = 50

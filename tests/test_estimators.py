@@ -59,29 +59,27 @@ def noisy_path(ref_spec):
 
 
 class TestDiscreteTransformed:
-    def test_three_point_toy_series(self):
-        # dY = (1, 2) against Y = (1, 2): slope -1, intercept 0
-        path = PathGrid(0.0, 1.0, np.array([1.0, 2.0, 4.0]),
-                        np.array([5.0, 7.0, 9.0]))
+    def test_doubling_toy_series_is_exact(self):
+        # dY = (1, 2, 4) against Y = (1, 2, 4): slope -1, intercept 0
+        path = PathGrid(0.0, 1.0, np.array([1.0, 2.0, 4.0, 8.0]),
+                        np.array([5.0, 7.0, 9.0, 20.0]))
         te = clse_discrete_transformed(path)
         # zero residual with integer data admits no rounding at all
         assert te.c == 0.0
         assert te.d == -1.0
-        # two X increments cannot pin down three coefficients
-        assert te.x_block_error is not None
-        assert np.isnan(te.delta) and np.isnan(te.epsilon) and np.isnan(te.zeta)
+        # three X increments pin down three coefficients
+        assert te.cond2 < 1e4
+        assert np.isfinite([te.delta, te.epsilon, te.zeta]).all()
         assert te.n == 1.0
 
     def test_x_block_failure_blocks_back_transform(self):
+        # two X increments cannot pin down three coefficients, so the
+        # fit refuses the path before any back-transform
         path = PathGrid(0.0, 1.0, np.array([1.0, 2.0, 4.0]),
                         np.array([5.0, 7.0, 9.0]))
-        te = clse_discrete_transformed(path)
-        with pytest.raises(SingularGram):
-            gn_inverse(te)
-        # the first-order shortcut still reports the usable Y half
-        est = clse_approx(te)
-        assert est.theta_hat[1] == pytest.approx(-1.0, rel=1e-13)
-        assert np.isnan(est.theta_hat[2:]).all()
+        with pytest.raises(SingularGram, match="X") as info:
+            clse_discrete_transformed(path)
+        assert info.value.cond > 1e16
 
     def test_constant_y_raises(self):
         path = PathGrid(0.0, 0.5, np.full(20, 2.0), np.linspace(0.0, 3.0, 20))

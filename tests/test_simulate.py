@@ -290,12 +290,19 @@ class TestPerStreamStarts:
         shape, rate = stationary_y_gamma_params(spec)
         x_eq = stationary_moments(spec, 0, 1).get(0, 1)
         for r, s in enumerate(streams):
-            y_r = s.spawn(0).generator(3).gamma(shape, 1.0 / rate)
+            y_r = s.generator(3).gamma(shape, 1.0 / rate)
             point = make_spec(*self.SPEC_ARGS, InitialLaw("point", y_r, x_eq))
-            leg = simulate_path(point, 0.5, 0.01, "exact_y_euler_x",
-                                s.spawn(0).spawn(0))
+            leg = simulate_path(point, 0.5, 0.01, "exact_y_euler_x", s.spawn(0))
             assert len(leg) > 7
             assert (y0[r], x0[r]) == (leg.y[-1], leg.x[-1])
+
+    def test_path_starts_at_stationary_init_of_its_own_stream(self):
+        # substream 3 and spawn(0) of the path's stream itself, as
+        # stationary_init draws them
+        spec = make_spec(*self.SPEC_ARGS, InitialLaw("stationary", burn_in=0.5))
+        s = RngStream(66, 4)
+        path = simulate_path(spec, 0.05, 0.01, rng=s)
+        assert (path.y[0], path.x[0]) == stationary_init(spec, 0.5, 0.01, s)
 
 
 class TestCriticalLimitProcess:
