@@ -14,25 +14,24 @@ Two schemes:
 Both consume substreams 0 (Y drivers), 1 (B), 2 (L) and 3 (initial draws)
 of one RngStream, so a path is addressed entirely by (seed, stream_id).
 
-simulate_path is the scalar reference. _start draws every path's start,
-from one shared stream or from a list of per-row streams. Every vector
-run (ensembles, the critical limit draws, the per-stream batches of a
-replication study or of the supercritical reference probes, and each
-stationary start's burn-in leg, one run over all the start's rows) goes
-through one stepper that walks the grid in time blocks of BLOCK_STEPS
-steps: it steps Y alone, forms the block's Y-only terms of the X update
-at once, then steps X, all with simulate_path's elementwise operations
-in its order. No vector run keeps a whole path: simulate_ensemble and
-the burn-in legs keep the end points, and the other runs are folded into
-path sums block by block as they are stepped, uncopied
-(estimators.functionals_from_blocks).
+simulate_path is the scalar reference and _step the one vector stepper,
+which runs ensembles, critical limit draws, the per-stream batches of
+replication studies and supercritical probes, and stationary burn-in
+legs. Both walk the grid in time blocks of BLOCK_STEPS steps, in one
+order: Y over the block (exact Y with sigma1 > 0 through one row kernel,
+_CirKernel.walk), the block's Y-only terms of the X update, then X. They
+compute the same expressions in the same order, simulate_path on Python
+floats and _step in ufunc calls, so every vector row is bit-identical to
+simulate_path on its stream. _start draws every path's start. No vector
+run keeps a whole path: simulate_ensemble and the burn-in legs keep the
+end points, and the other runs are folded into path sums block by block
+as they are stepped, uncopied (estimators.functionals_from_blocks).
 
 At a few hundred rows a ufunc call costs more in dispatch than in
-arithmetic, so the per-step loops make one call per elementwise
-operation that depends on the state, and no other (see _step). Every
-product of constants, and every term that depends only on Y and the
-noise, is formed once per block; simulate_path computes the same
-expressions step by step:
+arithmetic, so _step's per-step loops make one call per elementwise
+operation that depends on the state, and no other. Every product of
+constants, and every term that depends only on Y and the noise, is
+formed once per block, as in simulate_path:
 
   Y (full truncation)  yi + (a*dt - (b*dt)*y) + sqrt(y)*(sigma1*dw),
                        seven ufunc calls per step (_step_y_euler)
@@ -121,16 +120,20 @@ def _n_grid(T: float, dt: float) -> int:
 
 
 class _CirKernel:
-    """Per-step constants of the exact Y transition at fixed dt."""
+    """Per-step constants of the exact Y transition at fixed dt.
+
+    A Poisson mixture of gammas: valid for any df > 0, no rejection, and
+    gamma(shape=0) == 0 keeps the a=0, y=0 absorbing state exact. walk is
+    the row kernel (simulate_path, sample_cir_transition, per-row _step);
+    draw is the same step on the rows of _step's shared stream.
+    """
 
     def __init__(self, a: float, b: float, sigma1: float, dt: float):
         self.scale = sigma1**2 * psi(b, dt) / 4.0
         self.half_df = 2.0 * a / sigma1**2
         self.decay = math.exp(-b * dt)
 
-    def draw(self, y, gen: np.random.Generator):
-        # Poisson mixture of gammas: valid for any df > 0, no rejection.
-        # gamma(shape=0) == 0 keeps the a=0, y=0 absorbing state exact.
+    def draw(self, y: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         nc_half = self.decay * y / (2.0 * self.scale)
         n_mix = gen.poisson(nc_half)
         return 2.0 * self.scale * gen.standard_gamma(self.half_df + n_mix)
@@ -149,7 +152,7 @@ class _CirKernel:
 def sample_cir_transition(
     a: float, b: float, sigma1: float, y_s: float, dt: float, rng: np.random.Generator
 ) -> float:
-    """One exact draw of Y_{s+dt} given Y_s = y_s.
+    """One exact draw of Y_{s+dt} given Y_s = y_s: a one-step _CirKernel.walk.
 
     The transition law is scale * chi-square(4a/sigma1^2 degrees of
     freedom, noncentrality exp(-b*dt)*y_s/scale) with
@@ -161,7 +164,7 @@ def sample_cir_transition(
         raise ValueError(f"dt must be positive, got {dt}")
     if not y_s >= 0.0:
         raise ValueError(f"y_s must be nonnegative, got {y_s}")
-    return float(_CirKernel(a, b, sigma1, dt).draw(y_s, rng))
+    return _CirKernel(a, b, sigma1, dt).walk(y_s, 1, rng)[0]
 
 
 def _wants_b(spec: ModelSpec) -> bool:
@@ -181,7 +184,12 @@ def simulate_path(
     scheme: str = "exact_y_euler_x",
     rng: RngStream | None = None,
 ) -> PathGrid:
-    """Simulate one trajectory on the grid 0, dt, ..., floor(T/dt)*dt."""
+    """Simulate one trajectory on the grid 0, dt, ..., floor(T/dt)*dt.
+
+    Steps as _step does, on Python floats: Y over a block of BLOCK_STEPS
+    steps, then X, with each block's W, B and L normals from one
+    standard_normal(m) call per substream (the sequence of m scalar calls).
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if rng is None:
@@ -192,56 +200,52 @@ def simulate_path(
     d, q = spec.drift, spec.diffusion
     a, b, alpha, beta = d.a, d.b, d.alpha, d.beta
     sigma1, sigma2, sigma3, rho = q.sigma1, q.sigma2, q.sigma3, q.rho
-    sqrt_dt = math.sqrt(dt)
     ortho = math.sqrt(max(1.0 - rho**2, 0.0))
     a_dt, b_dt, gamma_dt = a * dt, b * dt, d.gamma * dt
     gen_y = rng.generator(0)
     gen_b = rng.generator(1) if _wants_b(spec) else None
     gen_l = rng.generator(2) if _wants_l(spec) else None
 
-    y = np.empty(n)
-    x = np.empty(n)
-    y[0], x[0] = y0, x0
+    def normals(gen, m):
+        return (gen.standard_normal(m) * math.sqrt(dt)).tolist()
 
     exact = scheme == "exact_y_euler_x"
-    if exact and sigma1 > 0.0:
-        kernel = _CirKernel(a, b, sigma1, dt)
-        decay, level = kernel.decay, a * psi(b, dt)
-    elif exact:
-        kernel = None
-        decay, level = math.exp(-b * dt), a * psi(b, dt)
-    yi = float(y0)  # internal state; may go negative under full_euler
-    xi = x[0]
-    for i in range(n - 1):
-        ypos = y[i]
-        root = math.sqrt(ypos)
-        if exact:
-            if kernel is not None:
-                y_next = float(kernel.draw(ypos, gen_y))
-                # invert the Y update for the W increment that produced it,
-                # with the denominator floored to avoid blow-up near 0
-                dw = (y_next - ypos - (a - b * ypos) * dt) / (
-                    sigma1 * math.sqrt(max(ypos, Y_FLOOR))
-                )
-            else:
-                y_next = decay * ypos + level
-                dw = gen_y.standard_normal() * sqrt_dt
-            yi = y_next
+    kernel = _CirKernel(a, b, sigma1, dt) if exact and sigma1 > 0.0 else None
+    decay, level = math.exp(-b * dt), a * psi(b, dt)
+    y, x = np.full(n, y0), np.full(n, x0)
+    yi, xi = float(y0), float(x0)  # yi may go negative under full_euler
+    for lo in range(0, n - 1, BLOCK_STEPS):
+        m = min(BLOCK_STEPS, n - 1 - lo)
+        ys = [float(y[lo])]
+        if kernel is not None:
+            ys += kernel.walk(ys[0], m, gen_y)
+            # the W increments that produced Y, denominator floored near 0
+            dw = [(yn - yj - (a - b * yj) * dt) / (sigma1 * math.sqrt(max(yj, Y_FLOOR)))
+                  for yj, yn in zip(ys, ys[1:])]
         else:
-            dw = gen_y.standard_normal() * sqrt_dt
-            yi = yi + (a_dt - b_dt * ypos) + root * (sigma1 * dw)
-            y_next = max(yi, 0.0)
-        # e: every term of the X increment that does not depend on X; an
-        # absent noise source adds no term at all, as in _step_x
-        e = rho * dw
+            dw = normals(gen_y, m)
+            if exact:
+                for _ in range(m):
+                    ys.append(decay * ys[-1] + level)
+            else:
+                for dwj in dw:
+                    yj = ys[-1]
+                    yi = yi + (a_dt - b_dt * yj) + math.sqrt(yj) * (sigma1 * dwj)
+                    ys.append(max(yi, 0.0))
+        # e: X's increment but -(gamma*dt)*x; absent sources add no term
+        e = [rho * dwj for dwj in dw]
         if gen_b is not None:
-            e = e + ortho * (gen_b.standard_normal() * sqrt_dt)
-        e = (alpha - beta * ypos) * dt + sigma2 * root * e
+            e = [ej + ortho * dbj for ej, dbj in zip(e, normals(gen_b, m))]
+        e = [(alpha - beta * yj) * dt + sigma2 * math.sqrt(yj) * ej
+             for yj, ej in zip(ys, e)]
         if gen_l is not None:
-            e = e + sigma3 * (gen_l.standard_normal() * sqrt_dt)
-        xi = xi + (e - gamma_dt * xi)
-        x[i + 1] = xi
-        y[i + 1] = y_next
+            e = [ej + sigma3 * dlj for ej, dlj in zip(e, normals(gen_l, m))]
+        xs = []
+        for ej in e:
+            xi = xi + (ej - gamma_dt * xi)
+            xs.append(xi)
+        y[lo + 1 : lo + m + 1] = ys[1:]
+        x[lo + 1 : lo + m + 1] = xs
     return PathGrid(0.0, dt, y, x, seed_record=repr(rng))
 
 
@@ -358,29 +362,25 @@ def _step(
     (rows,)-shaped draws per step, or a list of RngStreams, one per row.
     Either way each substream is consumed in simulate_path's order, so a
     size-1 ensemble, or row r of a per-row batch, is bit-identical to the
-    scalar engine on the same stream. That holds for the burn-in legs of
-    stationary starts too, which run here, one run over all the rows.
+    scalar engine on the same stream.
 
     Yields time-major (y, x) blocks of shape (m + 1, rows): row 0 is the
     previous block's last row (the start on the first block), then m
     steps. m is BLOCK_STEPS, the last block holding the remainder, for
     up to WIDE_ROWS rows; wider runs take proportionally shorter blocks,
-    so that no block outgrows BLOCK_STEPS * WIDE_ROWS values. Within a
-    block Y is stepped first, then X; exact Y transitions are drawn step
-    by step, from each row's own generator when the rows own streams.
+    so that no block outgrows BLOCK_STEPS * WIDE_ROWS values. Rows that
+    own streams walk exact Y with _CirKernel.walk, as simulate_path does;
+    rows on one shared stream draw it a step at a time.
 
-    The per-step loops (here, in _step_y_euler and in _step_x) spend
-    their time dispatching ufuncs, not in arithmetic, so they dispatch
+    The per-step loops (here, in _step_y_euler and in _step_x) dispatch
     only what depends on the state: a full_euler step makes 7 calls for
-    Y and 3 for X, an exact-Y step with sigma1 = 0 makes 2 for Y. Products
-    of constants (a*dt, b*dt, gamma*dt) are taken once, and terms that
-    depend only on Y and the noise (sigma1*dw, and all of X's increment
-    but -(gamma*dt)*x) once per block. Constant operands are row vectors
-    built once per block (a Python float is converted on every call),
-    every call writes through out= by keyword (augmented assignment goes
-    through the operator protocol first, and a positional out is
-    deprecated and slower), the ufuncs are local names, and the rows are
-    listed as views once per block rather than indexed at every step.
+    Y and 3 for X, an exact-Y step with sigma1 = 0 makes 2 for Y.
+    Constant operands are row vectors built once per block (a Python
+    float is converted on every call), every call writes through out= by
+    keyword (augmented assignment goes through the operator protocol
+    first, and a positional out is deprecated and slower), the ufuncs are
+    local names, and the rows are listed as views once per block rather
+    than indexed at every step.
     """
     d, q = spec.drift, spec.diffusion
     n = _n_grid(T, dt)

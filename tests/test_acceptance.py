@@ -26,8 +26,13 @@ from affine2f.estimators import (
     h_vector,
     target_blocks,
 )
-from affine2f.experiments import ExperimentPlan, run_experiment
-from affine2f.limit_laws import v_det_closed_form, v_matrix
+from affine2f.experiments import (
+    TWO_SAMPLE_KS_TOL,
+    ExperimentPlan,
+    _ks_two_sample,
+    run_experiment,
+)
+from affine2f.limit_laws import critical_limit_batch, v_det_closed_form, v_matrix
 from affine2f.model import DriftParams, InitialLaw, make_spec
 from affine2f.moments import transient_moments
 from affine2f.rng import RngStream
@@ -199,9 +204,26 @@ def test_criterion_07_critical_limit_two_sample():
     elapsed = time.time() - start
     worst = float(report.ks_distance.max())
     ok = bool(report.ks_pass.all()) and worst < 0.1 and elapsed < 1200.0
+
+    # negative controls: the same scaled errors, scored against the limit
+    # law of a wrong theory drawn on the study's own reference stream,
+    # must fail the scorecard
+    d, q = spec.drift, spec.diffusion
+    theory = dict(a=d.a, alpha=d.alpha, sigma1=q.sigma1, sigma2=q.sigma2, rho=q.rho)
+    controls = {"alpha = 0": dict(theory, alpha=0.0),
+                "sigma1 x 1.25": dict(theory, sigma1=1.25 * q.sigma1)}
+    control_ks = {}
+    for name, wrong in controls.items():
+        ref, _ = critical_limit_batch(1000, **wrong, dt=1e-3,
+                                      rng=RngStream(2027, 1000))
+        control_ks[name] = max(_ks_two_sample(report.scaled_errors[:, j], ref[:, j])
+                               for j in range(5))
+    ok = ok and min(control_ks.values()) > TWO_SAMPLE_KS_TOL
     _verdict(7, "critical limit", ok,
              f"max two-sample KS {worst:.4f} of 0.1, excluded "
-             f"{report.excluded_ids.size}, {elapsed:.0f}s of 1200s")
+             f"{report.excluded_ids.size}, {elapsed:.0f}s of 1200s; controls "
+             + ", ".join(f"{k} {v:.4f}" for k, v in control_ks.items())
+             + f" above {TWO_SAMPLE_KS_TOL}")
 
 
 def test_criterion_08_supercritical_consistency_and_v_identity(stepped_paths):

@@ -73,6 +73,35 @@ class TestCirTransition:
         with pytest.raises(ValueError, match="y_s"):
             sample_cir_transition(1.0, 1.0, 1.0, -0.1, 0.5, gen)
 
+    @pytest.mark.parametrize("a, b, sigma1, y0", [
+        (1.0, 1.0, 0.5, 1.0),  # Feller: df = 16
+        (0.1, 1.0, 1.0, 0.0),  # non-Feller from 0: df = 0.4
+        (0.0, 0.7, 1.0, 0.5),  # a = 0: absorbed at 0 within a few steps
+    ])
+    def test_draw_identities_of_both_stepping_loops(self, a, b, sigma1, y0):
+        # simulate_path draws a block of normals in one call and walks
+        # exact Y; _step's shared-stream form draws one step at a time
+        def gen():
+            return RngStream(31, 2).generator(0)
+
+        g = gen()
+        block = np.concatenate([g.standard_normal(7), g.standard_normal(5)])
+        g = gen()
+        assert_array_equal(block, [g.standard_normal() for _ in range(12)])
+
+        m = 200
+        kernel = simulate._CirKernel(a, b, sigma1, 0.1)
+        walked = kernel.walk(y0, m, gen())
+        for y, g in ((y0, gen()), (np.array([y0]), gen())):
+            drawn = []
+            for _ in range(m):
+                y = kernel.draw(y, g)
+                drawn.append(float(np.ravel(y)[0]))
+            assert_array_equal(walked, drawn)
+        if a == 0.0:
+            assert walked[-1] == 0.0
+        assert walked[0] == sample_cir_transition(a, b, sigma1, y0, 0.1, gen())
+
     def test_mean_matches_conditional_mean(self):
         # one-step ensemble: T = dt, so y_end is one exact transition
         spec = make_spec(1, 1, 0, 0, 1, 1.0, 0, 0, 0, InitialLaw("point", 1.0, 0.0))
