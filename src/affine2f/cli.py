@@ -48,10 +48,8 @@ EXIT_NUMERICAL = 4
 
 
 def _effective_config(args) -> RunConfig:
-    if not args.config:
-        raise ConfigError("--config FILE is required for this command")
     cfg = load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # moments takes no seed
         cfg = replace(cfg, experiment=replace(cfg.experiment,
                                               base_seed=check_seed(args.seed)))
     if args.out is not None:
@@ -62,11 +60,6 @@ def _effective_config(args) -> RunConfig:
 def _prepare_out(directory: str) -> str:
     os.makedirs(directory, exist_ok=True)
     return directory
-
-
-def _file_out(args) -> str:
-    # estimate/diffstats read a stored path, so only --out names a target
-    return args.out if args.out is not None else "."
 
 
 def _publish(directory: str, name: str, text: str) -> int:
@@ -159,7 +152,7 @@ def cmd_estimate(args) -> int:
     else:
         te = clse_discrete_transformed(path, stride=stride)
         est = gn_inverse(te) if method == "discrete" else clse_approx(te)
-    return _publish(_file_out(args), "estimate.txt", _estimate_text(est, te))
+    return _publish(args.out, "estimate.txt", _estimate_text(est, te))
 
 
 def cmd_moments(args) -> int:
@@ -185,7 +178,7 @@ def cmd_moments(args) -> int:
 
 def cmd_diffstats(args) -> int:
     path = read_path_grid(args.path_file)
-    return _publish(_file_out(args), "diffstats.txt",
+    return _publish(args.out, "diffstats.txt",
                     estimate_diffusion(path).to_text())
 
 
@@ -224,13 +217,19 @@ def cmd_limit_sample(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
-                        help="run configuration file")
-    common.add_argument("--seed", type=int, metavar="U64",
+    # every command accepts only the flags it reads
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", metavar="FILE", required=True,
+                            help="run configuration file")
+    configured.add_argument("--out", metavar="DIR",
+                            help="override the configured output directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[configured])
+    seeded.add_argument("--seed", type=int, metavar="U64",
                         help="override the configured base seed")
-    common.add_argument("--out", metavar="DIR",
-                        help="override the configured output directory")
+    stored = argparse.ArgumentParser(add_help=False)
+    stored.add_argument("path_file")
+    stored.add_argument("--out", metavar="DIR", default=".",
+                        help="output directory (default: the current one)")
 
     parser = argparse.ArgumentParser(
         prog="affine2f",
@@ -239,35 +238,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded],
                        help="write replicated trajectories plus sidecars")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("estimate", parents=[common],
+    p = sub.add_parser("estimate", parents=[stored],
                        help="drift estimates from a stored path")
-    p.add_argument("path_file")
     p.add_argument("--method", default="continuous",
                    help="continuous, discrete:n or approx:n (n = stride)")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("moments", parents=[common],
+    p = sub.add_parser("moments", parents=[configured],
                        help="moment table at a fixed time or at stationarity")
     p.add_argument("when", help="a time t >= 0 or the word 'stationary'")
     p.add_argument("--kmax", type=int, default=2)
     p.add_argument("--lmax", type=int, default=2)
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("diffstats", parents=[common],
+    p = sub.add_parser("diffstats", parents=[stored],
                        help="diffusion statistics from a stored path")
-    p.add_argument("path_file")
     p.set_defaults(func=cmd_diffstats)
 
-    p = sub.add_parser("mc-verify", parents=[common],
+    p = sub.add_parser("mc-verify", parents=[seeded],
                        help="replicated limit-law scorecard")
     p.add_argument("--reference-draws", type=int, default=1000)
     p.set_defaults(func=cmd_mc_verify)
 
-    p = sub.add_parser("limit-sample", parents=[common],
+    p = sub.add_parser("limit-sample", parents=[seeded],
                        help="draws from the matching limit distribution")
     p.add_argument("--draws", type=int, default=100)
     p.set_defaults(func=cmd_limit_sample)

@@ -45,12 +45,12 @@ formed once per block, as in simulate_path:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernels import psi
-from .model import ModelSpec
+from .model import InitialLaw, ModelSpec
 from .moments import stationary_moments, stationary_y_gamma_params
 from .rng import RngStream
 
@@ -503,39 +503,30 @@ def _start(spec: ModelSpec, dt: float, rng, rows: int = 1):
 
     rng is what _step takes: one stream that rows paths share, or a list
     of per-row streams, each giving its row simulate_path's start on it.
+    The stationary kinds draw Y0 from the stationary gamma law on
+    substream 3. "stationary" then starts X at E(X_inf) and burns every
+    row in for burn_in time units (DEFAULT_BURN_IN_RATE / min(b, gamma)
+    when unset) with one exact-Y _step run on the children spawn(0).
     """
     init = spec.init
-    if init.kind == "stationary":
-        return _stationary_start(spec, init.burn_in, dt, rng, rows)
-    rows = rows if isinstance(rng, RngStream) else len(rng)
-    y0 = (np.full(rows, init.y0) if init.kind == "point"
-          else _stationary_y(spec, rng, rows))
-    return y0, np.full(rows, init.x0)
-
-
-def _stationary_y(spec: ModelSpec, rng, rows: int) -> np.ndarray:
-    """Y0 from the stationary gamma law: rows draws, or one per stream."""
+    shared = isinstance(rng, RngStream)
+    # every stream draws size values: all rows from a shared one, else one
+    streams, size = ([rng], rows) if shared else (rng, 1)
+    rows = size * len(streams)
+    if init.kind == "point":
+        return np.full(rows, init.y0), np.full(rows, init.x0)
     shape, rate = stationary_y_gamma_params(spec)
-    if isinstance(rng, RngStream):
-        return rng.generator(3).gamma(shape, 1.0 / rate, rows)
-    return np.array([s.generator(3).gamma(shape, 1.0 / rate) for s in rng])
-
-
-def _stationary_start(spec: ModelSpec, burn_in, dt: float, rng, rows: int):
-    """stationary_init for rows paths at once, rng taken as by _step.
-
-    One exact-Y _step run on the children spawn(0) burns every row in, so
-    a per-row start is the burn-in simulate_path would run on its stream.
-    """
-    y0 = _stationary_y(spec, rng, rows)
+    y0 = np.concatenate([s.generator(3).gamma(shape, 1.0 / rate, size)
+                         for s in streams])
+    if init.kind == "stationary-y":
+        return y0, np.full(rows, init.x0)
+    burn_in = init.burn_in
     if burn_in is None:
         burn_in = DEFAULT_BURN_IN_RATE / min(spec.b, spec.gamma)
-    if not burn_in > 0.0:
-        raise ValueError(f"burn_in must be positive, got {burn_in}")
     x_eq = stationary_moments(spec, 0, 1).get(0, 1)
-    leg = rng.spawn(0) if isinstance(rng, RngStream) else [s.spawn(0) for s in rng]
+    leg = rng.spawn(0) if shared else [s.spawn(0) for s in rng]
     for y, x in _step(spec, max(burn_in, dt), dt, "exact_y_euler_x",
-                      leg, y0, np.full(y0.size, x_eq)):
+                      leg, y0, np.full(rows, x_eq)):
         pass
     return y[-1].copy(), x[-1].copy()
 
@@ -553,7 +544,10 @@ def stationary_init(
     stationary mean E(X_inf) from stationary_moments, run the pair for
     burn_in time units on rng.spawn(0) through the vector stepper, and
     return the evolved pair. Y's marginal is preserved exactly by the
-    evolution; X forgets its starting point at rate gamma.
+    evolution; X forgets its starting point at rate gamma. This is the
+    one-row _start of spec with a "stationary" InitialLaw, which checks
+    burn_in.
     """
-    (y0,), (x0,) = _stationary_start(spec, burn_in, dt, [rng], 1)
+    init = InitialLaw("stationary", burn_in=burn_in)
+    (y0,), (x0,) = _start(replace(spec, init=init), dt, [rng])
     return float(y0), float(x0)

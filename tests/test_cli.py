@@ -172,7 +172,9 @@ class TestSimulate:
         assert "rho" in capsys.readouterr().err
 
     def test_config_flag_required(self, capsys):
-        assert main(["simulate"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])
+        assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
 
 
@@ -486,3 +488,14 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "F", "--seed", "1"],
+        ["diffstats", "F", "--config", "C"],
+        ["moments", "0.5", "--config", "C", "--seed", "1"],
+    ])
+    def test_flag_the_command_does_not_read_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

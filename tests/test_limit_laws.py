@@ -12,7 +12,10 @@ from affine2f.estimators import (
     functionals_from_path,
     solve_blocks,
 )
+from affine2f.experiments import _ks_two_sample
+from affine2f.kernels import psi
 from affine2f.limit_laws import (
+    PROBE_SPAN,
     critical_limit_batch,
     critical_limit_blocks,
     critical_limit_sample,
@@ -348,6 +351,51 @@ class TestSupercritical:
         text = lim.to_text()
         assert "v_matrix" in text and "eta_sq" in text
         assert "v_y_sample" in text
+
+
+class TestSupercriticalProbeLaws:
+    """The probes' V_Y = e^(bT) Y_T and V_X = e^(gamma T) X_T on criterion
+    08's spec, against their exact laws at the probe's horizon T.
+
+    Exact Y is exact in law at any dt, so a coarse dt is fair for V_Y.
+    """
+
+    SPEC = make_spec(1.0, -0.5, 0.2, 0.0, -1.0, 0.5, 0.3, 0.4, 0.3,
+                     init=InitialLaw("point", y0=1.0, x0=0.5))
+    DT = 0.1
+
+    @pytest.fixture(scope="class")
+    def probes(self):
+        limits = [supercritical_limit_sample(self.SPEC, None, self.DT,
+                                             RngStream(77, j))[0]
+                  for j in range(600)]
+        return (np.array([lim.v_y_sample for lim in limits]),
+                np.array([lim.v_x_sample for lim in limits]))
+
+    def test_v_y_has_the_exact_cir_law(self, probes):
+        # e^(bT) Y_T = e^(bT) s_T chi'^2(df = 4a/sigma1^2, nc = e^(-bT) y0 / s_T)
+        # with s_T = sigma1^2 psi(b, T) / 4, the law sample_cir_transition draws
+        s, v_y = self.SPEC, probes[0]
+        T = (simulate._n_grid(PROBE_SPAN / abs(s.b), self.DT) - 1) * self.DT
+        scale = s.sigma1**2 * psi(s.b, T) / 4.0
+        df, nc = 4.0 * s.a / s.sigma1**2, math.exp(-s.b * T) * s.init.y0 / scale
+        growth = math.exp(s.b * T) * scale
+        exact = growth * np.random.default_rng(8).noncentral_chisquare(
+            df, nc, 200_000)
+        # the two-sample KS distance's 5 % critical value
+        crit = 1.358 * math.sqrt(1.0 / v_y.size + 1.0 / exact.size)
+        assert _ks_two_sample(v_y, exact) < crit
+        se = v_y.std(ddof=1) / math.sqrt(v_y.size)
+        assert abs(v_y.mean() - growth * (df + nc)) <= 4.0 * se
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: X is Euler, so it grows by (1 - gamma*dt) per step "
+        "and e^(gamma T) is the wrong normaliser of V_X"))
+    def test_v_x_mean_is_x0_plus_alpha_over_abs_gamma(self, probes):
+        # with beta = 0 the first-moment equation gives E(V_X) = 0.70
+        s, v_x = self.SPEC, probes[1]
+        se = v_x.std(ddof=1) / math.sqrt(v_x.size)
+        assert abs(v_x.mean() - (s.init.x0 + s.alpha / abs(s.gamma))) <= 4.0 * se
 
 
 @pytest.mark.parametrize("sigma3, rho", [(0.4, 0.2), (0.0, 0.2), (0.4, -1.0)],

@@ -334,6 +334,29 @@ class TestPerStreamStarts:
         assert (path.y[0], path.x[0]) == stationary_init(spec, 0.5, 0.01, s)
 
 
+class TestSharedStreamStarts:
+    """Rows that share one stream draw their starts as one batch on it."""
+
+    @pytest.mark.parametrize("kind", ["stationary-y", "stationary"])
+    def test_rows_equal_an_explicit_construction(self, monkeypatch, kind):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)  # the leg crosses blocks
+        spec = make_spec(*TestPerStreamStarts.SPEC_ARGS,
+                         InitialLaw(kind, x0=0.3, burn_in=0.5))
+        rng = RngStream(67)
+        y0, x0 = simulate._start(spec, 0.01, rng, 5)
+        shape, rate = stationary_y_gamma_params(spec)
+        want_y = rng.generator(3).gamma(shape, 1.0 / rate, 5)
+        want_x = np.full(5, 0.3)
+        if kind == "stationary":
+            x_eq = stationary_moments(spec, 0, 1).get(0, 1)
+            leg = list(simulate._step(spec, 0.5, 0.01, "exact_y_euler_x",
+                                      rng.spawn(0), want_y, np.full(5, x_eq)))
+            assert len(leg) > 1
+            want_y, want_x = leg[-1][0][-1], leg[-1][1][-1]
+        assert_array_equal(y0, want_y)
+        assert_array_equal(x0, want_x)
+
+
 class TestCriticalLimitProcess:
     def test_zero_level_is_deterministic(self, aux_path):
         p = aux_path(0.0, 0.7, 1.0, 0.5, 0.2, 0.01, RngStream(3))
