@@ -63,10 +63,8 @@ from .model import (
     InitialLaw,
     ModelSpec,
     Regime,
-    ValidationReport,
     classify_regime,
     make_spec,
-    validate_spec,
 )
 from .moments import (
     MomentTable,
@@ -116,7 +114,6 @@ __all__ = [
     "SupercriticalLimit",
     "SweepResult",
     "TransformedEstimate",
-    "ValidationReport",
     "classify_regime",
     "clse_approx",
     "clse_continuous",
@@ -146,5 +143,4 @@ __all__ = [
     "transient_moments",
     "v_det_closed_form",
     "v_matrix",
-    "validate_spec",
 ]

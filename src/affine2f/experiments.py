@@ -66,7 +66,7 @@ class ExperimentPlan:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         regime = classify_regime(self.spec.drift)
-        require(self.spec, f"{regime.value}-limit")
+        require(self.spec, regime)
         object.__setattr__(self, "regime", regime)
 
     def scales(self) -> np.ndarray:
@@ -317,7 +317,7 @@ def consistency_sweep(
     regime = classify_regime(spec.drift)
     if regime is Regime.CRITICAL:
         raise HypothesisError("quantile shrinkage needs a strictly noncritical regime")
-    require(spec, f"{regime.value}-limit")
+    require(spec, regime)
     if len(T_list) < 2:
         raise ValueError("need at least two horizons to exhibit a trend")
     if replications < 2:

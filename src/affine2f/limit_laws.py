@@ -26,7 +26,13 @@ from .estimators import (
 from .model import ModelSpec, Regime, classify_regime, make_spec, require
 from .moments import stationary_moments
 from .rng import RngStream
-from .simulate import _n_grid, _start, _step, simulate_path
+from .simulate import (
+    _n_grid,
+    _start,
+    _step,
+    euler_paths_per_stream,
+    simulate_path,
+)
 
 
 # redraws allowed per critical draw whose Gram blocks are singular
@@ -67,7 +73,7 @@ def subcritical_limit(spec: ModelSpec) -> SubcriticalLimit:
     The Y block of every object involves only (a, b, sigma1); the
     blockwise inverse below preserves that separation bit for bit.
     """
-    require(spec, "subcritical-limit")
+    require(spec, Regime.SUBCRITICAL)
     mom = stationary_moments(spec, 3, 2)
     m10, m20, m30 = mom.get(1, 0), mom.get(2, 0), mom.get(3, 0)
     m01, m11, m02 = mom.get(0, 1), mom.get(1, 1), mom.get(0, 2)
@@ -360,7 +366,7 @@ def supercritical_limit_sample(
     equals this function's draw on RngStream(base_seed, first_stream + j)
     bit for bit.
     """
-    require(spec, "supercritical-limit")
+    require(spec, Regime.SUPERCRITICAL)
     if T_probe is None:
         T_probe = PROBE_SPAN / abs(spec.b)
     path = simulate_path(spec, T_probe, dt, rng=rng)
@@ -385,16 +391,16 @@ def limit_draws(
     first_stream + j). Only the critical law redraws. A spec outside its
     regime's hypotheses raises HypothesisError.
 
-    The supercritical probes are reduced through
-    estimators.functionals_per_stream, which keeps each row's end point,
-    so draw j is bit-identical to supercritical_limit_sample(spec, None,
-    dt, RngStream(base_seed, first_stream + j)), and the first absorbed
-    probe raises the same NonPositiveVY.
+    The supercritical probes are exact-Y rows of
+    simulate.euler_paths_per_stream that keep only their end points, so
+    draw j is bit-identical to supercritical_limit_sample(spec, None, dt,
+    RngStream(base_seed, first_stream + j)), and the first absorbed probe
+    raises the same NonPositiveVY.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     regime = classify_regime(spec.drift)
-    require(spec, f"{regime.value}-limit")
+    require(spec, regime)
     if regime is Regime.SUBCRITICAL:
         root = np.linalg.cholesky(subcritical_limit(spec).asym_cov)
         z = RngStream(base_seed, first_stream).generator(4).standard_normal(
@@ -406,9 +412,12 @@ def limit_draws(
             dt, RngStream(base_seed, first_stream))
     T_probe = PROBE_SPAN / abs(spec.b)
     streams = [RngStream(base_seed, first_stream + j) for j in range(n_draws)]
-    fn = functionals_per_stream(spec, T_probe, dt, "exact_y_euler_x", streams)
-    T = (_n_grid(T_probe, dt) - 1) * dt  # simulate_path's, not fn.horizon
+    y_end, x_end = np.empty(n_draws), np.empty(n_draws)
+    for rows, y, x in euler_paths_per_stream(spec, T_probe, dt,
+                                             "exact_y_euler_x", streams):
+        y_end[rows], x_end[rows] = y[:, -1], x[:, -1]
+    T = (_n_grid(T_probe, dt) - 1) * dt
     draws = np.empty((n_draws, 5))
     for j, rng in enumerate(streams):
-        _, draws[j] = _supercritical_draw(spec, T, fn.y_end[j], fn.x_end[j], rng)
+        _, draws[j] = _supercritical_draw(spec, T, y_end[j], x_end[j], rng)
     return draws, 0

@@ -1,4 +1,5 @@
-"""Model parameters, admissibility checks, and exact conditional means.
+"""Model parameters, admissibility checks, limit-theorem hypotheses, and
+exact conditional means.
 
 The model is the two-factor affine diffusion
 
@@ -8,6 +9,16 @@ The model is the two-factor affine diffusion
 
 with dWtilde = rho dW + sqrt(1-rho^2) dB and (W, B, L) independent
 standard Wiener processes.
+
+classify_regime reads the regime off min(b, gamma), and require(spec,
+regime) checks the hypotheses of that regime's limit theorem for the
+drift estimator: asymptotic normality (subcritical: b, gamma > 0, a > 0,
+sigma1 > 0 and a non-degenerate second block), the functional limit
+(critical: b = beta = gamma = 0 and a non-degenerate second block) and
+mixed normality (supercritical: gamma < b < 0, alpha*beta <= 0,
+sigma1 > 0, and sigma3 > 0 or a > sigma1^2/2 with noise in X beyond
+W's). Simulation needs only what construction checks, and estimation
+refuses a singular Gram block at its condition gate instead.
 """
 
 from __future__ import annotations
@@ -184,90 +195,55 @@ def classify_regime(drift: DriftParams) -> Regime:
     return Regime.SUPERCRITICAL
 
 
-PURPOSES = (
-    "simulation",
-    "discrete-clse",
-    "continuous-clse",
-    "subcritical-limit",
-    "critical-limit",
-    "supercritical-limit",
-    "diffusion-stats",
-)
+def require(spec: ModelSpec, regime: Regime) -> None:
+    """Raise HypothesisError listing each hypothesis of regime's limit theorem
+    that spec fails, in the order below, joined by "; ".
 
+    subcritical    sigma1 > 0, (1-rho^2)*sigma2^2 + sigma3^2 > 0,
+                   b > 0 and gamma > 0, a > 0
+    critical       b = 0, beta = 0, gamma = 0,
+                   (1-rho^2)*sigma2^2 + sigma3^2 > 0
+    supercritical  gamma < b < 0, alpha*beta <= 0, sigma1 > 0,
+                   sigma3 > 0 or (a - sigma1^2/2)*(1-rho^2)*sigma2^2 > 0
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
-
-
-def validate_spec(spec: ModelSpec, purpose: str) -> ValidationReport:
-    """Check the standing hypotheses required by `purpose`. Report only.
-
-    Construction already guarantees finite constants, a >= 0, sigma_i >= 0
-    and |rho| <= 1, so those never appear as violations here.
+    regime need not be spec's own: a spec of another regime fails that
+    regime's sign conditions. Construction already guarantees finite
+    constants, a >= 0, sigma_i >= 0 and |rho| <= 1, so those are never
+    listed.
     """
-    if purpose not in PURPOSES:
-        raise ValueError(f"unknown purpose {purpose!r}; expected one of {PURPOSES}")
-
     d, q = spec.drift, spec.diffusion
-    violations: list[str] = []
-    warnings: list[str] = []
-
-    def need_noise():
-        if not q.sigma1 > 0.0:
-            violations.append("sigma1 > 0 required")
-        if not q.second_block_ok:
-            violations.append("(1-rho^2)*sigma2^2 + sigma3^2 > 0 violated")
-
-    if purpose in ("discrete-clse", "continuous-clse"):
-        need_noise()
-    elif purpose == "subcritical-limit":
-        need_noise()
-        if not (d.b > 0.0 and d.gamma > 0.0):
-            violations.append("subcritical regime (b > 0 and gamma > 0) required")
-        if not d.a > 0.0:
-            violations.append("a > 0 required")
-    elif purpose == "critical-limit":
-        if d.b != 0.0:
-            violations.append("b = 0 required")
-        if d.beta != 0.0:
-            violations.append("beta = 0 required")
-        if d.gamma != 0.0:
-            violations.append("gamma = 0 required")
-        if not q.second_block_ok:
-            violations.append("(1-rho^2)*sigma2^2 + sigma3^2 > 0 violated")
-    elif purpose == "supercritical-limit":
-        if not (d.b < 0.0 and d.gamma < d.b):
-            violations.append("gamma < b < 0 required")
-        if not d.alpha * d.beta <= 0.0:
-            violations.append("alpha*beta <= 0 required")
-        if not q.sigma1 > 0.0:
-            violations.append("sigma1 > 0 required")
-        if not (
-            q.sigma3 > 0.0
-            or (d.a - q.sigma1**2 / 2.0) * (1.0 - q.rho**2) * q.sigma2**2 > 0.0
-        ):
-            violations.append(
-                "sigma3 > 0 or (a - sigma1^2/2)*(1-rho^2)*sigma2^2 > 0 required"
-            )
-    elif purpose == "diffusion-stats":
-        if not q.sigma1 > 0.0:
-            violations.append("sigma1 > 0 required")
-        if not d.a > q.sigma1**2:
-            warnings.append(
-                "a > sigma1^2 not satisfied; ratio statistics may converge slowly"
-            )
-
-    return ValidationReport(not violations, tuple(violations), tuple(warnings))
-
-
-def require(spec: ModelSpec, purpose: str) -> None:
-    """Raise HypothesisError listing each hypothesis of `purpose` that spec fails."""
-    report = validate_spec(spec, purpose)
-    if not report.ok:
-        raise HypothesisError("; ".join(report.violations))
+    sigma1 = (q.sigma1 > 0.0, "sigma1 > 0 required")
+    second_block = (q.second_block_ok,
+                    "(1-rho^2)*sigma2^2 + sigma3^2 > 0 violated")
+    if regime is Regime.SUBCRITICAL:
+        checks = [
+            sigma1,
+            second_block,
+            (d.b > 0.0 and d.gamma > 0.0,
+             "subcritical regime (b > 0 and gamma > 0) required"),
+            (d.a > 0.0, "a > 0 required"),
+        ]
+    elif regime is Regime.CRITICAL:
+        checks = [
+            (d.b == 0.0, "b = 0 required"),
+            (d.beta == 0.0, "beta = 0 required"),
+            (d.gamma == 0.0, "gamma = 0 required"),
+            second_block,
+        ]
+    elif regime is Regime.SUPERCRITICAL:
+        checks = [
+            (d.b < 0.0 and d.gamma < d.b, "gamma < b < 0 required"),
+            (d.alpha * d.beta <= 0.0, "alpha*beta <= 0 required"),
+            sigma1,
+            (q.sigma3 > 0.0
+             or (d.a - q.sigma1**2 / 2.0) * (1.0 - q.rho**2) * q.sigma2**2 > 0.0,
+             "sigma3 > 0 or (a - sigma1^2/2)*(1-rho^2)*sigma2^2 > 0 required"),
+        ]
+    else:
+        raise TypeError(f"regime must be a Regime, got {regime!r}")
+    violations = [text for holds, text in checks if not holds]
+    if violations:
+        raise HypothesisError("; ".join(violations))
 
 
 def conditional_mean_y(spec: ModelSpec, y_s: float, dt: float) -> float:

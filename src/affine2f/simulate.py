@@ -23,9 +23,10 @@ _CirKernel.walk), the block's Y-only terms of the X update, then X. They
 compute the same expressions in the same order, simulate_path on Python
 floats and _step in ufunc calls, so every vector row is bit-identical to
 simulate_path on its stream. _start draws every path's start. No vector
-run keeps a whole path: simulate_ensemble and the burn-in legs keep the
-end points, and the other runs are folded into path sums block by block
-as they are stepped, uncopied (estimators.functionals_from_blocks).
+run keeps a whole path: simulate_ensemble, the burn-in legs and the
+supercritical probes keep the end points only, and the other runs are
+folded into path sums block by block as they are stepped, uncopied
+(estimators.functionals_from_blocks).
 
 At a few hundred rows a ufunc call costs more in dispatch than in
 arithmetic, so _step's per-step loops make one call per elementwise

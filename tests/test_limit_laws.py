@@ -419,6 +419,18 @@ def test_batched_draws_follow_their_streams(monkeypatch, sigma3, rho):
         np.testing.assert_array_equal(row, want)
 
 
+def test_supercritical_probes_keep_end_points_only(monkeypatch):
+    """The probes fold no path sums: a draw reads only a probe's end point."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a supercritical probe was reduced to path sums")
+
+    monkeypatch.setattr(limit_laws, "functionals_per_stream", refuse)
+    spec = make_spec(1.2, -0.5, 0.4, 0.0, -1.0, 0.5, 0.3, 0.4, 0.2,
+                     init=InitialLaw("point", y0=1.0, x0=0.5))
+    draws, redraws = limit_draws(spec, 2, 0.07, 610, 4)
+    assert draws.shape == (2, 5) and redraws == 0
+
+
 def test_limit_draws_checks_every_regime():
     # critical by min(b, gamma) = 0, but beta and gamma are not zero, so
     # the critical limit law does not apply

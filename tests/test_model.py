@@ -1,10 +1,13 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from affine2f.errors import HypothesisError
+from affine2f.experiments import ExperimentPlan
+from affine2f.limit_laws import subcritical_limit, supercritical_limit_sample
 from affine2f.model import (
     DiffusionParams,
     DriftParams,
@@ -15,8 +18,8 @@ from affine2f.model import (
     conditional_mean_y,
     make_spec,
     require,
-    validate_spec,
 )
+from affine2f.rng import RngStream
 
 
 class TestRegime:
@@ -173,62 +176,84 @@ class TestConditionalMeans:
 
 
 class TestValidate:
-    def test_continuous_clse_needs_second_block(self):
+    def test_subcritical_needs_second_block(self):
         spec = make_spec(1, 1, 0, 0, 1, 1.0, 0.0, 0.0, 0.0)
-        report = validate_spec(spec, "continuous-clse")
-        assert not report.ok
-        assert any("sigma3" in v for v in report.violations)
+        with pytest.raises(HypothesisError,
+                           match=re.escape("(1-rho^2)*sigma2^2 + sigma3^2 > 0 violated")):
+            require(spec, Regime.SUBCRITICAL)
 
     def test_supercritical_pass(self):
         spec = make_spec(1, -1.0, 0.0, 0.5, -2.0, 1.0, 0.5, 1.0, 0.1)
-        assert validate_spec(spec, "supercritical-limit").ok
+        require(spec, Regime.SUPERCRITICAL)
 
     def test_supercritical_ordering_enforced(self):
         spec = make_spec(1, -2.0, 0.0, 0.5, -1.0, 1.0, 0.5, 1.0, 0.1)
-        report = validate_spec(spec, "supercritical-limit")
-        assert not report.ok
-        assert any("gamma < b < 0" in v for v in report.violations)
+        with pytest.raises(HypothesisError, match="gamma < b < 0"):
+            require(spec, Regime.SUPERCRITICAL)
 
     def test_supercritical_noise_alternative(self):
         # sigma3 = 0 passes only through the (a - sigma1^2/2) route
         ok = make_spec(1.0, -1, 0, 0, -2, 1.0, 0.5, 0.0, 0.1)
-        assert validate_spec(ok, "supercritical-limit").ok
+        require(ok, Regime.SUPERCRITICAL)
         bad = make_spec(0.2, -1, 0, 0, -2, 1.0, 0.5, 0.0, 0.1)
-        assert not validate_spec(bad, "supercritical-limit").ok
+        with pytest.raises(HypothesisError,
+                           match=re.escape("(a - sigma1^2/2)*(1-rho^2)*sigma2^2 > 0")):
+            require(bad, Regime.SUPERCRITICAL)
 
     def test_critical_requires_zero_coupling(self):
         spec = make_spec(1, 0.0, 0.3, 0.1, 0.0, 1.0, 0.5, 0.5, 0.0)
-        report = validate_spec(spec, "critical-limit")
-        assert not report.ok
-        assert "beta = 0 required" in report.violations
+        with pytest.raises(HypothesisError, match="beta = 0 required"):
+            require(spec, Regime.CRITICAL)
 
     def test_critical_pass(self):
         spec = make_spec(1, 0.0, 0.3, 0.0, 0.0, 1.0, 0.5, 0.5, 0.0)
-        assert validate_spec(spec, "critical-limit").ok
+        require(spec, Regime.CRITICAL)
 
     def test_subcritical_limit_requires_positive_rates(self, ref_spec):
-        assert validate_spec(ref_spec, "subcritical-limit").ok
+        require(ref_spec, Regime.SUBCRITICAL)
         crit = make_spec(1.2, 0.0, 0.5, -0.3, 0.8, 0.6, 0.4, 0.25, -0.35)
-        assert not validate_spec(crit, "subcritical-limit").ok
-
-    def test_diffusion_stats_warning_only(self):
-        spec = make_spec(0.5, 1, 0, 0, 1, 1.0, 0.4, 0.2, 0.0)  # a < sigma1^2
-        report = validate_spec(spec, "diffusion-stats")
-        assert report.ok
-        assert report.warnings
-
-    def test_unknown_purpose_rejected(self, ref_spec):
-        with pytest.raises(ValueError, match="purpose"):
-            validate_spec(ref_spec, "mle")
-
-    def test_simulation_always_passes_for_constructible(self, ref_spec):
-        assert validate_spec(ref_spec, "simulation").ok
+        with pytest.raises(HypothesisError,
+                           match=re.escape("subcritical regime (b > 0 and gamma > 0)")):
+            require(crit, Regime.SUBCRITICAL)
 
     def test_require_raises_every_violation(self):
         spec = make_spec(1, 0.0, 0.3, 0.1, 0.2, 1.0, 0.5, 0.5, 0.0)
         with pytest.raises(HypothesisError) as exc:
-            require(spec, "critical-limit")
+            require(spec, Regime.CRITICAL)
         assert str(exc.value) == "beta = 0 required; gamma = 0 required"
         # existing `except ValueError` callers still catch it
         assert isinstance(exc.value, ValueError)
-        require(spec, "simulation")
+
+    def test_require_takes_a_regime(self, ref_spec):
+        with pytest.raises(TypeError, match="must be a Regime"):
+            require(ref_spec, "subcritical")
+
+
+# subcritical, with a = 0 and no noise at all
+NOISELESS = make_spec(0.0, 1.0, 0.5, 0.3, 0.6, 0.0, 0.0, 0.0, 0.3)
+
+
+class TestRefusalText:
+    """Each regime's full refusal text, through public entry points."""
+
+    @pytest.mark.parametrize("call,text", [
+        (lambda: ExperimentPlan(NOISELESS, 1.0, 0.01, 2, 1),
+         "sigma1 > 0 required; (1-rho^2)*sigma2^2 + sigma3^2 > 0 violated; "
+         "a > 0 required"),
+        (lambda: ExperimentPlan(make_spec(1.0, 0.0, 0.5, 0.2, 0.0, 0.5, 0.0,
+                                          0.0, 0.3), 1.0, 0.01, 2, 1),
+         "beta = 0 required; (1-rho^2)*sigma2^2 + sigma3^2 > 0 violated"),
+        (lambda: supercritical_limit_sample(NOISELESS, None, 0.1, RngStream(1)),
+         "gamma < b < 0 required; alpha*beta <= 0 required; "
+         "sigma1 > 0 required; "
+         "sigma3 > 0 or (a - sigma1^2/2)*(1-rho^2)*sigma2^2 > 0 required"),
+        (lambda: subcritical_limit(make_spec(0.2, -1.0, 0.5, 0.3, -0.5, 0.0,
+                                             0.3, 0.0, 0.3)),
+         "sigma1 > 0 required; "
+         "subcritical regime (b > 0 and gamma > 0) required"),
+    ], ids=["subcritical-plan", "critical-plan", "supercritical-sample",
+            "subcritical-covariance"])
+    def test_message(self, call, text):
+        with pytest.raises(HypothesisError) as exc:
+            call()
+        assert str(exc.value) == text
