@@ -58,8 +58,6 @@ from .limit_laws import (
     v_matrix,
 )
 from .model import (
-    DiffusionParams,
-    DriftParams,
     InitialLaw,
     ModelSpec,
     Regime,
@@ -88,9 +86,7 @@ __all__ = [
     "Affine2FError",
     "ConfigError",
     "DiffusionEstimate",
-    "DiffusionParams",
     "DriftEstimate",
-    "DriftParams",
     "EnsembleResult",
     "ExcessiveExclusions",
     "ExperimentPlan",

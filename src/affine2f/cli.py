@@ -204,7 +204,7 @@ def cmd_limit_sample(args) -> int:
     spec, exp = cfg.spec, cfg.experiment
     if args.draws < 1:
         raise ConfigError("--draws must be at least 1")
-    regime = classify_regime(spec.drift)
+    regime = classify_regime(spec)
     draws, redraws = limit_draws(spec, args.draws, exp.dt, exp.base_seed, 0)
     text = draws_text(draws, f"{regime.value} limit draws")
     if regime is not Regime.SUBCRITICAL:

@@ -15,13 +15,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import InitialLaw, ModelSpec, make_spec
+from .model import CONSTANTS, InitialLaw, ModelSpec, make_spec
 from .simulate import SCHEMES
 
-_MODEL_FLOATS = ("a", "b", "alpha", "beta", "gamma",
-                 "sigma1", "sigma2", "sigma3", "rho")
-_MODEL_KEYS = _MODEL_FLOATS + ("init_kind", "init_y0", "init_x0",
-                               "init_burn_in")
+_MODEL_KEYS = CONSTANTS + ("init_kind", "init_y0", "init_x0",
+                           "init_burn_in")
 _EXPERIMENT_KEYS = ("T", "dt", "replications", "base_seed", "scheme")
 _OUTPUT_KEYS = ("directory", "formats")
 
@@ -94,10 +92,10 @@ def _reject_unknown(section: str, present, allowed) -> None:
 
 def _build_spec(sec) -> ModelSpec:
     _reject_unknown("model", sec, _MODEL_KEYS)
-    missing = [k for k in _MODEL_FLOATS if k not in sec]
+    missing = [k for k in CONSTANTS if k not in sec]
     if missing:
         raise ConfigError("[model] is missing key(s): " + ", ".join(missing))
-    vals = {k: _float_of("model", k, sec[k]) for k in _MODEL_FLOATS}
+    vals = {k: _float_of("model", k, sec[k]) for k in CONSTANTS}
     init_kw = {
         "kind": sec.get("init_kind", "point"),
         "y0": _float_of("model", "init_y0", sec.get("init_y0", "0")),
@@ -199,7 +197,7 @@ def serialize_config(cfg: RunConfig) -> str:
     """Write the config back out with every default made explicit."""
     spec, exp, out = cfg.spec, cfg.experiment, cfg.output
     lines = ["[model]"]
-    lines += [f"{k} = {_g17(getattr(spec, k))}" for k in _MODEL_FLOATS]
+    lines += [f"{k} = {_g17(getattr(spec, k))}" for k in CONSTANTS]
     lines.append(f"init_kind = {spec.init.kind}")
     lines.append(f"init_y0 = {_g17(spec.init.y0)}")
     lines.append(f"init_x0 = {_g17(spec.init.x0)}")

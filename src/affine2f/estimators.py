@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import OutOfDomain, SingularGram
 from .kernels import i1, i2, psi
-from .model import DriftParams
+from .model import ModelSpec
 from . import simulate
 from .simulate import PathGrid
 
@@ -277,22 +277,22 @@ def clse_discrete_transformed(path: PathGrid, stride: int = 1) -> TransformedEst
     )
 
 
-def gn_forward(drift: DriftParams, n: float) -> tuple[float, float, float, float, float]:
+def gn_forward(spec: ModelSpec, n: float) -> tuple[float, float, float, float, float]:
     """The one-step conditional-mean map at sampling frequency n.
 
-    Sends theta to the regression constants (c, d, delta, epsilon, zeta)
-    that make the one-step conditional means exact:
+    Sends spec's drift theta to the regression constants (c, d, delta,
+    epsilon, zeta) that make the one-step conditional means exact:
     E(Y_h|y) = c + (1-d) y and E(X_h|y,x) = delta - epsilon y + (1-zeta) x
     with h = 1/n.
     """
     h = 1.0 / n
-    c = drift.a * psi(drift.b, h)
-    d = -math.expm1(-drift.b * h)
-    delta = drift.alpha * psi(drift.gamma, h) - drift.a * drift.beta * i2(
-        drift.b, drift.gamma, h
+    c = spec.a * psi(spec.b, h)
+    d = -math.expm1(-spec.b * h)
+    delta = spec.alpha * psi(spec.gamma, h) - spec.a * spec.beta * i2(
+        spec.b, spec.gamma, h
     )
-    epsilon = drift.beta * i1(drift.b, drift.gamma, h)
-    zeta = -math.expm1(-drift.gamma * h)
+    epsilon = spec.beta * i1(spec.b, spec.gamma, h)
+    zeta = -math.expm1(-spec.gamma * h)
     return c, d, delta, epsilon, zeta
 
 
@@ -411,16 +411,16 @@ def clse_continuous(path: PathGrid) -> DriftEstimate:
                          gram_cont=grams, conds=conds)
 
 
-def h_vector(path: PathGrid, true_theta: DriftParams) -> np.ndarray:
+def h_vector(path: PathGrid, spec: ModelSpec) -> np.ndarray:
     """The martingale part f_T - G_T theta of the estimation error.
 
     Algebraically f - G theta collapses to the pure noise integrals.
-    Useful as a diagnostic on simulated paths where theta is known:
+    Useful as a diagnostic on simulated paths, where theta is spec's drift:
     theta_hat - theta = G_T^{-1} h_T exactly.
     """
     fn = functionals_from_path(path)
     g1, g2 = gram_blocks(fn)
     f1, f2 = target_blocks(fn)
-    th1 = np.array([true_theta.a, true_theta.b])
-    th2 = np.array([true_theta.alpha, true_theta.beta, true_theta.gamma])
+    th1 = np.array([spec.a, spec.b])
+    th2 = np.array([spec.alpha, spec.beta, spec.gamma])
     return np.concatenate([f1 - g1 @ th1, f2 - g2 @ th2])

@@ -65,7 +65,7 @@ class ExperimentPlan:
                              "statistics need two of them")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        regime = classify_regime(self.spec.drift)
+        regime = classify_regime(self.spec)
         require(self.spec, regime)
         object.__setattr__(self, "regime", regime)
 
@@ -138,8 +138,7 @@ class LimitLawReport:
 
 
 def _theta_true(spec: ModelSpec) -> np.ndarray:
-    d = spec.drift
-    return np.array([d.a, d.b, d.alpha, d.beta, d.gamma])
+    return np.array([spec.a, spec.b, spec.alpha, spec.beta, spec.gamma])
 
 
 def _gated_rows(fn, replications):
@@ -314,7 +313,7 @@ def consistency_sweep(
     of a and alpha stay informational, since their scaling T e^(bT/2)
     goes to 0, so their errors need not shrink.
     """
-    regime = classify_regime(spec.drift)
+    regime = classify_regime(spec)
     if regime is Regime.CRITICAL:
         raise HypothesisError("quantile shrinkage needs a strictly noncritical regime")
     require(spec, regime)

@@ -399,7 +399,7 @@ def limit_draws(
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
-    regime = classify_regime(spec.drift)
+    regime = classify_regime(spec)
     require(spec, regime)
     if regime is Regime.SUBCRITICAL:
         root = np.linalg.cholesky(subcritical_limit(spec).asym_cov)

@@ -1,5 +1,4 @@
-"""Model parameters, admissibility checks, limit-theorem hypotheses, and
-exact conditional means.
+"""The model record, limit-theorem hypotheses, and exact conditional means.
 
 The model is the two-factor affine diffusion
 
@@ -9,6 +8,11 @@ The model is the two-factor affine diffusion
 
 with dWtilde = rho dW + sqrt(1-rho^2) dB and (W, B, L) independent
 standard Wiener processes.
+
+One record, ModelSpec, holds the nine constants (the drift
+theta = (a, b, alpha, beta, gamma) and the diffusion sigma1, sigma2,
+sigma3, rho) and the initial law, and refuses at construction what no
+model allows; make_spec is the same constructor.
 
 classify_regime reads the regime off min(b, gamma), and require(spec,
 regime) checks the hypotheses of that regime's limit theorem for the
@@ -30,6 +34,10 @@ from enum import Enum
 from .errors import HypothesisError
 from .kernels import i1, i2, psi
 
+# the nine constants in the paper's order: the drift, then the diffusion
+CONSTANTS = ("a", "b", "alpha", "beta", "gamma",
+             "sigma1", "sigma2", "sigma3", "rho")
+
 
 def _require_finite(params, names) -> None:
     # a nan or inf constant would only surface later, as a numpy error
@@ -46,31 +54,66 @@ class Regime(Enum):
     SUPERCRITICAL = "supercritical"
 
 
+INIT_KINDS = ("point", "stationary-y", "stationary")
+
+
 @dataclass(frozen=True)
-class DriftParams:
-    """The five drift constants theta = (a, b, alpha, beta, gamma)."""
+class InitialLaw:
+    """Initial condition: point mass, gamma-law Y with point X, or burned-in.
+
+    kind "point":        start exactly at (y0, x0), y0 >= 0.
+    kind "stationary-y": Y0 drawn from the stationary gamma law, X0 = x0.
+    kind "stationary":   stationary-y start evolved for burn_in time units
+                         so X also forgets its (arbitrary) starting point.
+                         Only this kind takes a burn_in.
+    """
+
+    kind: str = "point"
+    y0: float = 0.0
+    x0: float = 0.0
+    burn_in: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in INIT_KINDS:
+            raise ValueError(f"init kind must be one of {INIT_KINDS}, got {self.kind!r}")
+        _require_finite(self, ("y0", "x0", "burn_in"))
+        if self.kind == "point" and not self.y0 >= 0.0:
+            raise ValueError(f"point-mass initialization needs y0 >= 0, got {self.y0}")
+        if self.burn_in is not None:
+            if not self.burn_in > 0.0:
+                raise ValueError(
+                    f"burn_in must be positive when given, got {self.burn_in}"
+                )
+            if self.kind != "stationary":
+                raise ValueError(
+                    f"burn_in applies only to a stationary start, got kind {self.kind!r}"
+                )
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """The nine model constants plus the initial law. Immutable.
+
+    Construction checks, in this order: a..gamma finite, a >= 0,
+    sigma1..rho finite, each sigma >= 0, |rho| <= 1.
+    """
 
     a: float
     b: float
     alpha: float
     beta: float
     gamma: float
-
-    def __post_init__(self):
-        _require_finite(self, ("a", "b", "alpha", "beta", "gamma"))
-        if not self.a >= 0.0:
-            raise ValueError(f"a must be nonnegative, got {self.a}")
-
-
-@dataclass(frozen=True)
-class DiffusionParams:
     sigma1: float
     sigma2: float
     sigma3: float
     rho: float
+    init: InitialLaw = field(default_factory=InitialLaw)
 
     def __post_init__(self):
-        _require_finite(self, ("sigma1", "sigma2", "sigma3", "rho"))
+        _require_finite(self, CONSTANTS[:5])
+        if not self.a >= 0.0:
+            raise ValueError(f"a must be nonnegative, got {self.a}")
+        _require_finite(self, CONSTANTS[5:])
         for name in ("sigma1", "sigma2", "sigma3"):
             v = getattr(self, name)
             if not v >= 0.0:
@@ -88,106 +131,15 @@ class DiffusionParams:
         return (1.0 - self.rho**2) * self.sigma2**2 + self.sigma3**2 > 0.0
 
 
-INIT_KINDS = ("point", "stationary-y", "stationary")
+make_spec = ModelSpec
 
 
-@dataclass(frozen=True)
-class InitialLaw:
-    """Initial condition: point mass, gamma-law Y with point X, or burned-in.
-
-    kind "point":        start exactly at (y0, x0), y0 >= 0.
-    kind "stationary-y": Y0 drawn from the stationary gamma law, X0 = x0.
-    kind "stationary":   stationary-y start evolved for burn_in time units
-                         so X also forgets its (arbitrary) starting point.
-    """
-
-    kind: str = "point"
-    y0: float = 0.0
-    x0: float = 0.0
-    burn_in: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ValueError(f"init kind must be one of {INIT_KINDS}, got {self.kind!r}")
-        _require_finite(self, ("y0", "x0", "burn_in"))
-        if self.kind == "point" and not self.y0 >= 0.0:
-            raise ValueError(f"point-mass initialization needs y0 >= 0, got {self.y0}")
-        if self.burn_in is not None and not self.burn_in > 0.0:
-            raise ValueError(f"burn_in must be positive when given, got {self.burn_in}")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """The nine model constants plus the initial law. Immutable."""
-
-    drift: DriftParams
-    diffusion: DiffusionParams
-    init: InitialLaw = field(default_factory=InitialLaw)
-
-    # flat accessors: formulas downstream read much closer to their source
-    @property
-    def a(self) -> float:
-        return self.drift.a
-
-    @property
-    def b(self) -> float:
-        return self.drift.b
-
-    @property
-    def alpha(self) -> float:
-        return self.drift.alpha
-
-    @property
-    def beta(self) -> float:
-        return self.drift.beta
-
-    @property
-    def gamma(self) -> float:
-        return self.drift.gamma
-
-    @property
-    def sigma1(self) -> float:
-        return self.diffusion.sigma1
-
-    @property
-    def sigma2(self) -> float:
-        return self.diffusion.sigma2
-
-    @property
-    def sigma3(self) -> float:
-        return self.diffusion.sigma3
-
-    @property
-    def rho(self) -> float:
-        return self.diffusion.rho
-
-
-def make_spec(
-    a: float,
-    b: float,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    sigma1: float,
-    sigma2: float,
-    sigma3: float,
-    rho: float,
-    init: InitialLaw | None = None,
-) -> ModelSpec:
-    """Flat constructor, mostly for tests and scripts."""
-    return ModelSpec(
-        drift=DriftParams(a, b, alpha, beta, gamma),
-        diffusion=DiffusionParams(sigma1, sigma2, sigma3, rho),
-        init=init if init is not None else InitialLaw(),
-    )
-
-
-def classify_regime(drift: DriftParams) -> Regime:
+def classify_regime(spec: ModelSpec) -> Regime:
     """Regime of the model by the sign of min(b, gamma), compared exactly.
 
     Regimes are model assumptions, not estimates, so no tolerance is applied.
     """
-    m = min(drift.b, drift.gamma)
+    m = min(spec.b, spec.gamma)
     if m > 0.0:
         return Regime.SUBCRITICAL
     if m == 0.0:
@@ -211,32 +163,32 @@ def require(spec: ModelSpec, regime: Regime) -> None:
     constants, a >= 0, sigma_i >= 0 and |rho| <= 1, so those are never
     listed.
     """
-    d, q = spec.drift, spec.diffusion
-    sigma1 = (q.sigma1 > 0.0, "sigma1 > 0 required")
-    second_block = (q.second_block_ok,
+    sigma1 = (spec.sigma1 > 0.0, "sigma1 > 0 required")
+    second_block = (spec.second_block_ok,
                     "(1-rho^2)*sigma2^2 + sigma3^2 > 0 violated")
     if regime is Regime.SUBCRITICAL:
         checks = [
             sigma1,
             second_block,
-            (d.b > 0.0 and d.gamma > 0.0,
+            (spec.b > 0.0 and spec.gamma > 0.0,
              "subcritical regime (b > 0 and gamma > 0) required"),
-            (d.a > 0.0, "a > 0 required"),
+            (spec.a > 0.0, "a > 0 required"),
         ]
     elif regime is Regime.CRITICAL:
         checks = [
-            (d.b == 0.0, "b = 0 required"),
-            (d.beta == 0.0, "beta = 0 required"),
-            (d.gamma == 0.0, "gamma = 0 required"),
+            (spec.b == 0.0, "b = 0 required"),
+            (spec.beta == 0.0, "beta = 0 required"),
+            (spec.gamma == 0.0, "gamma = 0 required"),
             second_block,
         ]
     elif regime is Regime.SUPERCRITICAL:
         checks = [
-            (d.b < 0.0 and d.gamma < d.b, "gamma < b < 0 required"),
-            (d.alpha * d.beta <= 0.0, "alpha*beta <= 0 required"),
+            (spec.b < 0.0 and spec.gamma < spec.b, "gamma < b < 0 required"),
+            (spec.alpha * spec.beta <= 0.0, "alpha*beta <= 0 required"),
             sigma1,
-            (q.sigma3 > 0.0
-             or (d.a - q.sigma1**2 / 2.0) * (1.0 - q.rho**2) * q.sigma2**2 > 0.0,
+            (spec.sigma3 > 0.0
+             or (spec.a - spec.sigma1**2 / 2.0) * (1.0 - spec.rho**2)
+             * spec.sigma2**2 > 0.0,
              "sigma3 > 0 or (a - sigma1^2/2)*(1-rho^2)*sigma2^2 > 0 required"),
         ]
     else:
@@ -261,10 +213,9 @@ def conditional_mean_x(spec: ModelSpec, y_s: float, x_s: float, dt: float) -> fl
         exp(-gamma*dt)*x_s + alpha*psi(gamma, dt)
         - beta*y_s*i1(b, gamma, dt) - a*beta*i2(b, gamma, dt)
     """
-    d = spec.drift
     return (
-        math.exp(-d.gamma * dt) * x_s
-        + d.alpha * psi(d.gamma, dt)
-        - d.beta * y_s * i1(d.b, d.gamma, dt)
-        - d.a * d.beta * i2(d.b, d.gamma, dt)
+        math.exp(-spec.gamma * dt) * x_s
+        + spec.alpha * psi(spec.gamma, dt)
+        - spec.beta * y_s * i1(spec.b, spec.gamma, dt)
+        - spec.a * spec.beta * i2(spec.b, spec.gamma, dt)
     )

@@ -67,18 +67,17 @@ def _generator_rows(
     weights are left out, and every monomial of negative order has one, so
     each column is on the lattice.
     """
-    d, q = spec.drift, spec.diffusion
     index = {kl: i for i, kl in enumerate(lattice)}
     rows = []
     for k, l in lattice:
         terms = (
-            ((k - 1, l), k * d.a + k * (k - 1) * q.sigma1**2 / 2.0),
-            ((k, l - 1), l * (d.alpha + k * q.rho * q.sigma1 * q.sigma2)),
-            ((k + 1, l - 1), -l * d.beta),
-            ((k + 1, l - 2), l * (l - 1) * q.sigma2**2 / 2.0),
-            ((k, l - 2), l * (l - 1) * q.sigma3**2 / 2.0),
+            ((k - 1, l), k * spec.a + k * (k - 1) * spec.sigma1**2 / 2.0),
+            ((k, l - 1), l * (spec.alpha + k * spec.rho * spec.sigma1 * spec.sigma2)),
+            ((k + 1, l - 1), -l * spec.beta),
+            ((k + 1, l - 2), l * (l - 1) * spec.sigma2**2 / 2.0),
+            ((k, l - 2), l * (l - 1) * spec.sigma3**2 / 2.0),
         )
-        rows.append((k * d.b + l * d.gamma,
+        rows.append((k * spec.b + l * spec.gamma,
                      [(index[kl], w) for kl, w in terms if w != 0.0]))
     return rows
 
@@ -100,7 +99,7 @@ def _stationary_lattice(spec: ModelSpec, lattice: list[tuple[int, int]]) -> list
     summed, so an overflowed entry cannot turn a neighbour into NaN
     through inf * 0.
     """
-    if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
+    if classify_regime(spec) is not Regime.SUBCRITICAL:
         raise HypothesisError("stationary moments require a subcritical spec "
                               "(b > 0 and gamma > 0)")
     m: list[float] = []
@@ -267,7 +266,7 @@ def stationary_moments(spec: ModelSpec, n_max: int, p_max: int) -> MomentTable:
 
 def stationary_y_gamma_params(spec: ModelSpec) -> tuple[float, float]:
     """(shape, rate) of the stationary gamma law of Y."""
-    if classify_regime(spec.drift) is not Regime.SUBCRITICAL:
+    if classify_regime(spec) is not Regime.SUBCRITICAL:
         raise HypothesisError("the stationary Y law requires a subcritical spec "
                               "(b > 0 and gamma > 0)")
     if not spec.sigma1 > 0.0:

@@ -198,11 +198,10 @@ def simulate_path(
     n = _n_grid(T, dt)
     (y0,), (x0,) = _start(spec, dt, [rng])
 
-    d, q = spec.drift, spec.diffusion
-    a, b, alpha, beta = d.a, d.b, d.alpha, d.beta
-    sigma1, sigma2, sigma3, rho = q.sigma1, q.sigma2, q.sigma3, q.rho
+    a, b, alpha, beta = spec.a, spec.b, spec.alpha, spec.beta
+    sigma1, sigma2, sigma3, rho = spec.sigma1, spec.sigma2, spec.sigma3, spec.rho
     ortho = math.sqrt(max(1.0 - rho**2, 0.0))
-    a_dt, b_dt, gamma_dt = a * dt, b * dt, d.gamma * dt
+    a_dt, b_dt, gamma_dt = a * dt, b * dt, spec.gamma * dt
     gen_y = rng.generator(0)
     gen_b = rng.generator(1) if _wants_b(spec) else None
     gen_l = rng.generator(2) if _wants_l(spec) else None
@@ -322,23 +321,22 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, y: np.ndarray,
     over a supercritical probe it moves e^(gamma T) X_T by about 7e-12
     relative, against 4e-14 for this form.
     """
-    d, q = spec.drift, spec.diffusion
     yl = y[:-1]
-    e = d.beta * yl
-    np.subtract(d.alpha, e, out=e)  # alpha - beta*y
+    e = spec.beta * yl
+    np.subtract(spec.alpha, e, out=e)  # alpha - beta*y
     e *= dt
     shock = np.sqrt(yl)
-    shock *= q.sigma2
-    dw *= q.rho
+    shock *= spec.sigma2
+    dw *= spec.rho
     if db is not None:
         db *= ortho
         dw += db
     shock *= dw  # sigma2*sqrt(y) * (rho*dw + ortho*db)
     e += shock
     if dl is not None:
-        dl *= q.sigma3
+        dl *= spec.sigma3
         e += dl
-    gamma_dt = np.full(x.shape[1], d.gamma * dt)
+    gamma_dt = np.full(x.shape[1], spec.gamma * dt)
     t = np.empty_like(x[0])
     mul, sub, add = np.multiply, np.subtract, np.add
     xs = list(x)
@@ -383,11 +381,10 @@ def _step(
     local names, and the rows are listed as views once per block rather
     than indexed at every step.
     """
-    d, q = spec.drift, spec.diffusion
     n = _n_grid(T, dt)
     rows = y0.size
     sqrt_dt = math.sqrt(dt)
-    ortho = math.sqrt(max(1.0 - q.rho**2, 0.0))
+    ortho = math.sqrt(max(1.0 - spec.rho**2, 0.0))
     shared = isinstance(rng, RngStream)
 
     def substream(k):
@@ -401,9 +398,9 @@ def _step(
 
     exact = scheme == "exact_y_euler_x"
     kernel = None
-    if exact and q.sigma1 > 0.0:
-        kernel = _CirKernel(d.a, d.b, q.sigma1, dt)
-    decay, level = math.exp(-d.b * dt), d.a * psi(d.b, dt)
+    if exact and spec.sigma1 > 0.0:
+        kernel = _CirKernel(spec.a, spec.b, spec.sigma1, dt)
+    decay, level = math.exp(-spec.b * dt), spec.a * psi(spec.b, dt)
 
     per_block = max(1, min(BLOCK_STEPS, BLOCK_STEPS * WIDE_ROWS // rows))
     y_last = y0.astype(float)
@@ -427,8 +424,8 @@ def _step(
             # invert the Y update for the W increments that produced it,
             # with the denominator floored to avoid blow-up near 0
             yl = y[:-1]
-            dw = (y[1:] - yl - (d.a - d.b * yl) * dt) / (
-                q.sigma1 * np.sqrt(np.maximum(yl, Y_FLOOR))
+            dw = (y[1:] - yl - (spec.a - spec.b * yl) * dt) / (
+                spec.sigma1 * np.sqrt(np.maximum(yl, Y_FLOOR))
             )
         elif exact:
             decay_r, level_r = _row_consts(rows, decay, level)

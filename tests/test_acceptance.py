@@ -33,7 +33,7 @@ from affine2f.experiments import (
     run_experiment,
 )
 from affine2f.limit_laws import critical_limit_batch, v_det_closed_form, v_matrix
-from affine2f.model import DriftParams, InitialLaw, make_spec
+from affine2f.model import InitialLaw, make_spec
 from affine2f.moments import transient_moments
 from affine2f.rng import RngStream
 from affine2f.simulate import (
@@ -122,16 +122,17 @@ def test_criterion_04_estimator_algebra_identities():
     gen = np.random.default_rng(44)
     gap_rt = 0.0
     for _ in range(50):
-        drift = DriftParams(a=gen.uniform(0.1, 3.0), b=gen.uniform(-1.5, 2.5),
-                            alpha=gen.uniform(-1.0, 1.0), beta=gen.uniform(-1.0, 1.0),
-                            gamma=gen.uniform(-1.5, 2.5))
+        spec = make_spec(a=gen.uniform(0.1, 3.0), b=gen.uniform(-1.5, 2.5),
+                         alpha=gen.uniform(-1.0, 1.0), beta=gen.uniform(-1.0, 1.0),
+                         gamma=gen.uniform(-1.5, 2.5),
+                         sigma1=1.0, sigma2=1.0, sigma3=1.0, rho=0.0)
         n = float(gen.integers(10, 250))
-        c, d, delta, epsilon, zeta = gn_forward(drift, n)
+        c, d, delta, epsilon, zeta = gn_forward(spec, n)
         te_rt = TransformedEstimate(c=c, d=d, delta=delta, epsilon=epsilon,
                                     zeta=zeta, gram1=np.eye(2), gram2=np.eye(3),
                                     n=n, cond1=1.0, cond2=1.0)
         back = gn_inverse(te_rt).theta_hat
-        truth = np.array([drift.a, drift.b, drift.alpha, drift.beta, drift.gamma])
+        truth = np.array([spec.a, spec.b, spec.alpha, spec.beta, spec.gamma])
         gap_rt = max(gap_rt, float(np.max(np.abs(back - truth) / np.maximum(np.abs(truth), 1.0))))
 
     # (iii) doubling series with integer X: zero residual in Y, no rounding
@@ -146,7 +147,7 @@ def test_criterion_04_estimator_algebra_identities():
     truth = np.array([1.0, 1.0, 0.5, 0.3, 0.6])
     fn = functionals_from_path(path4)
     g1, g2 = gram_blocks(fn)
-    h = h_vector(path4, REF.drift)
+    h = h_vector(path4, REF)
     rhs = np.concatenate([np.linalg.solve(g1, h[:2]), np.linalg.solve(g2, h[2:])])
     gap_h = float(np.max(np.abs((theta - truth) - rhs) / np.maximum(np.abs(rhs), 1e-12)))
 
@@ -208,10 +209,10 @@ def test_criterion_07_critical_limit_two_sample():
     # negative controls: the same scaled errors, scored against the limit
     # law of a wrong theory drawn on the study's own reference stream,
     # must fail the scorecard
-    d, q = spec.drift, spec.diffusion
-    theory = dict(a=d.a, alpha=d.alpha, sigma1=q.sigma1, sigma2=q.sigma2, rho=q.rho)
+    theory = dict(a=spec.a, alpha=spec.alpha, sigma1=spec.sigma1,
+                  sigma2=spec.sigma2, rho=spec.rho)
     controls = {"alpha = 0": dict(theory, alpha=0.0),
-                "sigma1 x 1.25": dict(theory, sigma1=1.25 * q.sigma1)}
+                "sigma1 x 1.25": dict(theory, sigma1=1.25 * spec.sigma1)}
     control_ks = {}
     for name, wrong in controls.items():
         ref, _ = critical_limit_batch(1000, **wrong, dt=1e-3,
@@ -238,7 +239,7 @@ def test_criterion_08_supercritical_consistency_and_v_identity(stepped_paths):
             simulate_path(spec, 30.0, 0.01, "exact_y_euler_x", RngStream(2028, j)))
         g1, _ = gram_blocks(fn)
         f1, _ = target_blocks(fn)
-        errs.append(abs(np.linalg.solve(g1, f1)[1] - spec.drift.b))
+        errs.append(abs(np.linalg.solve(g1, f1)[1] - spec.b))
     med = float(np.median(errs))
 
     # (ii) the scaling matrix determinant identity on random tuples
@@ -255,7 +256,7 @@ def test_criterion_08_supercritical_consistency_and_v_identity(stepped_paths):
     # (iii) exp(bT) Y_T has a stabilizing mean on shared noise
     y, _ = stepped_paths(spec, 30.0, 0.01, "exact_y_euler_x",
                          RngStream(2029, 0), 2000)
-    means = [float(np.mean(np.exp(spec.drift.b * T) * y[:, int(round(T / 0.01))]))
+    means = [float(np.mean(np.exp(spec.b * T) * y[:, int(round(T / 0.01))]))
              for T in (10, 20, 30)]
     drift_rel = (max(means) - min(means)) / means[-1]
     elapsed = time.time() - start

@@ -138,6 +138,10 @@ class TestRejection:
         (_with("init_kind = point", "init_kind = frozen"), "init"),
         (_with("init_y0 = 0.7",
                "init_y0 = 0.7\ninit_burn_in = -1"), "burn_in"),
+        # a point start has no burn-in: refused, not ignored and written back
+        (_with("init_y0 = 0.7",
+               "init_y0 = 0.7\ninit_burn_in = 1"),
+         "model: burn_in applies only to a stationary start, got kind 'point'"),
         ("a = 1\n" + BASE, "malformed"),
         (_with("[model]", "[DEFAULT]\nx = 1\n\n[model]"), "DEFAULT"),
         (_with("b = 1.0", "b = 1.0\nb = 2.0"), "malformed"),

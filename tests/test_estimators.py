@@ -29,7 +29,6 @@ from affine2f.estimators import (
     target_blocks,
 )
 from affine2f.model import (
-    DriftParams,
     InitialLaw,
     conditional_mean_x,
     conditional_mean_y,
@@ -270,7 +269,7 @@ class TestSolveGated:
 class TestBackTransform:
     def test_forward_map_reproduces_conditional_means(self, ref_spec):
         n = 12.0
-        c, d, delta, eps, zeta = gn_forward(ref_spec.drift, n)
+        c, d, delta, eps, zeta = gn_forward(ref_spec, n)
         for y_s, x_s in [(0.3, -1.0), (2.0, 0.5), (0.0, 0.0)]:
             assert c + (1.0 - d) * y_s == pytest.approx(
                 conditional_mean_y(ref_spec, y_s, 1.0 / n), rel=1e-14)
@@ -288,8 +287,8 @@ class TestBackTransform:
     @settings(max_examples=200)
     def test_round_trip(self, a, alpha, beta, ub, ug, n):
         # ub, ug are the per-step decay exponents b/n, gamma/n
-        drift = DriftParams(a, ub * n, alpha, beta, ug * n)
-        c, d, delta, eps, zeta = gn_forward(drift, n)
+        spec = make_spec(a, ub * n, alpha, beta, ug * n, 1.0, 1.0, 1.0, 0.0)
+        c, d, delta, eps, zeta = gn_forward(spec, n)
         te = TransformedEstimate(c, d, delta, eps, zeta,
                                  np.eye(2), np.eye(3), n, 1.0, 1.0)
         back = gn_inverse(te)
@@ -298,12 +297,12 @@ class TestBackTransform:
         # ulp(a*beta*i2)/psi(gamma) in absolute terms at the box corners
         np.testing.assert_allclose(
             back.theta_hat,
-            [drift.a, drift.b, drift.alpha, drift.beta, drift.gamma],
+            [spec.a, spec.b, spec.alpha, spec.beta, spec.gamma],
             rtol=1e-12, atol=2e-11)
 
     def test_round_trip_at_zero_rates(self):
-        drift = DriftParams(1.3, 0.0, -0.7, 2.0, 0.0)
-        te = TransformedEstimate(*gn_forward(drift, 10.0),
+        spec = make_spec(1.3, 0.0, -0.7, 2.0, 0.0, 1.0, 1.0, 1.0, 0.0)
+        te = TransformedEstimate(*gn_forward(spec, 10.0),
                                  np.eye(2), np.eye(3), 10.0, 1.0, 1.0)
         np.testing.assert_allclose(
             gn_inverse(te).theta_hat, [1.3, 0.0, -0.7, 2.0, 0.0],
@@ -344,7 +343,7 @@ class TestContinuous:
     def test_estimation_error_is_gram_inverse_times_h(self, ref_spec,
                                                       noisy_path):
         est = clse_continuous(noisy_path)
-        h = h_vector(noisy_path, ref_spec.drift)
+        h = h_vector(noisy_path, ref_spec)
         g1, g2 = est.gram_cont
         err = np.concatenate([np.linalg.solve(g1, h[:2]),
                               np.linalg.solve(g2, h[2:])])
@@ -440,7 +439,7 @@ class TestContinuous:
 class TestHVector:
     def test_vanishes_without_noise(self, ode_path):
         spec = noiseless_spec()
-        h = h_vector(ode_path, spec.drift)
+        h = h_vector(ode_path, spec)
         assert np.abs(h).max() < 1e-6
 
     def test_mean_zero_over_replications(self, ref_spec, stepped_paths):

@@ -1,6 +1,7 @@
 """Replication experiments: plans, limit-law reports, quantile sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from affine2f.limit_laws import (
     limit_draws,
     supercritical_limit_sample,
 )
-from affine2f.model import InitialLaw, ModelSpec, Regime, make_spec
+from affine2f.model import InitialLaw, Regime, make_spec
 from affine2f.rng import RngStream
 
 
@@ -169,8 +170,8 @@ class TestRunExperiment:
                              init=_point(1.0, 0.2))
         elif case != "point":
             # the stationary start's burn-in leg crosses blocks too
-            spec = ModelSpec(sub_spec.drift, sub_spec.diffusion,
-                             InitialLaw(case, x0=0.2, burn_in=0.3))
+            burn_in = 0.3 if case == "stationary" else None
+            spec = replace(sub_spec, init=InitialLaw(case, x0=0.2, burn_in=burn_in))
         got = functionals_per_stream(spec, 0.5, 0.01, scheme,
                                      [RngStream(91, r) for r in range(9)])
         for r in range(9):
@@ -201,8 +202,7 @@ class TestRunExperiment:
     def test_reused_streams_restart_their_paths(self, sub_spec):
         # a stationary-y start also draws from substream 3, so every
         # substream a row touches must restart on the second pass
-        spec = ModelSpec(sub_spec.drift, sub_spec.diffusion,
-                         InitialLaw("stationary-y", x0=0.2))
+        spec = replace(sub_spec, init=InitialLaw("stationary-y", x0=0.2))
         streams = [RngStream(95, r) for r in range(3)]
         first = functionals_per_stream(spec, 0.5, 0.01, "full_euler", streams)
         again = functionals_per_stream(spec, 0.5, 0.01, "full_euler", streams)

@@ -260,6 +260,62 @@ class TestCritical:
         assert excess_kurtosis > 4.0 * math.sqrt(24.0 / comp2.size)
 
 
+def _grid_exact_means(a, alpha, sigma1, dt):
+    """Means of the critical auxiliary pair's left-point sums on [0, 1].
+
+    From (0, 0) with b = beta = gamma = 0, E Y_t = a t and
+    E Y_t^2 = (a^2 + a sigma1^2/2) t^2; exact Y has them at every grid
+    point, and Euler X, whose drift is the constant alpha, has
+    E X_t = alpha t there too. Summed over t_i = i dt, i < 1/dt, times dt.
+    """
+    return {
+        "int_y": a * (1.0 - dt) / 2.0,
+        "int_y2": (a**2 + a * sigma1**2 / 2.0) * (1.0 - dt) * (2.0 - dt) / 6.0,
+        "int_x": alpha * (1.0 - dt) / 2.0,
+    }
+
+
+class TestCriticalReferenceLaw:
+    """The critical reference's first pass against its own grid-exact law."""
+
+    # criterion 07's constants
+    A, ALPHA, SIGMA1, SIGMA2, RHO, DT, ROWS = 1.0, 0.5, 0.5, 0.3, 0.3, 0.01, 20000
+
+    @pytest.fixture(scope="class")
+    def first_pass(self):
+        # the functionals that critical_limit_batch folds from its shared
+        # exact-Y run, before any solve or redraw
+        seen = []
+        reduce = limit_laws.functionals_from_blocks
+
+        def recorded(blocks, dt):
+            seen.append(reduce(blocks, dt))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limit_laws, "functionals_from_blocks", recorded)
+            critical_limit_batch(self.ROWS, self.A, self.ALPHA, self.SIGMA1,
+                                 self.SIGMA2, self.RHO, self.DT, RngStream(1))
+        (fn,) = seen
+        return fn
+
+    def _z(self, fn, means):
+        return {name: (np.mean(getattr(fn, name)) - want)
+                / (np.std(getattr(fn, name), ddof=1) / math.sqrt(self.ROWS))
+                for name, want in means.items()}
+
+    def test_means_are_grid_exact(self, first_pass):
+        z = self._z(first_pass, _grid_exact_means(self.A, self.ALPHA,
+                                                  self.SIGMA1, self.DT))
+        assert all(abs(v) < 4.0 for v in z.values()), z
+
+    def test_wrong_level_fails(self, first_pass):
+        # negative control: the oracle of a model with a 10 % larger a
+        z = self._z(first_pass, _grid_exact_means(1.1 * self.A, self.ALPHA,
+                                                  self.SIGMA1, self.DT))
+        assert max(abs(v) for v in z.values()) >= 4.0, z
+
+
 class TestSupercritical:
     def test_displayed_determinant_example(self):
         V = v_matrix(-0.5, -1.0, 2.0, 3.0)

@@ -9,8 +9,6 @@ from affine2f.errors import HypothesisError
 from affine2f.experiments import ExperimentPlan
 from affine2f.limit_laws import subcritical_limit, supercritical_limit_sample
 from affine2f.model import (
-    DiffusionParams,
-    DriftParams,
     InitialLaw,
     Regime,
     classify_regime,
@@ -20,6 +18,12 @@ from affine2f.model import (
     require,
 )
 from affine2f.rng import RngStream
+
+
+# the nine constants in the constructor's order, and a valid value of each
+NINE = ("a", "b", "alpha", "beta", "gamma", "sigma1", "sigma2", "sigma3", "rho")
+VALID = dict(a=1.0, b=1.0, alpha=0.0, beta=0.0, gamma=1.0,
+             sigma1=1.0, sigma2=1.0, sigma3=1.0, rho=0.0)
 
 
 class TestRegime:
@@ -35,7 +39,7 @@ class TestRegime:
         ],
     )
     def test_classification(self, b, gamma, expected):
-        assert classify_regime(DriftParams(1.0, b, 0.0, 0.0, gamma)) is expected
+        assert classify_regime(make_spec(**dict(VALID, b=b, gamma=gamma))) is expected
 
     @given(
         a=st.floats(min_value=0.0, max_value=10.0),
@@ -43,47 +47,53 @@ class TestRegime:
         beta=st.floats(allow_nan=False, allow_infinity=False, width=32),
     )
     def test_independent_of_levels_and_coupling(self, a, alpha, beta):
-        base = classify_regime(DriftParams(0.0, 0.3, 0.0, 0.0, -0.2))
-        assert classify_regime(DriftParams(a, 0.3, alpha, beta, -0.2)) is base
+        base = classify_regime(make_spec(**dict(VALID, a=0.0, b=0.3, gamma=-0.2)))
+        spec = make_spec(**dict(VALID, a=a, b=0.3, alpha=alpha, beta=beta, gamma=-0.2))
+        assert classify_regime(spec) is base
 
 
 class TestConstruction:
+    """Every refusal of the model constructor, through make_spec only."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", NINE)
+    def test_non_finite_constant_named(self, name, value):
+        with pytest.raises(ValueError) as exc:
+            make_spec(**dict(VALID, **{name: value}))
+        assert str(exc.value) == f"{name} must be finite, got {value}"
+
+    @pytest.mark.parametrize("args,text", [
+        # the drift's checks, a >= 0 included, before any diffusion check
+        ((-1.0, 1, 0, 0, 1, math.nan, 1, 1, 0), "a must be nonnegative"),
+        # every diffusion constant finite before any sign
+        ((1, 1, 0, 0, 1, -1.0, 1, 1, math.nan), "rho must be finite"),
+        # each sigma >= 0 before |rho| <= 1
+        ((1, 1, 0, 0, 1, 1, 1, -1.0, 2.0), "sigma3 must be nonnegative"),
+    ], ids=["drift-first", "finite-first", "sigma-before-rho"])
+    def test_checks_run_in_order(self, args, text):
+        with pytest.raises(ValueError, match=text):
+            make_spec(*args)
+
     def test_negative_a_rejected(self):
-        with pytest.raises(ValueError, match="a must be nonnegative"):
-            DriftParams(-0.1, 1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="a must be nonnegative, got -0.1"):
+            make_spec(**dict(VALID, a=-0.1))
 
-    def test_nan_a_rejected(self):
-        with pytest.raises(ValueError):
-            DriftParams(float("nan"), 1.0, 0.0, 0.0, 1.0)
-
-    @pytest.mark.parametrize("rho", [-1.0001, 1.5, float("nan")])
+    @pytest.mark.parametrize("rho", [-1.0001, 1.5])
     def test_bad_rho_rejected(self, rho):
-        with pytest.raises(ValueError, match="rho"):
-            DiffusionParams(1.0, 1.0, 1.0, rho)
+        with pytest.raises(ValueError, match=re.escape("rho must lie in [-1, 1]")):
+            make_spec(**dict(VALID, rho=rho))
+
+    @pytest.mark.parametrize("name", ["sigma1", "sigma2", "sigma3"])
+    def test_negative_sigma_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative, got -0.5"):
+            make_spec(**dict(VALID, **{name: -0.5}))
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("cls,fields,name", [
-        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "a"),
-        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "b"),
-        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "alpha"),
-        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "beta"),
-        (DriftParams, (1.0, 1.0, 0.0, 0.0, 1.0), "gamma"),
-        (DiffusionParams, (1.0, 1.0, 1.0, 0.0), "sigma1"),
-        (DiffusionParams, (1.0, 1.0, 1.0, 0.0), "sigma2"),
-        (DiffusionParams, (1.0, 1.0, 1.0, 0.0), "sigma3"),
-        (DiffusionParams, (1.0, 1.0, 1.0, 0.0), "rho"),
-        (InitialLaw, ("stationary", 0.0, 0.0, 2.0), "y0"),
-        (InitialLaw, ("stationary", 0.0, 0.0, 2.0), "x0"),
-        (InitialLaw, ("stationary", 0.0, 0.0, 2.0), "burn_in"),
-    ])
-    def test_non_finite_field_rejected(self, cls, fields, name, value):
-        kw = dict(zip(cls.__dataclass_fields__, fields), **{name: value})
+    @pytest.mark.parametrize("name", ["y0", "x0", "burn_in"])
+    def test_non_finite_init_field_rejected(self, name, value):
+        kw = dict(kind="stationary", y0=0.0, x0=0.0, burn_in=2.0)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            cls(**kw)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma2"):
-            DiffusionParams(1.0, -0.5, 1.0, 0.0)
+            InitialLaw(**dict(kw, **{name: value}))
 
     def test_point_init_needs_nonneg_y0(self):
         with pytest.raises(ValueError, match="y0"):
@@ -92,6 +102,14 @@ class TestConstruction:
     def test_unknown_init_kind(self):
         with pytest.raises(ValueError, match="init kind"):
             InitialLaw(kind="gaussian")
+
+    @pytest.mark.parametrize("kind", ["point", "stationary-y"])
+    def test_burn_in_only_for_a_stationary_start(self, kind):
+        with pytest.raises(ValueError, match="burn_in applies only to a stationary start"):
+            InitialLaw(kind=kind, burn_in=1.0)
+        # a nonpositive burn_in is refused as such first, whatever the kind
+        with pytest.raises(ValueError, match="burn_in must be positive"):
+            InitialLaw(kind=kind, burn_in=-1.0)
 
     @pytest.mark.parametrize(
         "sigma2,sigma3,rho,expected",
@@ -105,7 +123,8 @@ class TestConstruction:
         ],
     )
     def test_second_block_flag(self, sigma2, sigma3, rho, expected):
-        assert DiffusionParams(1.0, sigma2, sigma3, rho).second_block_ok is expected
+        spec = make_spec(**dict(VALID, sigma2=sigma2, sigma3=sigma3, rho=rho))
+        assert spec.second_block_ok is expected
 
 
 class TestConditionalMeans:
@@ -143,11 +162,11 @@ class TestConditionalMeans:
 
     def test_short_horizon_drift_consistency(self, ref_spec):
         y, x, h = 0.7, -0.4, 1e-7
-        d = ref_spec.drift
-        rate_y = (conditional_mean_y(ref_spec, y, h) - y) / h
-        rate_x = (conditional_mean_x(ref_spec, y, x, h) - x) / h
-        assert_allclose(rate_y, d.a - d.b * y, rtol=1e-6)
-        assert_allclose(rate_x, d.alpha - d.beta * y - d.gamma * x, rtol=1e-6)
+        spec = ref_spec
+        rate_y = (conditional_mean_y(spec, y, h) - y) / h
+        rate_x = (conditional_mean_x(spec, y, x, h) - x) / h
+        assert_allclose(rate_y, spec.a - spec.b * y, rtol=1e-6)
+        assert_allclose(rate_x, spec.alpha - spec.beta * y - spec.gamma * x, rtol=1e-6)
 
     @given(
         b=st.sampled_from([-1.5, -0.3, 0.0, 0.4, 2.0]),

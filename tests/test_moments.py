@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import time
 
 import mpmath
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from affine2f import moments
 from affine2f.errors import HypothesisError
-from affine2f.model import InitialLaw, ModelSpec, conditional_mean_x, conditional_mean_y, make_spec
+from affine2f.model import InitialLaw, conditional_mean_x, conditional_mean_y, make_spec
 from affine2f.moments import (
     MomentTable,
     _extended_lattice,
@@ -40,18 +41,17 @@ REF_STATIONARY = {
 def _rule_matrix(spec, lattice):
     """Test-side transcription of the moment balance rule, term by term."""
     idx = {kl: i for i, kl in enumerate(lattice)}
-    d, q = spec.drift, spec.diffusion
     A = np.zeros((len(lattice), len(lattice)))
     for (k, l), r in idx.items():
-        A[r, r] -= k * d.b + l * d.gamma
+        A[r, r] -= k * spec.b + l * spec.gamma
         if k >= 1:
-            A[r, idx[(k - 1, l)]] += k * d.a + 0.5 * k * (k - 1) * q.sigma1**2
+            A[r, idx[(k - 1, l)]] += k * spec.a + 0.5 * k * (k - 1) * spec.sigma1**2
         if l >= 1:
-            A[r, idx[(k, l - 1)]] += l * (d.alpha + k * q.rho * q.sigma1 * q.sigma2)
-            A[r, idx[(k + 1, l - 1)]] -= l * d.beta
+            A[r, idx[(k, l - 1)]] += l * (spec.alpha + k * spec.rho * spec.sigma1 * spec.sigma2)
+            A[r, idx[(k + 1, l - 1)]] -= l * spec.beta
         if l >= 2:
-            A[r, idx[(k + 1, l - 2)]] += 0.5 * l * (l - 1) * q.sigma2**2
-            A[r, idx[(k, l - 2)]] += 0.5 * l * (l - 1) * q.sigma3**2
+            A[r, idx[(k + 1, l - 2)]] += 0.5 * l * (l - 1) * spec.sigma2**2
+            A[r, idx[(k, l - 2)]] += 0.5 * l * (l - 1) * spec.sigma3**2
     return A
 
 
@@ -93,8 +93,7 @@ class TestTransient:
         assert table.get(0, 0) == 1.0
 
     def test_first_moments_with_stationary_y_init(self, ref_spec):
-        spec = ModelSpec(ref_spec.drift, ref_spec.diffusion,
-                         InitialLaw("stationary-y", x0=-0.4))
+        spec = replace(ref_spec, init=InitialLaw("stationary-y", x0=-0.4))
         table = transient_moments(spec, 0.9, 1, 1)
         ey = spec.a / spec.b
         assert_allclose(table.get(1, 0), ey, rtol=1e-12)
@@ -113,7 +112,7 @@ class TestTransient:
                 assert_allclose(trans.get(k, l), stat.get(k, l), rtol=1e-6)
 
     def test_stationary_init_is_fixed_point(self, ref_spec):
-        spec = ModelSpec(ref_spec.drift, ref_spec.diffusion, InitialLaw("stationary"))
+        spec = replace(ref_spec, init=InitialLaw("stationary"))
         trans = transient_moments(spec, 2.5, 2, 2)
         stat = stationary_moments(ref_spec, 2, 2)
         for kl in trans.values:
@@ -147,7 +146,7 @@ class TestTransient:
         (InitialLaw("stationary"), 300, "initial table overflows"),
     ], ids=["point", "large-point", "stationary"])
     def test_overflowing_table_is_refused(self, ref_spec, init, k_max, needle):
-        spec = ModelSpec(ref_spec.drift, ref_spec.diffusion, init)
+        spec = replace(ref_spec, init=init)
         with pytest.raises(ValueError, match=needle):
             transient_moments(spec, 1.0, k_max, 0)
 
@@ -305,19 +304,18 @@ class TestStationary:
     )
     def test_recursion_residuals_vanish(self, spec_args):
         spec = make_spec(*spec_args)
-        d, q = spec.drift, spec.diffusion
         table = stationary_moments(spec, 4, 4)
         for (n, p), v in table.values.items():
             if (n, p) == (0, 0):
                 continue
             rhs = (
-                (n * d.a + 0.5 * n * (n - 1) * q.sigma1**2) * table.get(n - 1, p)
-                + p * (d.alpha + n * q.rho * q.sigma1 * q.sigma2) * table.get(n, p - 1)
-                - p * d.beta * (table.values.get((n + 1, p - 1), 0.0) or _ext(spec, n + 1, p - 1))
-                + 0.5 * p * (p - 1) * q.sigma2**2 * (table.values.get((n + 1, p - 2), 0.0) or _ext(spec, n + 1, p - 2))
-                + 0.5 * p * (p - 1) * q.sigma3**2 * table.get(n, p - 2)
+                (n * spec.a + 0.5 * n * (n - 1) * spec.sigma1**2) * table.get(n - 1, p)
+                + p * (spec.alpha + n * spec.rho * spec.sigma1 * spec.sigma2) * table.get(n, p - 1)
+                - p * spec.beta * (table.values.get((n + 1, p - 1), 0.0) or _ext(spec, n + 1, p - 1))
+                + 0.5 * p * (p - 1) * spec.sigma2**2 * (table.values.get((n + 1, p - 2), 0.0) or _ext(spec, n + 1, p - 2))
+                + 0.5 * p * (p - 1) * spec.sigma3**2 * table.get(n, p - 2)
             )
-            residual = (n * d.b + p * d.gamma) * v - rhs
+            residual = (n * spec.b + p * spec.gamma) * v - rhs
             assert abs(residual) < 1e-12 * max(1.0, abs(v))
 
     def test_pure_y_moments_are_nonnegative(self, ref_spec):
@@ -331,7 +329,7 @@ class TestStationary:
 
     def test_stationary_start_solves_on_the_transient_lattice(self, ref_spec):
         # the start of a stationary-init transient is the stationary table
-        spec = ModelSpec(ref_spec.drift, ref_spec.diffusion, InitialLaw("stationary"))
+        spec = replace(ref_spec, init=InitialLaw("stationary"))
         lattice = _extended_lattice(3, 2)
         wide = stationary_moments(ref_spec, 5, 2)
         np.testing.assert_array_equal(_initial_moments(spec, lattice),

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from affine2f import simulate
-from affine2f.model import InitialLaw, ModelSpec, make_spec
+from affine2f.model import InitialLaw, make_spec
 from affine2f.moments import (
     laplace_y,
     stationary_moments,
@@ -186,8 +187,8 @@ class TestEnsembleConsistency:
     @pytest.mark.parametrize("kind", ["stationary-y", "stationary"])
     def test_single_path_bit_identity_stationary_init(self, ref_spec, kind,
                                                       stepped_paths):
-        spec = ModelSpec(ref_spec.drift, ref_spec.diffusion,
-                         InitialLaw(kind, x0=0.3, burn_in=2.0))
+        burn_in = 2.0 if kind == "stationary" else None
+        spec = replace(ref_spec, init=InitialLaw(kind, x0=0.3, burn_in=burn_in))
         path = simulate_path(spec, 1.0, 0.05, rng=RngStream(99))
         assert_ensemble_replays(path, stepped_paths, spec, 1.0, 0.05,
                                 "exact_y_euler_x", RngStream(99))
@@ -211,8 +212,7 @@ class TestNoiseBlocks:
                              InitialLaw("point", 1.0, 0.0))
         elif case == "stationary":
             # the burn-in leg crosses blocks too
-            spec = ModelSpec(ref_spec.drift, ref_spec.diffusion,
-                             InitialLaw("stationary", burn_in=0.5))
+            spec = replace(ref_spec, init=InitialLaw("stationary", burn_in=0.5))
         path = simulate_path(spec, 1.0, 0.01, scheme, RngStream(31, 2))
         assert_ensemble_replays(path, stepped_paths, spec, 1.0, 0.01, scheme,
                                 RngStream(31, 2))
@@ -340,8 +340,9 @@ class TestSharedStreamStarts:
     @pytest.mark.parametrize("kind", ["stationary-y", "stationary"])
     def test_rows_equal_an_explicit_construction(self, monkeypatch, kind):
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)  # the leg crosses blocks
+        burn_in = 0.5 if kind == "stationary" else None
         spec = make_spec(*TestPerStreamStarts.SPEC_ARGS,
-                         InitialLaw(kind, x0=0.3, burn_in=0.5))
+                         InitialLaw(kind, x0=0.3, burn_in=burn_in))
         rng = RngStream(67)
         y0, x0 = simulate._start(spec, 0.01, rng, 5)
         shape, rate = stationary_y_gamma_params(spec)
