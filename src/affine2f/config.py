@@ -2,26 +2,22 @@
 
 [model] holds the nine constants and the initial law, [experiment] the
 horizon, grid, replication count, seed and scheme, [output] the target
-directory and formats. Unknown sections or keys, and numbers that are
-not finite, are fatal. Floats are
-written back at 17 significant digits, so parse -> serialize -> parse
-is the identity map.
+directory and formats. A section's keys are its record's fields (the
+law's prefixed init_), and a key left out takes the record's default.
+Unknown sections or keys, and numbers that are not finite, are fatal.
+Floats are written back at 17 significant digits, so parse -> serialize
+-> parse is the identity map.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError
 from .model import CONSTANTS, InitialLaw, ModelSpec, make_spec
 from .simulate import SCHEMES
-
-_MODEL_KEYS = CONSTANTS + ("init_kind", "init_y0", "init_x0",
-                           "init_burn_in")
-_EXPERIMENT_KEYS = ("T", "dt", "replications", "base_seed", "scheme")
-_OUTPUT_KEYS = ("directory", "formats")
 
 FORMATS = ("text", "csv")
 SEED_LIMIT = 2**64
@@ -33,13 +29,13 @@ class ExperimentConfig:
     dt: float
     replications: int
     base_seed: int
-    scheme: str
+    scheme: str = SCHEMES[0]
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str
-    formats: tuple
+    directory: str = "runs"
+    formats: tuple = ("text",)
 
 
 @dataclass(frozen=True)
@@ -47,6 +43,11 @@ class RunConfig:
     spec: ModelSpec
     experiment: ExperimentConfig
     output: OutputConfig
+
+
+def _keys(record, prefix: str = "") -> tuple:
+    """The config keys of record's fields, in field order."""
+    return tuple(prefix + f.name for f in fields(record))
 
 
 def _reader() -> configparser.ConfigParser:
@@ -82,28 +83,23 @@ def check_seed(value: int) -> int:
     return int(value)
 
 
-def _reject_unknown(section: str, present, allowed) -> None:
-    unknown = [k for k in present if k not in allowed]
+def _check_keys(section: str, sec, allowed, required=()) -> None:
+    unknown = [k for k in sec if k not in allowed]
     if unknown:
         raise ConfigError(
             f"[{section}] has unknown key(s): " + ", ".join(sorted(unknown))
         )
+    missing = [k for k in required if k not in sec]
+    if missing:
+        raise ConfigError(f"[{section}] is missing key(s): " + ", ".join(missing))
 
 
 def _build_spec(sec) -> ModelSpec:
-    _reject_unknown("model", sec, _MODEL_KEYS)
-    missing = [k for k in CONSTANTS if k not in sec]
-    if missing:
-        raise ConfigError("[model] is missing key(s): " + ", ".join(missing))
+    _check_keys("model", sec, CONSTANTS + _keys(InitialLaw, "init_"), CONSTANTS)
     vals = {k: _float_of("model", k, sec[k]) for k in CONSTANTS}
-    init_kw = {
-        "kind": sec.get("init_kind", "point"),
-        "y0": _float_of("model", "init_y0", sec.get("init_y0", "0")),
-        "x0": _float_of("model", "init_x0", sec.get("init_x0", "0")),
-    }
-    if "init_burn_in" in sec:
-        init_kw["burn_in"] = _float_of("model", "init_burn_in",
-                                       sec["init_burn_in"])
+    # only the keys present: the law fills in, or refuses, the others
+    init_kw = {f.name: sec[k] if f.name == "kind" else _float_of("model", k, sec[k])
+               for f in fields(InitialLaw) if (k := "init_" + f.name) in sec}
     try:
         return make_spec(init=InitialLaw(**init_kw), **vals)
     except ValueError as exc:
@@ -112,12 +108,8 @@ def _build_spec(sec) -> ModelSpec:
 
 
 def _build_experiment(sec) -> ExperimentConfig:
-    _reject_unknown("experiment", sec, _EXPERIMENT_KEYS)
-    missing = [k for k in ("T", "dt", "replications", "base_seed")
-               if k not in sec]
-    if missing:
-        raise ConfigError("[experiment] is missing key(s): "
-                          + ", ".join(missing))
+    _check_keys("experiment", sec, _keys(ExperimentConfig),
+                [f.name for f in fields(ExperimentConfig) if f.default is MISSING])
     T = _float_of("experiment", "T", sec["T"])
     dt = _float_of("experiment", "dt", sec["dt"])
     if not T > 0.0 or not dt > 0.0:
@@ -132,31 +124,34 @@ def _build_experiment(sec) -> ExperimentConfig:
         check_seed(seed)
     except ConfigError as exc:
         raise ConfigError(f"experiment.base_seed: {exc}") from None
-    scheme = sec.get("scheme", SCHEMES[0])
-    if scheme not in SCHEMES:
+    exp = ExperimentConfig(**dict(sec, T=T, dt=dt, replications=replications,
+                                  base_seed=seed))
+    if exp.scheme not in SCHEMES:
         raise ConfigError(
-            f"experiment.scheme: must be one of {SCHEMES}, got {scheme!r}"
+            f"experiment.scheme: must be one of {SCHEMES}, got {exp.scheme!r}"
         )
-    return ExperimentConfig(T, dt, replications, seed, scheme)
+    return exp
 
 
 def _build_output(sec) -> OutputConfig:
-    _reject_unknown("output", sec, _OUTPUT_KEYS)
-    directory = sec.get("directory", "runs")
-    if not directory:
+    _check_keys("output", sec, _keys(OutputConfig))
+    kw = dict(sec)
+    if "formats" in kw:
+        kw["formats"] = tuple(f.strip() for f in kw["formats"].split(",")
+                              if f.strip())
+    out = OutputConfig(**kw)
+    if not out.directory:
         raise ConfigError("output.directory: must not be empty")
-    raw = sec.get("formats", "text")
-    formats = tuple(f.strip() for f in raw.split(",") if f.strip())
-    if not formats:
+    if not out.formats:
         raise ConfigError("output.formats: at least one format is required")
-    for f in formats:
+    for f in out.formats:
         if f not in FORMATS:
             raise ConfigError(
                 f"output.formats: must be drawn from {FORMATS}, got {f!r}"
             )
-    if len(set(formats)) != len(formats):
+    if len(set(out.formats)) != len(out.formats):
         raise ConfigError("output.formats: duplicate entries")
-    return OutputConfig(directory, formats)
+    return out
 
 
 def parse_config(text: str) -> RunConfig:
@@ -189,31 +184,23 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-def _g17(v: float) -> str:
-    return "%.17g" % v
+def _text(v) -> str:
+    if isinstance(v, tuple):
+        return ",".join(v)
+    return str(v) if isinstance(v, (str, int)) else "%.17g" % v
+
+
+def _lines(record, prefix: str = "") -> list:
+    """key = value for each set field of record, in field order."""
+    return [f"{prefix}{f.name} = {_text(v)}" for f in fields(record)
+            if (v := getattr(record, f.name)) is not None]
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Write the config back out with every default made explicit."""
-    spec, exp, out = cfg.spec, cfg.experiment, cfg.output
-    lines = ["[model]"]
-    lines += [f"{k} = {_g17(getattr(spec, k))}" for k in CONSTANTS]
-    lines.append(f"init_kind = {spec.init.kind}")
-    lines.append(f"init_y0 = {_g17(spec.init.y0)}")
-    lines.append(f"init_x0 = {_g17(spec.init.x0)}")
-    if spec.init.burn_in is not None:
-        lines.append(f"init_burn_in = {_g17(spec.init.burn_in)}")
-    lines += [
-        "",
-        "[experiment]",
-        f"T = {_g17(exp.T)}",
-        f"dt = {_g17(exp.dt)}",
-        f"replications = {exp.replications}",
-        f"base_seed = {exp.base_seed}",
-        f"scheme = {exp.scheme}",
-        "",
-        "[output]",
-        f"directory = {out.directory}",
-        "formats = " + ",".join(out.formats),
-    ]
+    """Write the config back out: each record's set fields in field order,
+    defaults included; an init field left unset (None) is left out."""
+    spec = cfg.spec
+    lines = (["[model]"] + [f"{k} = {_text(getattr(spec, k))}" for k in CONSTANTS]
+             + _lines(spec.init, "init_") + ["", "[experiment]"]
+             + _lines(cfg.experiment) + ["", "[output]"] + _lines(cfg.output))
     return "\n".join(lines) + "\n"

@@ -54,7 +54,12 @@ class Regime(Enum):
     SUPERCRITICAL = "supercritical"
 
 
-INIT_KINDS = ("point", "stationary-y", "stationary")
+# the fields each kind of start reads, with the value of an unset one
+INIT_FIELDS = {
+    "point": {"y0": 0.0, "x0": 0.0},
+    "stationary-y": {"x0": 0.0},
+    "stationary": {"burn_in": None},
+}
 
 
 @dataclass(frozen=True)
@@ -65,29 +70,31 @@ class InitialLaw:
     kind "stationary-y": Y0 drawn from the stationary gamma law, X0 = x0.
     kind "stationary":   stationary-y start evolved for burn_in time units
                          so X also forgets its (arbitrary) starting point.
-                         Only this kind takes a burn_in.
+    Each kind takes only the fields it reads (INIT_FIELDS) and refuses the
+    others; an unset y0 or x0 that it takes is 0.
     """
 
     kind: str = "point"
-    y0: float = 0.0
-    x0: float = 0.0
+    y0: float | None = None
+    x0: float | None = None
     burn_in: float | None = None
 
     def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ValueError(f"init kind must be one of {INIT_KINDS}, got {self.kind!r}")
+        takes = INIT_FIELDS.get(self.kind)
+        if takes is None:
+            raise ValueError(f"init kind must be one of {tuple(INIT_FIELDS)}, got {self.kind!r}")
         _require_finite(self, ("y0", "x0", "burn_in"))
+        if self.burn_in is not None and not self.burn_in > 0.0:
+            raise ValueError(f"burn_in must be positive when given, got {self.burn_in}")
+        for name in ("y0", "x0", "burn_in"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, takes.get(name))
+            elif name not in takes:
+                kinds = " or ".join(k for k, f in INIT_FIELDS.items() if name in f)
+                raise ValueError(f"{name} applies only to a {kinds} start, "
+                                 f"got kind {self.kind!r}")
         if self.kind == "point" and not self.y0 >= 0.0:
             raise ValueError(f"point-mass initialization needs y0 >= 0, got {self.y0}")
-        if self.burn_in is not None:
-            if not self.burn_in > 0.0:
-                raise ValueError(
-                    f"burn_in must be positive when given, got {self.burn_in}"
-                )
-            if self.kind != "stationary":
-                raise ValueError(
-                    f"burn_in applies only to a stationary start, got kind {self.kind!r}"
-                )
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,11 @@ def _initial_moments(spec: ModelSpec, lattice: list[tuple[int, int]]) -> np.ndar
     init = spec.init
     # numpy scalars overflow to inf, which the table refuses, where a
     # float power would raise
-    y0, x0 = np.float64(init.y0), np.float64(init.x0)
     if init.kind == "point":
+        y0, x0 = np.float64(init.y0), np.float64(init.x0)
         return np.array([y0**k * x0**l for k, l in lattice])
     if init.kind == "stationary-y":
+        x0 = np.float64(init.x0)
         shape, rate = stationary_y_gamma_params(spec)
         return np.array(
             [_gamma_raw_moment(shape, rate, k) * x0**l for k, l in lattice]

@@ -89,6 +89,10 @@ class PathGrid:
             raise ValueError("y and x must be equal-length 1-d arrays of size >= 2")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        for name, v in (("y", self.y), ("x", self.x)):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise ValueError(f"{name}[{bad[0]}] = {v[bad[0]]} is not finite")
         if np.any(self.y < 0.0):
             raise ValueError("negative Y value in path")
 

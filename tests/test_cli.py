@@ -53,7 +53,9 @@ def write_config(tmp_path, name="run.ini", **kw):
     vals = dict(DEFAULTS, directory=str(tmp_path / "out"))
     vals.update(kw)
     p = tmp_path / name
-    p.write_text(CONFIG.format(**vals))
+    # a key set to None is left out
+    p.write_text("".join(line for line in CONFIG.format(**vals).splitlines(True)
+                         if not line.endswith(" = None\n")))
     return str(p)
 
 
@@ -88,7 +90,8 @@ HYPOTHESIS_CASES = {
                                  dict(b=0.0, beta=0.0, gamma=0.0, dt=0.5),
                                  "critical limit dt=0.5"),
     "simulate": (["simulate"],
-                 dict(b=-0.5, gamma=-1.0, beta=0.0, init_kind="stationary-y"),
+                 dict(b=-0.5, gamma=-1.0, beta=0.0, init_kind="stationary-y",
+                      y0=None),
                  "stationary Y law requires a subcritical spec"),
 }
 
@@ -127,6 +130,21 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, key):
     cfg = write_config(tmp_path, **{key: raw})
     assert main(["simulate", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {name}: ")
+    assert not (tmp_path / "out").exists()
+
+
+# a start refuses a key that its kind does not read, and names it
+@pytest.mark.parametrize("kind,unset,key", [
+    ("stationary", "x0", "y0"),
+    ("stationary", "y0", "x0"),
+    ("stationary-y", "x0", "y0"),
+])
+def test_init_key_the_start_ignores_is_config_error(tmp_path, capsys,
+                                                    kind, unset, key):
+    cfg = write_config(tmp_path, init_kind=kind, **{unset: None})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: model: {key} applies only to a ")
     assert not (tmp_path / "out").exists()
 
 

@@ -82,6 +82,54 @@ class TestParsing:
         cfg = parse_config(BASE)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_point_config_text_is_canonical(self):
+        assert serialize_config(parse_config(BASE)) == """\
+[model]
+a = 1.2
+b = 1
+alpha = 0.5
+beta = -0.29999999999999999
+gamma = 0.80000000000000004
+sigma1 = 0.59999999999999998
+sigma2 = 0.40000000000000002
+sigma3 = 0.25
+rho = -0.34999999999999998
+init_kind = point
+init_y0 = 0.69999999999999996
+init_x0 = -0.40000000000000002
+
+[experiment]
+T = 10
+dt = 0.01
+replications = 3
+base_seed = 11
+scheme = full_euler
+
+[output]
+directory = out
+formats = text,csv
+"""
+
+    @pytest.mark.parametrize("kind,init", [
+        ("point", "init_y0 = 0.7\ninit_x0 = -0.4\n"),
+        ("point", ""),
+        ("stationary-y", "init_x0 = -0.4\n"),
+        ("stationary", "init_burn_in = 2.5\n"),
+        ("stationary", ""),
+    ])
+    def test_text_carries_the_init_keys_of_the_kind(self, kind, init):
+        text = _with("init_kind = point\ninit_y0 = 0.7\ninit_x0 = -0.4\n",
+                     f"init_kind = {kind}\n{init}")
+        cfg = parse_config(text)
+        out = serialize_config(cfg)
+        assert parse_config(out) == cfg
+        written = [line.split(" = ")[0] for line in out.splitlines()
+                   if line.startswith("init_")]
+        # an unset y0 or x0 of a point start is written as its 0
+        takes = {"point": ["init_y0", "init_x0"], "stationary-y": ["init_x0"],
+                 "stationary": [line.split(" = ")[0] for line in init.splitlines()]}
+        assert written == ["init_kind"] + takes[kind]
+
     def test_round_trip_materializes_defaults(self):
         minimal = BASE.split("[output]")[0]
         cfg = parse_config(minimal)
@@ -107,8 +155,8 @@ class TestParsing:
 
     def test_burn_in_survives_round_trip(self):
         text = _with("init_kind = point", "init_kind = stationary")
-        text = text.replace("init_y0 = 0.7\n",
-                            "init_y0 = 0.7\ninit_burn_in = 2.5\n")
+        text = text.replace("init_y0 = 0.7\ninit_x0 = -0.4\n",
+                            "init_burn_in = 2.5\n")
         cfg = parse_config(text)
         assert cfg.spec.init.burn_in == 2.5
         assert parse_config(serialize_config(cfg)) == cfg
@@ -142,6 +190,20 @@ class TestRejection:
         (_with("init_y0 = 0.7",
                "init_y0 = 0.7\ninit_burn_in = 1"),
          "model: burn_in applies only to a stationary start, got kind 'point'"),
+        (_with("init_kind = point\ninit_y0 = 0.7",
+               "init_kind = stationary-y\ninit_burn_in = 1"),
+         "model: burn_in applies only to a stationary start, "
+         "got kind 'stationary-y'"),
+        # nor does a stationary start read y0 or x0, or stationary-y y0
+        (_with("init_kind = point\ninit_y0 = 0.7\ninit_x0 = -0.4",
+               "init_kind = stationary\ninit_y0 = 0.7"),
+         "model: y0 applies only to a point start, got kind 'stationary'"),
+        (_with("init_kind = point\ninit_y0 = 0.7\ninit_x0 = -0.4",
+               "init_kind = stationary\ninit_x0 = -0.4"),
+         "model: x0 applies only to a point or stationary-y start, "
+         "got kind 'stationary'"),
+        (_with("init_kind = point", "init_kind = stationary-y"),
+         "model: y0 applies only to a point start, got kind 'stationary-y'"),
         ("a = 1\n" + BASE, "malformed"),
         (_with("[model]", "[DEFAULT]\nx = 1\n\n[model]"), "DEFAULT"),
         (_with("b = 1.0", "b = 1.0\nb = 2.0"), "malformed"),

@@ -170,8 +170,8 @@ class TestRunExperiment:
                              init=_point(1.0, 0.2))
         elif case != "point":
             # the stationary start's burn-in leg crosses blocks too
-            burn_in = 0.3 if case == "stationary" else None
-            spec = replace(sub_spec, init=InitialLaw(case, x0=0.2, burn_in=burn_in))
+            fields = dict(burn_in=0.3) if case == "stationary" else dict(x0=0.2)
+            spec = replace(sub_spec, init=InitialLaw(case, **fields))
         got = functionals_per_stream(spec, 0.5, 0.01, scheme,
                                      [RngStream(91, r) for r in range(9)])
         for r in range(9):

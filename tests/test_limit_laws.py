@@ -275,44 +275,85 @@ def _grid_exact_means(a, alpha, sigma1, dt):
     }
 
 
+def _second_moments(a, alpha, sigma1, sigma2, rho):
+    """The dt -> 0 second moments of the critical auxiliary pair on [0, 1].
+
+    From (0, 0) with b = beta = gamma = 0 every moment is a polynomial in
+    t: Var int Y = a sigma1^2/12, E int Y^2 = (a^2 + a sigma1^2/2)/3,
+    E int XY = (a alpha + rho sigma1 sigma2 a/2)/3 and E int X dY = a alpha/2.
+    "var_int_y" is the mean of the squared deviations of int Y.
+    """
+    return {
+        "var_int_y": a * sigma1**2 / 12.0,
+        "int_y2": (a**2 + a * sigma1**2 / 2.0) / 3.0,
+        "int_xy": (a * alpha + rho * sigma1 * sigma2 * a / 2.0) / 3.0,
+        "s_x_dy": a * alpha / 2.0,
+    }
+
+
+def _first_pass(rows, a, alpha, sigma1, sigma2, rho, dt, rng):
+    """The functionals that critical_limit_batch folds from its shared
+    exact-Y run, before any solve or redraw."""
+    seen = []
+    reduce = limit_laws.functionals_from_blocks
+
+    def recorded(blocks, dt):
+        seen.append(reduce(blocks, dt))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limit_laws, "functionals_from_blocks", recorded)
+        critical_limit_batch(rows, a, alpha, sigma1, sigma2, rho, dt, rng)
+    (fn,) = seen
+    return fn
+
+
 class TestCriticalReferenceLaw:
-    """The critical reference's first pass against its own grid-exact law."""
+    """The critical reference's first pass against its own law: grid-exact
+    means at dt = 0.01, and second moments at dt = 1e-3, where the dt -> 0
+    values are within Monte Carlo error."""
 
     # criterion 07's constants
     A, ALPHA, SIGMA1, SIGMA2, RHO, DT, ROWS = 1.0, 0.5, 0.5, 0.3, 0.3, 0.01, 20000
+    FINE_DT, FINE_ROWS = 1e-3, 10000
 
     @pytest.fixture(scope="class")
     def first_pass(self):
-        # the functionals that critical_limit_batch folds from its shared
-        # exact-Y run, before any solve or redraw
-        seen = []
-        reduce = limit_laws.functionals_from_blocks
+        return _first_pass(self.ROWS, self.A, self.ALPHA, self.SIGMA1,
+                           self.SIGMA2, self.RHO, self.DT, RngStream(1))
 
-        def recorded(blocks, dt):
-            seen.append(reduce(blocks, dt))
-            return seen[-1]
+    @pytest.fixture(scope="class")
+    def fine_pass(self):
+        fn = _first_pass(self.FINE_ROWS, self.A, self.ALPHA, self.SIGMA1,
+                         self.SIGMA2, self.RHO, self.FINE_DT, RngStream(1))
+        return dict(vars(fn), var_int_y=(fn.int_y - fn.int_y.mean())**2)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limit_laws, "functionals_from_blocks", recorded)
-            critical_limit_batch(self.ROWS, self.A, self.ALPHA, self.SIGMA1,
-                                 self.SIGMA2, self.RHO, self.DT, RngStream(1))
-        (fn,) = seen
-        return fn
-
-    def _z(self, fn, means):
-        return {name: (np.mean(getattr(fn, name)) - want)
-                / (np.std(getattr(fn, name), ddof=1) / math.sqrt(self.ROWS))
+    def _z(self, samples, means):
+        return {name: (np.mean(samples[name]) - want)
+                / (np.std(samples[name], ddof=1) / math.sqrt(samples[name].size))
                 for name, want in means.items()}
 
     def test_means_are_grid_exact(self, first_pass):
-        z = self._z(first_pass, _grid_exact_means(self.A, self.ALPHA,
-                                                  self.SIGMA1, self.DT))
+        z = self._z(vars(first_pass), _grid_exact_means(self.A, self.ALPHA,
+                                                        self.SIGMA1, self.DT))
         assert all(abs(v) < 4.0 for v in z.values()), z
 
     def test_wrong_level_fails(self, first_pass):
         # negative control: the oracle of a model with a 10 % larger a
-        z = self._z(first_pass, _grid_exact_means(1.1 * self.A, self.ALPHA,
-                                                  self.SIGMA1, self.DT))
+        z = self._z(vars(first_pass), _grid_exact_means(1.1 * self.A, self.ALPHA,
+                                                        self.SIGMA1, self.DT))
+        assert max(abs(v) for v in z.values()) >= 4.0, z
+
+    def test_second_moments_converge(self, fine_pass):
+        z = self._z(fine_pass, _second_moments(self.A, self.ALPHA, self.SIGMA1,
+                                               self.SIGMA2, self.RHO))
+        assert all(abs(v) < 4.0 for v in z.values()), z
+
+    def test_wrong_volatility_fails(self, fine_pass):
+        # negative control: the oracle of a model with a 10 % larger sigma1
+        z = self._z(fine_pass, _second_moments(self.A, self.ALPHA,
+                                               1.1 * self.SIGMA1, self.SIGMA2,
+                                               self.RHO))
         assert max(abs(v) for v in z.values()) >= 4.0, z
 
 

@@ -111,6 +111,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="burn_in must be positive"):
             InitialLaw(kind=kind, burn_in=-1.0)
 
+    @pytest.mark.parametrize("kind,name,takers", [
+        ("stationary-y", "y0", "point"),
+        ("stationary", "y0", "point"),
+        ("stationary", "x0", "point or stationary-y"),
+    ])
+    def test_field_the_kind_does_not_read_rejected(self, kind, name, takers):
+        # refused even at the value it would default to
+        with pytest.raises(ValueError, match=f"^{name} applies only to a "
+                           f"{takers} start, got kind '{kind}'$"):
+            InitialLaw(kind=kind, **{name: 0.0})
+
+    def test_unset_fields_the_kind_reads_are_zero(self):
+        assert InitialLaw() == InitialLaw("point", 0.0, 0.0)
+        assert InitialLaw("stationary-y") == InitialLaw("stationary-y", x0=0.0)
+        law = InitialLaw("stationary")
+        assert (law.y0, law.x0, law.burn_in) == (None, None, None)
+
     @pytest.mark.parametrize(
         "sigma2,sigma3,rho,expected",
         [

@@ -449,7 +449,8 @@ class TestMeanGrowth:
     ], ids=["critical", "supercritical"])
     def test_stationary_start_needs_subcritical_spec(self, args, kind):
         # no stationary law, so no stationary mean to start from
-        spec = make_spec(*args, init=InitialLaw(kind, x0=0.5))
+        x0 = dict(x0=0.5) if kind == "stationary-y" else {}
+        spec = make_spec(*args, init=InitialLaw(kind, **x0))
         with pytest.raises(HypothesisError, match="subcritical"):
             mean_growth_check(spec)
 

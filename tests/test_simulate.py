@@ -47,6 +47,16 @@ class TestPathGrid:
         with pytest.raises(ValueError, match="negative Y"):
             PathGrid(0.0, 0.5, np.array([1.0, -2.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("name,value", [("y", math.nan), ("y", -math.inf),
+                                            ("x", math.inf), ("x", math.nan)])
+    def test_rejects_non_finite_value(self, name, value):
+        # named with its first bad index, before any estimator sees it
+        arrays = {"y": np.array([1.0, 2.0, 0.5, 1.0]),
+                  "x": np.array([0.0, -1.0, 3.0, 0.0])}
+        arrays[name][2:] = value
+        with pytest.raises(ValueError, match=rf"^{name}\[2\] = {value} is not finite$"):
+            PathGrid(0.0, 0.5, arrays["y"], arrays["x"])
+
     def test_rejects_single_point(self):
         with pytest.raises(ValueError, match="size >= 2"):
             PathGrid(0.0, 0.5, np.array([1.0]), np.array([0.0]))
@@ -187,8 +197,8 @@ class TestEnsembleConsistency:
     @pytest.mark.parametrize("kind", ["stationary-y", "stationary"])
     def test_single_path_bit_identity_stationary_init(self, ref_spec, kind,
                                                       stepped_paths):
-        burn_in = 2.0 if kind == "stationary" else None
-        spec = replace(ref_spec, init=InitialLaw(kind, x0=0.3, burn_in=burn_in))
+        fields = dict(burn_in=2.0) if kind == "stationary" else dict(x0=0.3)
+        spec = replace(ref_spec, init=InitialLaw(kind, **fields))
         path = simulate_path(spec, 1.0, 0.05, rng=RngStream(99))
         assert_ensemble_replays(path, stepped_paths, spec, 1.0, 0.05,
                                 "exact_y_euler_x", RngStream(99))
@@ -340,9 +350,8 @@ class TestSharedStreamStarts:
     @pytest.mark.parametrize("kind", ["stationary-y", "stationary"])
     def test_rows_equal_an_explicit_construction(self, monkeypatch, kind):
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)  # the leg crosses blocks
-        burn_in = 0.5 if kind == "stationary" else None
-        spec = make_spec(*TestPerStreamStarts.SPEC_ARGS,
-                         InitialLaw(kind, x0=0.3, burn_in=burn_in))
+        fields = dict(burn_in=0.5) if kind == "stationary" else dict(x0=0.3)
+        spec = make_spec(*TestPerStreamStarts.SPEC_ARGS, InitialLaw(kind, **fields))
         rng = RngStream(67)
         y0, x0 = simulate._start(spec, 0.01, rng, 5)
         shape, rate = stationary_y_gamma_params(spec)
