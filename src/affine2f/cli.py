@@ -4,8 +4,9 @@ Subcommands wire config files and stored paths to the library:
 simulate, estimate, moments, diffstats, mc-verify and limit-sample.
 Every command is a pure function of (config, seed, flags); reruns
 reproduce each output file byte for byte. Exit codes: 0 success,
-2 config problem, 3 violated model hypotheses (the library raised
-HypothesisError), 4 numerical failure.
+2 config problem (an output path that cannot be written included),
+3 violated model hypotheses (the library raised HypothesisError),
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import (
-    RunConfig,
-    check_seed,
-    load_config,
-    serialize_config,
-)
+from .config import RunConfig, as_config_error, load_config, serialize_config
 from .diffusion_stats import estimate_diffusion
 from .errors import Affine2FError, ConfigError, HypothesisError
 from .estimators import (
@@ -49,11 +45,14 @@ EXIT_NUMERICAL = 4
 
 def _effective_config(args) -> RunConfig:
     cfg = load_config(args.config)
+    # an override passes the same record checks as the file's keys
     if getattr(args, "seed", None) is not None:  # moments takes no seed
-        cfg = replace(cfg, experiment=replace(cfg.experiment,
-                                              base_seed=check_seed(args.seed)))
+        with as_config_error("--seed"):
+            cfg = replace(cfg, experiment=replace(cfg.experiment,
+                                                  base_seed=args.seed))
     if args.out is not None:
-        cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
+        with as_config_error("--out"):
+            cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
     return cfg
 
 
@@ -189,9 +188,7 @@ def cmd_mc_verify(args) -> int:
         # the scorecard's summary statistics need two replications
         raise ConfigError("experiment.replications: mc-verify needs at "
                           f"least 2, got {exp.replications}")
-    plan = ExperimentPlan(spec=spec, T=exp.T, dt=exp.dt,
-                          replications=exp.replications,
-                          base_seed=exp.base_seed, scheme=exp.scheme)
+    plan = ExperimentPlan(spec=spec, **vars(exp))
     if args.reference_draws < 1:
         raise ConfigError("--reference-draws must be at least 1")
     report = run_experiment(plan, n_reference=args.reference_draws)
@@ -275,7 +272,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # an OSError is an output path that cannot be written; it names it
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisError as exc:

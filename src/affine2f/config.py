@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError
@@ -25,17 +26,48 @@ SEED_LIMIT = 2**64
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's horizon, grid, replications, seed and scheme, each checked
+    here: 0 < dt <= T, replications >= 1, base_seed in [0, 2**64) and
+    scheme in SCHEMES."""
+
     T: float
     dt: float
     replications: int
     base_seed: int
     scheme: str = SCHEMES[0]
 
+    def __post_init__(self):
+        if not self.T > 0.0 or not self.dt > 0.0:
+            raise ValueError("T and dt must be positive")
+        if self.dt > self.T:
+            raise ValueError("dt must not exceed T")
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
+        if not 0 <= self.base_seed < SEED_LIMIT:
+            raise ValueError("base_seed must be an unsigned 64-bit integer, "
+                             f"got {self.base_seed}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
+    """Where a run writes and in which formats; checks that directory is
+    not empty and that formats holds one or more of FORMATS, none twice."""
+
     directory: str = "runs"
     formats: tuple = ("text",)
+
+    def __post_init__(self):
+        if not self.directory:
+            raise ValueError("directory must not be empty")
+        if not self.formats:
+            raise ValueError("formats must name at least one format")
+        for f in self.formats:
+            if f not in FORMATS:
+                raise ValueError(f"formats must be drawn from {FORMATS}, got {f!r}")
+        if len(set(self.formats)) != len(self.formats):
+            raise ValueError("formats has duplicate entries")
 
 
 @dataclass(frozen=True)
@@ -77,12 +109,6 @@ def _int_of(section: str, key: str, raw: str) -> int:
         ) from None
 
 
-def check_seed(value: int) -> int:
-    if not 0 <= value < SEED_LIMIT:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {value}")
-    return int(value)
-
-
 def _check_keys(section: str, sec, allowed, required=()) -> None:
     unknown = [k for k in sec if k not in allowed]
     if unknown:
@@ -94,43 +120,35 @@ def _check_keys(section: str, sec, allowed, required=()) -> None:
         raise ConfigError(f"[{section}] is missing key(s): " + ", ".join(missing))
 
 
+@contextmanager
+def as_config_error(where: str):
+    """Re-raise a record's own ValueError as a ConfigError that names
+    where its value came from (a section or a command-line flag)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _build_spec(sec) -> ModelSpec:
     _check_keys("model", sec, CONSTANTS + _keys(InitialLaw, "init_"), CONSTANTS)
     vals = {k: _float_of("model", k, sec[k]) for k in CONSTANTS}
     # only the keys present: the law fills in, or refuses, the others
     init_kw = {f.name: sec[k] if f.name == "kind" else _float_of("model", k, sec[k])
                for f in fields(InitialLaw) if (k := "init_" + f.name) in sec}
-    try:
+    with as_config_error("model"):
         return make_spec(init=InitialLaw(**init_kw), **vals)
-    except ValueError as exc:
-        # constructor messages already name the offending field
-        raise ConfigError(f"model: {exc}") from exc
 
 
 def _build_experiment(sec) -> ExperimentConfig:
     _check_keys("experiment", sec, _keys(ExperimentConfig),
                 [f.name for f in fields(ExperimentConfig) if f.default is MISSING])
-    T = _float_of("experiment", "T", sec["T"])
-    dt = _float_of("experiment", "dt", sec["dt"])
-    if not T > 0.0 or not dt > 0.0:
-        raise ConfigError("experiment: T and dt must be positive")
-    if dt > T:
-        raise ConfigError("experiment: dt must not exceed T")
-    replications = _int_of("experiment", "replications", sec["replications"])
-    if replications < 1:
-        raise ConfigError("experiment.replications: must be at least 1")
-    seed = _int_of("experiment", "base_seed", sec["base_seed"])
-    try:
-        check_seed(seed)
-    except ConfigError as exc:
-        raise ConfigError(f"experiment.base_seed: {exc}") from None
-    exp = ExperimentConfig(**dict(sec, T=T, dt=dt, replications=replications,
-                                  base_seed=seed))
-    if exp.scheme not in SCHEMES:
-        raise ConfigError(
-            f"experiment.scheme: must be one of {SCHEMES}, got {exp.scheme!r}"
-        )
-    return exp
+    kw = dict(sec)
+    for key, number_of in (("T", _float_of), ("dt", _float_of),
+                           ("replications", _int_of), ("base_seed", _int_of)):
+        kw[key] = number_of("experiment", key, sec[key])
+    with as_config_error("experiment"):
+        return ExperimentConfig(**kw)
 
 
 def _build_output(sec) -> OutputConfig:
@@ -139,19 +157,8 @@ def _build_output(sec) -> OutputConfig:
     if "formats" in kw:
         kw["formats"] = tuple(f.strip() for f in kw["formats"].split(",")
                               if f.strip())
-    out = OutputConfig(**kw)
-    if not out.directory:
-        raise ConfigError("output.directory: must not be empty")
-    if not out.formats:
-        raise ConfigError("output.formats: at least one format is required")
-    for f in out.formats:
-        if f not in FORMATS:
-            raise ConfigError(
-                f"output.formats: must be drawn from {FORMATS}, got {f!r}"
-            )
-    if len(set(out.formats)) != len(out.formats):
-        raise ConfigError("output.formats: duplicate entries")
-    return out
+    with as_config_error("output"):
+        return OutputConfig(**kw)
 
 
 def parse_config(text: str) -> RunConfig:

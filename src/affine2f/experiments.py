@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import ExcessiveExclusions, HypothesisError
 from .estimators import functionals_per_stream, solve_continuous
 from .limit_laws import limit_draws, require_critical_dt, subcritical_limit
 from .model import ModelSpec, Regime, classify_regime, require
 from .rng import RngStream
-from .simulate import SCHEMES
 # the scalar reference each row of functionals_per_stream equals; unused
 # here, but bench/tests checks that the tracer rewraps this binding
 from .simulate import simulate_path  # noqa: F401
@@ -45,26 +45,20 @@ def scale_vector(regime: Regime, T: float, b: float, gamma: float) -> np.ndarray
     ])
 
 
-@dataclass(frozen=True)
-class ExperimentPlan:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentPlan(ExperimentConfig):
+    """An ExperimentConfig with its model, built by keyword. Checks that
+    replications >= 2 first, then the config's own checks, then that spec
+    meets the hypotheses of its regime's limit theorem (model.require)."""
+
     spec: ModelSpec
-    T: float
-    dt: float
-    replications: int
-    base_seed: int
-    scheme: str = "exact_y_euler_x"
     regime: Regime = field(init=False)
 
     def __post_init__(self):
-        if not self.T > 0.0 or not self.dt > 0.0:
-            raise ValueError("T and dt must be positive")
-        if self.dt > self.T:
-            raise ValueError("dt must not exceed T")
         if self.replications < 2:
             raise ValueError("replications must be at least 2: the summary "
                              "statistics need two of them")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        super().__post_init__()
         regime = classify_regime(self.spec)
         require(self.spec, regime)
         object.__setattr__(self, "regime", regime)

@@ -46,12 +46,12 @@ formed once per block, as in simulate_path:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import psi
-from .model import InitialLaw, ModelSpec
+from .model import ModelSpec
 from .moments import stationary_moments, stationary_y_gamma_params
 from .rng import RngStream
 
@@ -531,25 +531,3 @@ def _start(spec: ModelSpec, dt: float, rng, rows: int = 1):
                       leg, y0, np.full(rows, x_eq)):
         pass
     return y[-1].copy(), x[-1].copy()
-
-
-def stationary_init(
-    spec: ModelSpec,
-    burn_in: float | None,
-    dt: float,
-    rng: RngStream,
-) -> tuple[float, float]:
-    """Draw (y0, x0) close to the stationary joint law.
-
-    y0 comes exactly from the stationary gamma law of Y. X has no closed
-    stationary form, so x0 is produced operationally: start X at its
-    stationary mean E(X_inf) from stationary_moments, run the pair for
-    burn_in time units on rng.spawn(0) through the vector stepper, and
-    return the evolved pair. Y's marginal is preserved exactly by the
-    evolution; X forgets its starting point at rate gamma. This is the
-    one-row _start of spec with a "stationary" InitialLaw, which checks
-    burn_in.
-    """
-    init = InitialLaw("stationary", burn_in=burn_in)
-    (y0,), (x0,) = _start(replace(spec, init=init), dt, [rng])
-    return float(y0), float(x0)

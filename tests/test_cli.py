@@ -148,6 +148,44 @@ def test_init_key_the_start_ignores_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+# an override passes the same record checks as the file's keys, and the
+# message names the flag
+@pytest.mark.parametrize("argv,flag,value,field", [
+    *((argv, "--out", "", "directory") for argv in (
+        ["simulate"], ["moments", "0.5"], ["mc-verify"], ["limit-sample"])),
+    (["simulate"], "--seed", "-1", "base_seed"),
+    (["limit-sample"], "--seed", str(2**64), "base_seed"),
+    (["mc-verify"], "--seed", str(2**64), "base_seed"),
+], ids=["simulate-out", "moments-out", "mc-verify-out", "limit-sample-out",
+        "simulate-seed-negative", "limit-sample-seed-2^64",
+        "mc-verify-seed-2^64"])
+def test_bad_override_is_config_error(tmp_path, capsys, argv, flag, value,
+                                      field):
+    cfg = write_config(tmp_path)
+    assert main(argv + ["--config", cfg, flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag}: {field} ")
+    assert not (tmp_path / "out").exists()
+
+
+# an output path that cannot be written is a config error that names it,
+# not a traceback
+@pytest.mark.parametrize("argv,where", [
+    (["estimate", "{out}/path_000.txt", "--out", ""], ""),
+    (["simulate", "--config", "{cfg}", "--out", "{cfg}"], "{cfg}"),
+    (["limit-sample", "--config", "{cfg}", "--out", "{cfg}/x"], "{cfg}/x"),
+], ids=["estimate-empty", "simulate-file", "limit-sample-below-file"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, argv, where):
+    cfg = write_config(tmp_path, replications=1)
+    assert main(["simulate", "--config", cfg]) == 0
+    capsys.readouterr()
+    names = dict(cfg=cfg, out=tmp_path / "out")
+    assert main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert repr(where.format(**names)) in err
+    assert "Traceback" not in err
+
+
 class TestSimulate:
     def test_writes_paths_and_sidecars(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,5 +1,7 @@
 """Config parsing and file persistence: strictness and lossless round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,7 +11,6 @@ from affine2f.config import (
     ExperimentConfig,
     OutputConfig,
     RunConfig,
-    check_seed,
     load_config,
     parse_config,
     serialize_config,
@@ -222,11 +223,11 @@ class TestRejection:
             parse_config(text)
 
     def test_seed_bounds(self):
-        assert check_seed(0) == 0
-        assert check_seed(2**64 - 1) == 2**64 - 1
+        assert ExperimentConfig(1.0, 0.1, 1, 0).base_seed == 0
+        assert ExperimentConfig(1.0, 0.1, 1, 2**64 - 1).base_seed == 2**64 - 1
         for bad in (-1, 2**64):
-            with pytest.raises(ConfigError):
-                check_seed(bad)
+            with pytest.raises(ValueError):
+                ExperimentConfig(1.0, 0.1, 1, bad)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -237,6 +238,43 @@ def _sample_path() -> PathGrid:
     y = np.array([2.0, 1.0 / 3.0, 0.1, 5.4321e-15, 123456.789012345])
     x = np.array([-1.5, 0.0, 7.25e-9, -3.0 / 7.0, 2.0**-40])
     return PathGrid(0.0, 0.01, y, x, seed_record="RngStream(seed=1, stream=0)")
+
+
+class TestRecordChecks:
+    """A record checks its own fields, however it is built."""
+
+    GOOD = dict(T=10.0, dt=0.01, replications=3, base_seed=11)
+
+    @pytest.mark.parametrize("bad,field", [
+        (dict(T=0.0), "T"),
+        (dict(T=-1.0), "T"),
+        (dict(dt=0.0), "dt"),
+        (dict(dt=20.0), "dt"),
+        (dict(replications=0), "replications"),
+        (dict(base_seed=-1), "base_seed"),
+        (dict(base_seed=2**64), "base_seed"),
+        (dict(scheme="milstein"), "scheme"),
+    ])
+    def test_experiment_refuses(self, bad, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**dict(self.GOOD, **bad))
+
+    @pytest.mark.parametrize("bad,field", [
+        (dict(directory=""), "directory"),
+        (dict(formats=()), "formats"),
+        (dict(formats=("yaml",)), "formats"),
+        (dict(formats=("text", "csv", "text")), "formats"),
+    ])
+    def test_output_refuses(self, bad, field):
+        with pytest.raises(ValueError, match=field):
+            OutputConfig(**bad)
+
+    def test_replace_is_checked(self):
+        cfg = parse_config(BASE)
+        with pytest.raises(ValueError, match="base_seed"):
+            replace(cfg.experiment, base_seed=2**64)
+        with pytest.raises(ValueError, match="directory"):
+            replace(cfg.output, directory="")
 
 
 class TestPathFiles:

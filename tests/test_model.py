@@ -273,11 +273,13 @@ class TestRefusalText:
     """Each regime's full refusal text, through public entry points."""
 
     @pytest.mark.parametrize("call,text", [
-        (lambda: ExperimentPlan(NOISELESS, 1.0, 0.01, 2, 1),
+        (lambda: ExperimentPlan(spec=NOISELESS, T=1.0, dt=0.01,
+                                replications=2, base_seed=1),
          "sigma1 > 0 required; (1-rho^2)*sigma2^2 + sigma3^2 > 0 violated; "
          "a > 0 required"),
-        (lambda: ExperimentPlan(make_spec(1.0, 0.0, 0.5, 0.2, 0.0, 0.5, 0.0,
-                                          0.0, 0.3), 1.0, 0.01, 2, 1),
+        (lambda: ExperimentPlan(spec=make_spec(1.0, 0.0, 0.5, 0.2, 0.0, 0.5,
+                                               0.0, 0.0, 0.3),
+                                T=1.0, dt=0.01, replications=2, base_seed=1),
          "beta = 0 required; (1-rho^2)*sigma2^2 + sigma3^2 > 0 violated"),
         (lambda: supercritical_limit_sample(NOISELESS, None, 0.1, RngStream(1)),
          "gamma < b < 0 required; alpha*beta <= 0 required; "

@@ -18,13 +18,19 @@ from affine2f.simulate import (
     sample_cir_transition,
     simulate_ensemble,
     simulate_path,
-    stationary_init,
 )
 
 
 def within_mc_error(sample, target, factor=4.0):
     se = sample.std(ddof=1) / math.sqrt(sample.size)
     return abs(sample.mean() - target) <= factor * se
+
+
+def stationary_init(spec, burn_in, dt, rng):
+    """The one-row start of spec with a "stationary" law, as floats."""
+    init = InitialLaw("stationary", burn_in=burn_in)
+    (y0,), (x0,) = simulate._start(replace(spec, init=init), dt, [rng])
+    return float(y0), float(x0)
 
 
 def assert_ensemble_replays(path, stepped_paths, spec, T, dt, scheme, rng):
