@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 
@@ -27,8 +28,8 @@ SEED_LIMIT = 2**64
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A run's horizon, grid, replications, seed and scheme, each checked
-    here: 0 < dt <= T, replications >= 1, base_seed in [0, 2**64) and
-    scheme in SCHEMES."""
+    here: 0 < dt <= T, replications an integer >= 1, base_seed an integer
+    in [0, 2**64) and scheme in SCHEMES."""
 
     T: float
     dt: float
@@ -41,6 +42,10 @@ class ExperimentConfig:
             raise ValueError("T and dt must be positive")
         if self.dt > self.T:
             raise ValueError("dt must not exceed T")
+        for name in ("replications", "base_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0 <= self.base_seed < SEED_LIMIT:

@@ -40,7 +40,9 @@ formed once per block, as in simulate_path:
                        e = ((alpha - beta*y)*dt
                             + sigma2*sqrt(y)*(rho*dw + ortho*db))
                            + sigma3*dl,
-                       three ufunc calls per step (_step_x)
+                       no per-step call: given Y, X is a linear
+                       recurrence, filled as one scan per block (_scan_x)
+                       with one divide, one cumsum and one multiply
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import HypothesisError
 from .kernels import psi
 from .model import ModelSpec
 from .moments import stationary_moments, stationary_y_gamma_params
@@ -70,6 +73,9 @@ BLOCK_STEPS = 1024
 # Wider rows spread each ufunc call's dispatch cost over more path-steps,
 # with little left to gain past 256
 WIDE_ROWS = 256
+# steps per run of the X scan (_scan_x); runs start at the global step
+# multiples of its length, so where a block ends never changes a bit
+SCAN_STEPS = 1024
 
 
 @dataclass(eq=False)
@@ -194,18 +200,20 @@ def simulate_path(
     Steps as _step does, on Python floats: Y over a block of BLOCK_STEPS
     steps, then X, with each block's W, B and L normals from one
     standard_normal(m) call per substream (the sequence of m scalar calls).
+    X is the block's _scan_x on a 1-d block, as _step's is on rows.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if rng is None:
         raise ValueError("an RngStream is required")
     n = _n_grid(T, dt)
+    growth = _x_growth(spec.gamma * dt)
     (y0,), (x0,) = _start(spec, dt, [rng])
 
     a, b, alpha, beta = spec.a, spec.b, spec.alpha, spec.beta
     sigma1, sigma2, sigma3, rho = spec.sigma1, spec.sigma2, spec.sigma3, spec.rho
     ortho = math.sqrt(max(1.0 - rho**2, 0.0))
-    a_dt, b_dt, gamma_dt = a * dt, b * dt, spec.gamma * dt
+    a_dt, b_dt = a * dt, b * dt
     gen_y = rng.generator(0)
     gen_b = rng.generator(1) if _wants_b(spec) else None
     gen_l = rng.generator(2) if _wants_l(spec) else None
@@ -217,7 +225,8 @@ def simulate_path(
     kernel = _CirKernel(a, b, sigma1, dt) if exact and sigma1 > 0.0 else None
     decay, level = math.exp(-b * dt), a * psi(b, dt)
     y, x = np.full(n, y0), np.full(n, x0)
-    yi, xi = float(y0), float(x0)  # yi may go negative under full_euler
+    yi = float(y0)  # may go negative under full_euler
+    t = x[0]  # the X scan's state
     for lo in range(0, n - 1, BLOCK_STEPS):
         m = min(BLOCK_STEPS, n - 1 - lo)
         ys = [float(y[lo])]
@@ -244,12 +253,8 @@ def simulate_path(
              for yj, ej in zip(ys, e)]
         if gen_l is not None:
             e = [ej + sigma3 * dlj for ej, dlj in zip(e, normals(gen_l, m))]
-        xs = []
-        for ej in e:
-            xi = xi + (ej - gamma_dt * xi)
-            xs.append(xi)
         y[lo + 1 : lo + m + 1] = ys[1:]
-        x[lo + 1 : lo + m + 1] = xs
+        t = _scan_x(growth, lo, x[lo : lo + m + 1], t, np.array(e))
     return PathGrid(0.0, dt, y, x, seed_record=repr(rng))
 
 
@@ -299,17 +304,81 @@ def _step_y_euler(spec: ModelSpec, dt: float, y: np.ndarray, yi: np.ndarray,
                                     np.maximum)
     ys = list(y)
     for yj, y_next, sj in zip(ys, ys[1:], list(s1dw)):
-        mul(yj, b_dt, out=drift)
-        sub(a_dt, drift, out=drift)
-        sqrt(yj, out=shock)
-        mul(shock, sj, out=shock)
-        add(yi, drift, out=yi)
-        add(yi, shock, out=yi)
-        maximum(yi, zero, out=y_next)
+        mul(yj, b_dt, drift)
+        sub(a_dt, drift, drift)
+        sqrt(yj, shock)
+        mul(shock, sj, shock)
+        add(yi, drift, yi)
+        add(yi, shock, yi)
+        maximum(yi, zero, out=y_next)  # numpy deprecates a positional out here
 
 
-def _step_x(spec: ModelSpec, dt: float, ortho: float, y: np.ndarray,
-            x: np.ndarray, dw: np.ndarray, db, dl) -> None:
+def _x_growth(gamma_dt: float) -> np.ndarray:
+    """_scan_x's table P[i] = exp(i*L), i = 0..S, with L = log1p(-gamma*dt).
+
+    P[i] is X's growth (1 - gamma*dt)^i over i Euler steps, rounded once
+    per entry: a cumprod of fl(1 - gamma*dt) compounds its rounding and
+    drifts 6e-12 over a 60 000-step supercritical probe. A run of the
+    scan is S = min(SCAN_STEPS, floor(600/|L|)) >= 1 steps, so P stays
+    within e^(+-600), normal doubles. gamma*dt >= 1 is refused: there
+    1 - gamma*dt <= 0, so X flips sign at every step (or, at 1, keeps no
+    memory), which does not discretise the model.
+    """
+    if not gamma_dt < 1.0:
+        raise HypothesisError(
+            f"Euler X needs gamma*dt < 1, got gamma*dt = {gamma_dt!r}: "
+            "1 - gamma*dt <= 0 flips the sign of X at every step; take a "
+            "smaller dt")
+    log_phi = math.log1p(-gamma_dt)
+    span = 600.0 / abs(log_phi) if log_phi else math.inf
+    steps = max(1, int(min(SCAN_STEPS, span)))
+    return np.exp(np.arange(steps + 1) * log_phi)
+
+
+def _scan_x(growth: np.ndarray, lo: int, x: np.ndarray, t, e: np.ndarray):
+    """Euler for X over one block, x[j+1] = x[j] + (e[j] - (gamma*dt)*x[j]).
+
+    x holds the block's m + 1 time-major rows (1-d for simulate_path,
+    (m + 1, rows) for _step) with x[0] set, e the m increments but the
+    -(gamma*dt)*x term (overwritten), lo the global step of x[0], growth
+    _x_growth's table P and t the scan state the previous block returned.
+    Given Y, X is a linear recurrence, so it is a prefix scan. Runs of
+    S = growth.size - 1 steps start at the global step multiples of S;
+    a run from step j0 scans
+
+        t[j0] = x[j0],  t[j+1] = t[j] + e[j]/P[j+1-j0],
+        x[j+1] = P[j+1-j0]*t[j+1],
+
+    which is the recursion multiplied out: one divide, and one cumsum
+    along time and one multiply per run within the block. The scan adds
+    in the recursion's own order, so for gamma = 0 (P all ones) its bits
+    are the recursion's; otherwise it stays within about 1e-14 of it,
+    relative to the largest |X| so far. Returns t at x[m], for the next
+    block.
+    """
+    steps = growth.size - 1
+    m = e.shape[0]
+    shape = (m,) + (1,) * (x.ndim - 1)  # one P entry per step, over the rows
+    p = growth[np.arange(lo, lo + m) % steps + 1].reshape(shape)
+    np.divide(e, p, out=e)
+    # the offsets where a run starts, and where the block ends
+    bounds = [0, *range(steps - lo % steps, m, steps), m]
+    if lo % steps == 0:
+        t = x[0]
+    for s0, s1 in zip(bounds, bounds[1:]):
+        if s0:
+            t = x[s0]  # a run starts from x where the last one ended
+        e[s0] += t
+        run = x[s0 + 1 : s1 + 1]
+        np.cumsum(e[s0:s1], axis=0, out=run)
+        t = run[-1].copy()
+        run *= p[s0:s1]
+    return t
+
+
+def _step_x(spec: ModelSpec, dt: float, ortho: float, growth: np.ndarray,
+            lo: int, y: np.ndarray, x: np.ndarray, t, dw: np.ndarray, db,
+            dl):
     """Euler for X over one block, in place, given the whole Y block.
 
     Each step reproduces simulate_path's x + (e - (gamma*dt)*x), where
@@ -319,11 +388,8 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, y: np.ndarray,
 
     depends on Y and the noise alone, so it is formed for the whole block
     (dw, db and dl are overwritten), without the B or L term when that
-    source is not drawn. A step then makes three ufunc calls: mul, sub,
-    add. The two-call form phi*x + e with phi = fl(1 - gamma*dt) would
-    save one more, but the rounding of phi compounds over the steps:
-    over a supercritical probe it moves e^(gamma T) X_T by about 7e-12
-    relative, against 4e-14 for this form.
+    source is not drawn. X is then one _scan_x over the block, with no
+    per-step call, and its t is returned for the next block.
     """
     yl = y[:-1]
     e = spec.beta * yl
@@ -340,14 +406,7 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, y: np.ndarray,
     if dl is not None:
         dl *= spec.sigma3
         e += dl
-    gamma_dt = np.full(x.shape[1], spec.gamma * dt)
-    t = np.empty_like(x[0])
-    mul, sub, add = np.multiply, np.subtract, np.add
-    xs = list(x)
-    for xj, x_next, ej in zip(xs, xs[1:], list(e)):
-        mul(xj, gamma_dt, out=t)
-        sub(ej, t, out=t)
-        add(xj, t, out=x_next)
+    return _scan_x(growth, lo, x, t, e)
 
 
 def _step(
@@ -375,17 +434,18 @@ def _step(
     own streams walk exact Y with _CirKernel.walk, as simulate_path does;
     rows on one shared stream draw it a step at a time.
 
-    The per-step loops (here, in _step_y_euler and in _step_x) dispatch
-    only what depends on the state: a full_euler step makes 7 calls for
-    Y and 3 for X, an exact-Y step with sigma1 = 0 makes 2 for Y.
-    Constant operands are row vectors built once per block (a Python
-    float is converted on every call), every call writes through out= by
-    keyword (augmented assignment goes through the operator protocol
-    first, and a positional out is deprecated and slower), the ufuncs are
-    local names, and the rows are listed as views once per block rather
-    than indexed at every step.
+    The per-step loops (here and in _step_y_euler) dispatch only what
+    depends on the state: a full_euler step makes 7 calls for Y, an
+    exact-Y step with sigma1 = 0 makes 2 for Y, and X makes none (it is
+    one _scan_x per block). Constant operands are row vectors built once
+    per block (a Python float is converted on every call), every call
+    writes through out= (augmented assignment goes through the operator
+    protocol first), passed positionally except to maximum, for which
+    numpy deprecates that, the ufuncs are local names, and the rows are
+    listed as views once per block rather than indexed at every step.
     """
     n = _n_grid(T, dt)
+    growth = _x_growth(spec.gamma * dt)
     rows = y0.size
     sqrt_dt = math.sqrt(dt)
     ortho = math.sqrt(max(1.0 - spec.rho**2, 0.0))
@@ -409,6 +469,7 @@ def _step(
     per_block = max(1, min(BLOCK_STEPS, BLOCK_STEPS * WIDE_ROWS // rows))
     y_last = y0.astype(float)
     x_last = x0.astype(float)
+    t_last = x_last  # the X scan's state
     yi = y_last.copy()  # internal full_euler state
     for lo in range(0, n - 1, per_block):
         m = min(per_block, n - 1 - lo)
@@ -439,7 +500,7 @@ def _step(
                 np.add(y_next, level_r, out=y_next)
         else:
             _step_y_euler(spec, dt, y, yi, dw)
-        _step_x(spec, dt, ortho, y, x, dw, db, dl)
+        t_last = _step_x(spec, dt, ortho, growth, lo, y, x, t_last, dw, db, dl)
         y_last, x_last = y[-1], x[-1]
         yield y, x
 

@@ -93,6 +93,8 @@ HYPOTHESIS_CASES = {
                  dict(b=-0.5, gamma=-1.0, beta=0.0, init_kind="stationary-y",
                       y0=None),
                  "stationary Y law requires a subcritical spec"),
+    # gamma*dt = 0.6 * 2.0: Euler X would flip sign at every step
+    "gamma-dt simulate": (["simulate"], dict(T=2.0, dt=2.0), "gamma*dt = 1.2"),
 }
 
 

@@ -16,6 +16,7 @@ from affine2f.config import (
     serialize_config,
 )
 from affine2f.errors import ConfigError
+from affine2f.experiments import ExperimentPlan
 from affine2f.model import InitialLaw, make_spec
 from affine2f.persist import (
     PATH_MAGIC,
@@ -251,13 +252,28 @@ class TestRecordChecks:
         (dict(dt=0.0), "dt"),
         (dict(dt=20.0), "dt"),
         (dict(replications=0), "replications"),
+        (dict(replications=2.5), "replications"),
+        (dict(replications=3.0), "replications"),
         (dict(base_seed=-1), "base_seed"),
+        (dict(base_seed=1.5), "base_seed"),
+        (dict(base_seed="11"), "base_seed"),
         (dict(base_seed=2**64), "base_seed"),
         (dict(scheme="milstein"), "scheme"),
     ])
     def test_experiment_refuses(self, bad, field):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**dict(self.GOOD, **bad))
+
+    def test_experiment_takes_numpy_integers(self):
+        cfg = ExperimentConfig(**dict(self.GOOD, replications=np.int64(3),
+                                      base_seed=np.uint64(2**64 - 1)))
+        assert (cfg.replications, cfg.base_seed) == (3, 2**64 - 1)
+
+    def test_plan_refuses_a_fractional_seed(self):
+        # it would run seed 1's rows and report 1.5
+        spec = make_spec(1.0, 1.0, 0.5, 0.3, 0.6, 0.5, 0.3, 0.4, 0.3)
+        with pytest.raises(ValueError, match="base_seed must be an integer"):
+            ExperimentPlan(spec=spec, T=1.0, dt=0.1, replications=3, base_seed=1.5)
 
     @pytest.mark.parametrize("bad,field", [
         (dict(directory=""), "directory"),

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from affine2f import simulate
+from affine2f.errors import HypothesisError
 from affine2f.model import InitialLaw, make_spec
 from affine2f.moments import (
     laplace_y,
@@ -121,7 +122,8 @@ class TestCirTransition:
 
     def test_mean_matches_conditional_mean(self):
         # one-step ensemble: T = dt, so y_end is one exact transition
-        spec = make_spec(1, 1, 0, 0, 1, 1.0, 0, 0, 0, InitialLaw("point", 1.0, 0.0))
+        # (gamma = 0.5 keeps gamma*dt below 1; X is 0 and draws nothing)
+        spec = make_spec(1, 1, 0, 0, 0.5, 1.0, 0, 0, 0, InitialLaw("point", 1.0, 0.0))
         res = simulate_ensemble(spec, 1.0, 1.0, rng=RngStream(101), n_paths=100_000)
         assert within_mc_error(res.y_end, 1.0)
 
@@ -241,6 +243,98 @@ class TestNoiseBlocks:
         split = stepped_paths(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5)
         assert_array_equal(split[0], whole[0])
         assert_array_equal(split[1], whole[1])
+
+
+def per_stream_paths(spec, T, dt, scheme, streams):
+    """Whole (rows, n_grid) Y and X paths stacked from euler_paths_per_stream."""
+    n = simulate._n_grid(T, dt)
+    y = np.empty((len(streams), n))
+    x = np.empty((len(streams), n))
+    lo = {}
+    for rows, yb, xb in simulate.euler_paths_per_stream(spec, T, dt, scheme,
+                                                        streams):
+        c = lo.get(rows.start, 0)
+        y[rows, c : c + yb.shape[1]] = yb
+        x[rows, c : c + xb.shape[1]] = xb
+        lo[rows.start] = c + yb.shape[1] - 1
+    return y, x
+
+
+class TestXScan:
+    """X is one scan per block, within rounding of the per-step recursion."""
+
+    @staticmethod
+    def recursion(x0, e, c):
+        x = [x0]
+        for ej in e:
+            x.append(x[-1] + (ej - c * x[-1]))
+        return np.array(x)
+
+    @staticmethod
+    def scan(x0, e, c):
+        x = np.empty((e.shape[0] + 1,) + e.shape[1:])
+        x[0] = x0
+        simulate._scan_x(simulate._x_growth(c), 0, x, x[0], e.copy())
+        return x
+
+    @pytest.mark.parametrize("c", [7e-3, -1e-2, 0.9])
+    def test_scan_matches_recursion(self, c):
+        # 5000 steps: at c = 0.9 a run is 260 steps, so many runs restart
+        gen = np.random.default_rng(5)
+        e = gen.standard_normal((5000, 4)) * 0.03
+        x0 = gen.standard_normal(4)
+        want = self.recursion(x0, e, c)
+        got = self.scan(x0, e, c)
+        assert np.all(np.isfinite(got))
+        # relative to the largest |X| so far: X crosses zero, where the
+        # pointwise relative error of any two roundings is unbounded
+        scale = np.maximum.accumulate(np.abs(want), axis=0)
+        assert np.max(np.abs(got - want) / scale) <= 1e-13
+        if c == 0.9:
+            assert simulate._x_growth(c).size == 261
+
+    def test_gamma_zero_scan_is_the_recursion(self):
+        gen = np.random.default_rng(6)
+        e = gen.standard_normal((3000, 3))
+        x0 = gen.standard_normal(3)
+        assert_array_equal(self.scan(x0, e, 0.0), self.recursion(x0, e, 0.0))
+
+    @pytest.mark.parametrize("block_steps", [7, None])
+    @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
+    def test_runs_that_end_inside_blocks(self, ref_spec, scheme, block_steps,
+                                         monkeypatch):
+        streams = [RngStream(68, k) for k in range(3)]
+        whole = per_stream_paths(ref_spec, 1.0, 0.01, scheme, streams)
+        one_block = simulate.BLOCK_STEPS  # the 100 steps fit in one
+        monkeypatch.setattr(simulate, "SCAN_STEPS", 5)
+        if block_steps is not None:
+            monkeypatch.setattr(simulate, "BLOCK_STEPS", block_steps)
+        y, x = per_stream_paths(ref_spec, 1.0, 0.01, scheme, streams)
+        paths = [simulate_path(ref_spec, 1.0, 0.01, scheme, s) for s in streams]
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", one_block)
+        y_one, x_one = per_stream_paths(ref_spec, 1.0, 0.01, scheme, streams)
+        assert_array_equal(y, y_one)
+        assert_array_equal(x, x_one)
+        for r, path in enumerate(paths):
+            assert_array_equal(y[r], path.y)
+            assert_array_equal(x[r], path.x)
+        assert_array_equal(y, whole[0])  # runs never touch Y
+        assert_allclose(x, whole[1], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.2])
+    @pytest.mark.parametrize("entry", ["path", "ensemble", "per_stream"])
+    def test_gamma_dt_of_one_or_more_is_refused(self, ref_spec, gamma, entry):
+        # 1 - gamma*dt <= 0: X would flip sign at every step
+        spec = replace(ref_spec, gamma=gamma)
+        run = {
+            "path": lambda: simulate_path(spec, 2.0, 1.0, rng=RngStream(1)),
+            "ensemble": lambda: simulate_ensemble(spec, 2.0, 1.0,
+                                                  rng=RngStream(1), n_paths=3),
+            "per_stream": lambda: next(simulate.euler_paths_per_stream(
+                spec, 2.0, 1.0, "full_euler", [RngStream(1)])),
+        }[entry]
+        with pytest.raises(HypothesisError, match=r"gamma\*dt = "):
+            run()
 
 
 class TestAbsentNoiseSources:
