@@ -28,8 +28,8 @@ SEED_LIMIT = 2**64
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A run's horizon, grid, replications, seed and scheme, each checked
-    here: 0 < dt <= T, replications an integer >= 1, base_seed an integer
-    in [0, 2**64) and scheme in SCHEMES."""
+    here: 0 < dt <= T < inf, replications an integer >= 1, base_seed an
+    integer in [0, 2**64) and scheme in SCHEMES."""
 
     T: float
     dt: float
@@ -38,8 +38,10 @@ class ExperimentConfig:
     scheme: str = SCHEMES[0]
 
     def __post_init__(self):
-        if not self.T > 0.0 or not self.dt > 0.0:
-            raise ValueError("T and dt must be positive")
+        for name in ("T", "dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.dt > self.T:
             raise ValueError("dt must not exceed T")
         for name in ("replications", "base_seed"):

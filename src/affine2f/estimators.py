@@ -168,10 +168,11 @@ def functionals_per_stream(spec, T: float, dt: float, scheme: str,
                            streams) -> PathFunctionals:
     """Stacked path functionals, one row per stream.
 
-    Row r is the path simulate_path would draw from streams[r], stepped
-    WIDE_ROWS streams at a time (simulate.euler_paths_per_stream) and
-    folded by functionals_from_blocks, so it equals functionals_from_path
-    of the scalar path bit for bit.
+    Row r is the path on streams[r], stepped WIDE_ROWS streams at a time
+    (simulate.euler_paths_per_stream) and folded by
+    functionals_from_blocks. A row does not depend on the batch width,
+    so it equals functionals_from_path of the one-row run on its stream,
+    simulate_path(spec, T, dt, scheme, streams[r]), bit for bit.
     """
     if not streams:
         raise ValueError("functionals_per_stream needs at least one stream")

@@ -18,7 +18,7 @@ from .estimators import functionals_per_stream, solve_continuous
 from .limit_laws import limit_draws, require_critical_dt, subcritical_limit
 from .model import ModelSpec, Regime, classify_regime, require
 from .rng import RngStream
-# the scalar reference each row of functionals_per_stream equals; unused
+# the one-row run each row of functionals_per_stream equals; unused
 # here, but bench/tests checks that the tracer rewraps this binding
 from .simulate import simulate_path  # noqa: F401
 

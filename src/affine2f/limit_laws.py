@@ -362,9 +362,9 @@ def supercritical_limit_sample(
     The probe is one exact-Y simulate_path run on rng, which extracts
     e^{bT} Y_T and e^{gamma T} X_T at a single horizon (default
     PROBE_SPAN/|b|).
-    This is the scalar reference of limit_draws, whose batched draw j
-    equals this function's draw on RngStream(base_seed, first_stream + j)
-    bit for bit.
+    This is limit_draws on one stream: a probe row does not depend on the
+    batch width, so batched draw j equals this function's draw on
+    RngStream(base_seed, first_stream + j) bit for bit.
     """
     require(spec, Regime.SUPERCRITICAL)
     if T_probe is None:

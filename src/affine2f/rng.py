@@ -13,7 +13,19 @@ twice for a substream gives two generators at the same start.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+
+def _word(name: str, value) -> int:
+    """A nonnegative integer address word; a float is refused, not
+    truncated, lest two addresses share one stream."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return int(value)
 
 
 class RngStream:
@@ -32,12 +44,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0, _path: tuple[int, ...] = ()):
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        if stream_id < 0:
-            raise ValueError(f"stream_id must be nonnegative, got {stream_id}")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _word("seed", seed)
+        self.stream_id = _word("stream_id", stream_id)
         self._path = tuple(int(p) for p in _path)
 
     def _entropy(self, substream: int) -> tuple[int, ...]:
@@ -53,16 +61,13 @@ class RngStream:
         )
 
     def generator(self, substream: int = 0) -> np.random.Generator:
-        if substream < 0:
-            raise ValueError(f"substream must be nonnegative, got {substream}")
-        seq = np.random.SeedSequence(self._entropy(substream))
+        seq = np.random.SeedSequence(self._entropy(_word("substream", substream)))
         return np.random.Generator(np.random.Philox(seq))
 
     def spawn(self, index: int) -> "RngStream":
         """Child stream for nested simulations (burn-in legs, redraws)."""
-        if index < 0:
-            raise ValueError(f"spawn index must be nonnegative, got {index}")
-        return RngStream(self.seed, self.stream_id, self._path + (int(index),))
+        return RngStream(self.seed, self.stream_id,
+                         self._path + (_word("spawn index", index),))
 
     def __repr__(self) -> str:
         path = "".join(f".{p}" for p in self._path)

@@ -14,25 +14,26 @@ Two schemes:
 Both consume substreams 0 (Y drivers), 1 (B), 2 (L) and 3 (initial draws)
 of one RngStream, so a path is addressed entirely by (seed, stream_id).
 
-simulate_path is the scalar reference and _step the one vector stepper,
-which runs ensembles, critical limit draws, the per-stream batches of
+_step is the one stepping loop: single paths (simulate_path is a one-row
+run), ensembles, critical limit draws, the per-stream batches of
 replication studies and supercritical probes, and stationary burn-in
-legs. Both walk the grid in time blocks of BLOCK_STEPS steps, in one
-order: Y over the block (exact Y with sigma1 > 0 through one row kernel,
-_CirKernel.walk), the block's Y-only terms of the X update, then X. They
-compute the same expressions in the same order, simulate_path on Python
-floats and _step in ufunc calls, so every vector row is bit-identical to
-simulate_path on its stream. _start draws every path's start. No vector
-run keeps a whole path: simulate_ensemble, the burn-in legs and the
-supercritical probes keep the end points only, and the other runs are
-folded into path sums block by block as they are stepped, uncopied
-(estimators.functionals_from_blocks).
+legs all run through it. It walks the grid in time blocks of
+BLOCK_STEPS steps, in one order: Y over the block (exact Y with
+sigma1 > 0 through one row kernel, _CirKernel.walk, on rows that own
+streams), the block's Y-only terms of the X update, then X. No operation
+mixes rows, so row r of a per-stream batch is bit-identical to the
+one-row run on its stream, whatever the width; the tests check that run
+against a plain-Python per-step oracle. _start draws every path's start.
+No vector run keeps a whole path: simulate_ensemble, the burn-in legs
+and the supercritical probes keep the end points only, and the other
+runs are folded into path sums block by block as they are stepped,
+uncopied (estimators.functionals_from_blocks).
 
 At a few hundred rows a ufunc call costs more in dispatch than in
 arithmetic, so _step's per-step loops make one call per elementwise
 operation that depends on the state, and no other. Every product of
 constants, and every term that depends only on Y and the noise, is
-formed once per block, as in simulate_path:
+formed once per block:
 
   Y (full truncation)  yi + (a*dt - (b*dt)*y) + sqrt(y)*(sigma1*dw),
                        seven ufunc calls per step (_step_y_euler)
@@ -43,6 +44,8 @@ formed once per block, as in simulate_path:
                        no per-step call: given Y, X is a linear
                        recurrence, filled as one scan per block (_scan_x)
                        with one divide, one cumsum and one multiply
+
+On one row the seven calls are nearly all of a full_euler step's cost.
 """
 
 from __future__ import annotations
@@ -123,8 +126,10 @@ class EnsembleResult:
 
 
 def _n_grid(T: float, dt: float) -> int:
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     if T < dt:
         raise ValueError(f"horizon T={T} shorter than one step dt={dt}")
     return int(math.floor(T / dt + 1e-9)) + 1
@@ -135,8 +140,9 @@ class _CirKernel:
 
     A Poisson mixture of gammas: valid for any df > 0, no rejection, and
     gamma(shape=0) == 0 keeps the a=0, y=0 absorbing state exact. walk is
-    the row kernel (simulate_path, sample_cir_transition, per-row _step);
-    draw is the same step on the rows of _step's shared stream.
+    the row kernel (sample_cir_transition, and _step on rows that own
+    their streams, single paths included); draw is the same step on the
+    rows of _step's shared stream.
     """
 
     def __init__(self, a: float, b: float, sigma1: float, dt: float):
@@ -178,16 +184,6 @@ def sample_cir_transition(
     return _CirKernel(a, b, sigma1, dt).walk(y_s, 1, rng)[0]
 
 
-def _wants_b(spec: ModelSpec) -> bool:
-    # B enters through sigma2*sqrt(1-rho^2); skip draws when the
-    # coefficient vanishes so degenerate models consume fewer streams
-    return spec.sigma2 > 0.0 and abs(spec.rho) < 1.0
-
-
-def _wants_l(spec: ModelSpec) -> bool:
-    return spec.sigma3 > 0.0
-
-
 def simulate_path(
     spec: ModelSpec,
     T: float,
@@ -197,64 +193,20 @@ def simulate_path(
 ) -> PathGrid:
     """Simulate one trajectory on the grid 0, dt, ..., floor(T/dt)*dt.
 
-    Steps as _step does, on Python floats: Y over a block of BLOCK_STEPS
-    steps, then X, with each block's W, B and L normals from one
-    standard_normal(m) call per substream (the sequence of m scalar calls).
-    X is the block's _scan_x on a 1-d block, as _step's is on rows.
+    A one-row _step run on [rng], its start drawn by _start, with column
+    0 of each block copied out: the row on rng of any per-stream batch is
+    this path.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if rng is None:
         raise ValueError("an RngStream is required")
     n = _n_grid(T, dt)
-    growth = _x_growth(spec.gamma * dt)
-    (y0,), (x0,) = _start(spec, dt, [rng])
-
-    a, b, alpha, beta = spec.a, spec.b, spec.alpha, spec.beta
-    sigma1, sigma2, sigma3, rho = spec.sigma1, spec.sigma2, spec.sigma3, spec.rho
-    ortho = math.sqrt(max(1.0 - rho**2, 0.0))
-    a_dt, b_dt = a * dt, b * dt
-    gen_y = rng.generator(0)
-    gen_b = rng.generator(1) if _wants_b(spec) else None
-    gen_l = rng.generator(2) if _wants_l(spec) else None
-
-    def normals(gen, m):
-        return (gen.standard_normal(m) * math.sqrt(dt)).tolist()
-
-    exact = scheme == "exact_y_euler_x"
-    kernel = _CirKernel(a, b, sigma1, dt) if exact and sigma1 > 0.0 else None
-    decay, level = math.exp(-b * dt), a * psi(b, dt)
-    y, x = np.full(n, y0), np.full(n, x0)
-    yi = float(y0)  # may go negative under full_euler
-    t = x[0]  # the X scan's state
-    for lo in range(0, n - 1, BLOCK_STEPS):
-        m = min(BLOCK_STEPS, n - 1 - lo)
-        ys = [float(y[lo])]
-        if kernel is not None:
-            ys += kernel.walk(ys[0], m, gen_y)
-            # the W increments that produced Y, denominator floored near 0
-            dw = [(yn - yj - (a - b * yj) * dt) / (sigma1 * math.sqrt(max(yj, Y_FLOOR)))
-                  for yj, yn in zip(ys, ys[1:])]
-        else:
-            dw = normals(gen_y, m)
-            if exact:
-                for _ in range(m):
-                    ys.append(decay * ys[-1] + level)
-            else:
-                for dwj in dw:
-                    yj = ys[-1]
-                    yi = yi + (a_dt - b_dt * yj) + math.sqrt(yj) * (sigma1 * dwj)
-                    ys.append(max(yi, 0.0))
-        # e: X's increment but -(gamma*dt)*x; absent sources add no term
-        e = [rho * dwj for dwj in dw]
-        if gen_b is not None:
-            e = [ej + ortho * dbj for ej, dbj in zip(e, normals(gen_b, m))]
-        e = [(alpha - beta * yj) * dt + sigma2 * math.sqrt(yj) * ej
-             for yj, ej in zip(ys, e)]
-        if gen_l is not None:
-            e = [ej + sigma3 * dlj for ej, dlj in zip(e, normals(gen_l, m))]
-        y[lo + 1 : lo + m + 1] = ys[1:]
-        t = _scan_x(growth, lo, x[lo : lo + m + 1], t, np.array(e))
+    y, x = np.empty(n), np.empty(n)
+    lo = 0
+    for yb, xb in _step(spec, T, dt, scheme, [rng], *_start(spec, dt, [rng])):
+        y[lo : lo + len(yb)], x[lo : lo + len(xb)] = yb[:, 0], xb[:, 0]
+        lo += len(yb) - 1
     return PathGrid(0.0, dt, y, x, seed_record=repr(rng))
 
 
@@ -288,7 +240,7 @@ def _step_y_euler(spec: ModelSpec, dt: float, y: np.ndarray, yi: np.ndarray,
     """Full-truncation Euler for Y over one block, in place.
 
     yi is the real-valued internal state, y[j + 1] its positive part.
-    Each step reproduces simulate_path's
+    Each step computes, in this order,
 
         yi + (a*dt - (b*dt)*y) + sqrt(y)*(sigma1*dw)
 
@@ -338,10 +290,10 @@ def _x_growth(gamma_dt: float) -> np.ndarray:
 def _scan_x(growth: np.ndarray, lo: int, x: np.ndarray, t, e: np.ndarray):
     """Euler for X over one block, x[j+1] = x[j] + (e[j] - (gamma*dt)*x[j]).
 
-    x holds the block's m + 1 time-major rows (1-d for simulate_path,
-    (m + 1, rows) for _step) with x[0] set, e the m increments but the
-    -(gamma*dt)*x term (overwritten), lo the global step of x[0], growth
-    _x_growth's table P and t the scan state the previous block returned.
+    x holds the block's m + 1 time-major rows, shape (m + 1, rows), with
+    x[0] set, e the m increments but the -(gamma*dt)*x term
+    (overwritten), lo the global step of x[0], growth _x_growth's table P
+    and t the scan state the previous block returned.
     Given Y, X is a linear recurrence, so it is a prefix scan. Runs of
     S = growth.size - 1 steps start at the global step multiples of S;
     a run from step j0 scans
@@ -358,8 +310,8 @@ def _scan_x(growth: np.ndarray, lo: int, x: np.ndarray, t, e: np.ndarray):
     """
     steps = growth.size - 1
     m = e.shape[0]
-    shape = (m,) + (1,) * (x.ndim - 1)  # one P entry per step, over the rows
-    p = growth[np.arange(lo, lo + m) % steps + 1].reshape(shape)
+    # one P entry per step, over the rows
+    p = growth[np.arange(lo, lo + m) % steps + 1][:, None]
     np.divide(e, p, out=e)
     # the offsets where a run starts, and where the block ends
     bounds = [0, *range(steps - lo % steps, m, steps), m]
@@ -381,7 +333,7 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, growth: np.ndarray,
             dl):
     """Euler for X over one block, in place, given the whole Y block.
 
-    Each step reproduces simulate_path's x + (e - (gamma*dt)*x), where
+    Each step is x + (e - (gamma*dt)*x), where
 
         e = ((alpha - beta*y)*dt + sigma2*sqrt(y)*(rho*dw + ortho*db))
             + sigma3*dl
@@ -418,21 +370,22 @@ def _step(
     y0: np.ndarray,
     x0: np.ndarray,
 ):
-    """Vectorized stepping of y0.size paths: the one vector stepping loop.
+    """Vectorized stepping of y0.size paths: the one stepping loop.
 
     rng is one RngStream whose substreams all rows share, with
     (rows,)-shaped draws per step, or a list of RngStreams, one per row.
-    Either way each substream is consumed in simulate_path's order, so a
-    size-1 ensemble, or row r of a per-row batch, is bit-identical to the
-    scalar engine on the same stream.
+    No operation mixes rows and each substream is consumed in one order,
+    so row r of a per-row batch is bit-identical to the one-row run on
+    its stream (simulate_path), whatever the width; a size-1 ensemble on
+    a shared stream is that run too.
 
     Yields time-major (y, x) blocks of shape (m + 1, rows): row 0 is the
     previous block's last row (the start on the first block), then m
     steps. m is BLOCK_STEPS, the last block holding the remainder, for
     up to WIDE_ROWS rows; wider runs take proportionally shorter blocks,
     so that no block outgrows BLOCK_STEPS * WIDE_ROWS values. Rows that
-    own streams walk exact Y with _CirKernel.walk, as simulate_path does;
-    rows on one shared stream draw it a step at a time.
+    own streams walk exact Y with _CirKernel.walk, a block per row; rows
+    on one shared stream draw it a step at a time.
 
     The per-step loops (here and in _step_y_euler) dispatch only what
     depends on the state: a full_euler step makes 7 calls for Y, an
@@ -457,8 +410,10 @@ def _step(
         return [s.generator(k) for s in rng]
 
     gen_y = substream(0)
-    gen_b = substream(1) if _wants_b(spec) else None
-    gen_l = substream(2) if _wants_l(spec) else None
+    # B enters through sigma2*sqrt(1-rho^2); a source whose coefficient
+    # vanishes is not drawn, so degenerate models consume fewer streams
+    gen_b = substream(1) if spec.sigma2 > 0.0 and abs(spec.rho) < 1.0 else None
+    gen_l = substream(2) if spec.sigma3 > 0.0 else None
 
     exact = scheme == "exact_y_euler_x"
     kernel = None
@@ -547,7 +502,7 @@ def euler_paths_per_stream(
     consumer holds O(WIDE_ROWS * BLOCK_STEPS) values, never a whole path.
 
     Unlike simulate_ensemble, every path here owns its RngStream, and its
-    start comes from that stream as in simulate_path, so row r is
+    start comes from that stream, so row r is the one-row run on it:
     bit-identical to simulate_path(spec, T, dt, scheme, streams[r]).
     A stream is an address: passing it again restarts the same path.
     """
@@ -565,7 +520,7 @@ def _start(spec: ModelSpec, dt: float, rng, rows: int = 1):
     """Every path's start: (y0, x0) row vectors drawn as spec.init says.
 
     rng is what _step takes: one stream that rows paths share, or a list
-    of per-row streams, each giving its row simulate_path's start on it.
+    of per-row streams, each drawing its own row's start.
     The stationary kinds draw Y0 from the stationary gamma law on
     substream 3. "stationary" then starts X at E(X_inf) and burns every
     row in for burn_in time units (DEFAULT_BURN_IN_RATE / min(b, gamma)

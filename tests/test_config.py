@@ -1,5 +1,6 @@
 """Config parsing and file persistence: strictness and lossless round-trips."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,22 @@ class TestRecordChecks:
     def test_experiment_refuses(self, bad, field):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**dict(self.GOOD, **bad))
+
+    @pytest.mark.parametrize("bad,field", [
+        (dict(T=math.inf), "T"),
+        (dict(T=math.nan), "T"),
+        (dict(dt=math.nan), "dt"),
+        (dict(T=math.inf, dt=math.inf), "T"),
+    ])
+    def test_experiment_refuses_a_non_finite_horizon_or_step(self, bad, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            ExperimentConfig(**dict(self.GOOD, **bad))
+
+    def test_plan_refuses_an_infinite_horizon(self):
+        # it would build, and run_experiment would then overflow
+        spec = make_spec(1.0, 1.0, 0.5, 0.3, 0.6, 0.5, 0.3, 0.4, 0.3)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            ExperimentPlan(spec=spec, T=math.inf, dt=0.1, replications=3, base_seed=1)
 
     def test_experiment_takes_numpy_integers(self):
         cfg = ExperimentConfig(**dict(self.GOOD, replications=np.int64(3),

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from affine2f.limit_laws import limit_draws
+from affine2f.model import make_spec
 from affine2f.rng import RngStream
 
 
@@ -73,3 +75,33 @@ def test_rejects_negative_addresses():
         RngStream(0).generator(-1)
     with pytest.raises(ValueError):
         RngStream(0).spawn(-1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RngStream(1.5),
+    lambda: RngStream(1, 0.7),
+    lambda: RngStream(1.0),
+    lambda: RngStream(np.float64(2.0)),
+    lambda: RngStream("1"),
+    lambda: RngStream(1).spawn(0.5),
+    lambda: RngStream(1).generator(1.0),
+], ids=["seed", "stream_id", "whole_float_seed", "numpy_float_seed", "str_seed",
+        "spawn_index", "substream"])
+def test_rejects_non_integer_addresses(make):
+    # truncating would make RngStream(1.5, 0.7) draw RngStream(1, 0)'s
+    # numbers: two addresses on one stream
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integers_address_the_same_stream():
+    want = RngStream(3, 2).spawn(1).generator(4).standard_normal(4)
+    got = RngStream(np.uint64(3), np.int32(2)).spawn(np.int64(1)).generator(
+        np.int8(4)).standard_normal(4)
+    assert_array_equal(got, want)
+
+
+def test_limit_draws_refuse_a_fractional_seed():
+    spec = make_spec(1.0, 1.0, 0.5, 0.3, 0.6, 0.5, 0.3, 0.4, 0.3)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        limit_draws(spec, 4, 0.01, 1.5, 0)

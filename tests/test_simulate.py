@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from affine2f import simulate
 from affine2f.errors import HypothesisError
+from affine2f.kernels import psi
 from affine2f.model import InitialLaw, make_spec
 from affine2f.moments import (
     laplace_y,
@@ -151,6 +152,25 @@ class TestSimulatePath:
             simulate_path(ref_spec, 1.0, -0.1, rng=RngStream(1))
         with pytest.raises(ValueError, match="scheme"):
             simulate_path(ref_spec, 1.0, 0.1, "milstein", RngStream(1))
+
+    @pytest.mark.parametrize("T, dt, name", [
+        (math.inf, 0.1, "T"),
+        (math.nan, 0.1, "T"),
+        (1.0, math.nan, "dt"),
+        (1.0, math.inf, "dt"),
+    ])
+    @pytest.mark.parametrize("entry", ["path", "ensemble", "per_stream"])
+    def test_non_finite_horizon_or_step_is_refused(self, ref_spec, T, dt, name,
+                                                   entry):
+        run = {
+            "path": lambda: simulate_path(ref_spec, T, dt, rng=RngStream(1)),
+            "ensemble": lambda: simulate_ensemble(ref_spec, T, dt,
+                                                  rng=RngStream(1), n_paths=3),
+            "per_stream": lambda: next(simulate.euler_paths_per_stream(
+                ref_spec, T, dt, "full_euler", [RngStream(1)])),
+        }[entry]
+        with pytest.raises(ValueError, match=f"{name} must be (positive and )?finite"):
+            run()
 
     def test_deterministic_replay(self, ref_spec):
         a = simulate_path(ref_spec, 2.0, 0.01, rng=RngStream(42, 3))
@@ -335,6 +355,85 @@ class TestXScan:
         }[entry]
         with pytest.raises(HypothesisError, match=r"gamma\*dt = "):
             run()
+
+
+def float_path(spec, T, dt, scheme, rng):
+    """One path stepped a step at a time on Python floats: the oracle.
+
+    Independent of the stepper's blocks and ufunc calls. Y is
+    full-truncation Euler, the sigma1 = 0 ODE step, or exact Y through
+    _CirKernel.walk with dW rebuilt from each Y increment (denominator
+    floored at Y_FLOOR); X is the recursion x + (e - gamma*dt*x). The
+    normals come from the stepper's substreams, all of a path at once,
+    which is the same sequence as its block-by-block draws. A point start
+    only.
+    """
+    a, b, alpha, beta, gamma = spec.a, spec.b, spec.alpha, spec.beta, spec.gamma
+    sigma1, sigma2, sigma3, rho = spec.sigma1, spec.sigma2, spec.sigma3, spec.rho
+    ortho = math.sqrt(max(1.0 - rho**2, 0.0))
+    m = simulate._n_grid(T, dt) - 1
+
+    def normals(k):
+        z = rng.generator(k).standard_normal(m).tolist()
+        return [zj * math.sqrt(dt) for zj in z]
+
+    y = [spec.init.y0]
+    if scheme == "exact_y_euler_x" and sigma1 > 0.0:
+        y += simulate._CirKernel(a, b, sigma1, dt).walk(y[0], m, rng.generator(0))
+        dw = [(yn - yj - (a - b * yj) * dt)
+              / (sigma1 * math.sqrt(max(yj, simulate.Y_FLOOR)))
+              for yj, yn in zip(y, y[1:])]
+    elif scheme == "exact_y_euler_x":
+        dw = normals(0)
+        for _ in range(m):
+            y.append(math.exp(-b * dt) * y[-1] + a * psi(b, dt))
+    else:
+        dw = normals(0)
+        yi = y[0]  # the real-valued internal state
+        for dwj in dw:
+            yj = y[-1]
+            yi = yi + (a * dt - b * dt * yj) + math.sqrt(yj) * (sigma1 * dwj)
+            y.append(max(yi, 0.0))
+    # X's increment but -gamma*dt*x; an absent source adds no term
+    e = [rho * dwj for dwj in dw]
+    if spec.sigma2 > 0.0 and abs(rho) < 1.0:
+        e = [ej + ortho * dbj for ej, dbj in zip(e, normals(1))]
+    e = [(alpha - beta * yj) * dt + sigma2 * math.sqrt(yj) * ej
+         for yj, ej in zip(y, e)]
+    if sigma3 > 0.0:
+        e = [ej + sigma3 * dlj for ej, dlj in zip(e, normals(2))]
+    x = [spec.init.x0]
+    for ej in e:
+        x.append(x[-1] + (ej - gamma * dt * x[-1]))
+    return np.array(y), np.array(x)
+
+
+class TestFloatOracle:
+    """A one-row run matches the per-step float oracle (float_path)."""
+
+    SPECS = {
+        "subcritical": (1.2, 1.0, 0.5, -0.3, 0.8, 0.6, 0.4, 0.25, -0.35, 0.7, -0.4),
+        "critical": (1.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.3, 0.4, 0.3, 1.0, 0.2),
+        "supercritical": (1.0, -0.5, 0.2, 0.0, -1.0, 0.5, 0.3, 0.4, 0.3, 1.0, 0.5),
+        "no_b_no_l": (1.2, 1.0, 0.5, -0.3, 0.8, 0.6, 0.4, 0.0, 1.0, 0.7, -0.4),
+        "sigma1_zero": (1.0, 0.5, 0.2, 0.1, 0.3, 0.0, 0.7, 0.2, 0.4, 1.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("scheme", simulate.SCHEMES)
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_one_row_run_matches_the_oracle(self, case, scheme):
+        *constants, y0, x0 = self.SPECS[case]
+        spec = make_spec(*constants, InitialLaw("point", y0, x0))
+        T, dt = 2.5, 1e-3  # three blocks, and three runs of the X scan
+        assert simulate._n_grid(T, dt) - 1 > 2 * simulate.BLOCK_STEPS
+        path = simulate_path(spec, T, dt, scheme, RngStream(71, 4))
+        y, x = float_path(spec, T, dt, scheme, RngStream(71, 4))
+        assert_array_equal(path.y, y)
+        # the TestXScan bound, relative to the largest |X| so far
+        scale = np.maximum.accumulate(np.abs(x))
+        assert np.all(np.abs(path.x - x) <= 1e-13 * scale)
+        if spec.gamma == 0.0:
+            assert_array_equal(path.x, x)  # the scan adds as the recursion
 
 
 class TestAbsentNoiseSources:
