@@ -29,6 +29,13 @@ and the supercritical probes keep the end points only, and the other
 runs are folded into path sums block by block as they are stepped,
 uncopied (estimators.functionals_from_blocks).
 
+Nothing _step computes feeds the noise, and each generator follows its
+stream's address, so the normals may be drawn anywhere without moving a
+bit. A run of at least _FEED_NORMALS normals, in a process with one
+thread and 2 CPUs in its affinity mask, forks one child that fills each
+block's normals while _step walks the block before (_noise_blocks),
+and lives exactly as long as that _step run; elsewhere _step fills.
+
 At a few hundred rows a ufunc call costs more in dispatch than in
 arithmetic, so _step's per-step loops make one call per elementwise
 operation that depends on the state, and no other. Every product of
@@ -51,6 +58,12 @@ On one row the seven calls are nearly all of a full_euler step's cost.
 from __future__ import annotations
 
 import math
+import mmap
+import numbers
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +92,10 @@ WIDE_ROWS = 256
 # steps per run of the X scan (_scan_x); runs start at the global step
 # multiples of its length, so where a block ends never changes a bit
 SCAN_STEPS = 1024
+# a run of at least this many normals draws them in a forked child
+# (_noise_blocks): fork plus reap takes about 3.3 ms, the fill of 2^17
+# Philox normals, and only the blocks after the first are overlapped
+_FEED_NORMALS = 1 << 20
 
 
 @dataclass(eq=False)
@@ -210,24 +227,101 @@ def simulate_path(
     return PathGrid(0.0, dt, y, x, seed_record=repr(rng))
 
 
-def _noise(source, m: int, rows: int, scale: float) -> np.ndarray | None:
-    """An (m, rows) time-major block of scale * N(0, 1) draws.
+def _noise(source, out: np.ndarray, scale: float) -> None:
+    """Fill out, an (m, rows) time-major block, with scale * N(0, 1) draws.
 
     A shared Generator fills it in one call, which continues the same
     sequence as m successive (rows,)-shaped calls; a list holds one
     Generator per row, each filling one contiguous row of a (rows, m)
-    draw that is transposed and scaled in one pass.
+    draw that is transposed and scaled into out in one pass. It is the
+    one fill, in _noise_blocks' forked child or not: the same bits.
     """
-    if source is None:
-        return None
     if isinstance(source, np.random.Generator):
-        z = source.standard_normal((m, rows))
-        z *= scale
-        return z
-    z = np.empty((rows, m))
+        source.standard_normal(out=out)
+        out *= scale
+        return
+    z = np.empty(out.shape[::-1])
     for g, row in zip(source, z):
         g.standard_normal(out=row)
-    return np.multiply(z.T, scale, order="C")
+    np.multiply(z.T, scale, out=out)
+
+
+def _noise_blocks(sources, sizes: list[int], rows: int, scale: float):
+    """Yield each block's noise: per source, _noise's (sizes[k], rows)
+    block, or None where the source is not drawn.
+
+    Block k lives in slot k % 2, which the caller may overwrite until it
+    asks for block k + 1. A run of at least _FEED_NORMALS normals, in a
+    process with no other thread and 2 CPUs in its affinity mask, forks
+    a child that fills block k + 1 while the caller steps block k, into
+    a shared mapping; both sides block on pipes, for a "ready" token per
+    block and a "free" one per slot. The child leaves by os._exit (no
+    exit hook or buffered output runs twice), and the finally below
+    kills and reaps it however the run ends; if it dies, the "ready"
+    pipe closes and the caller raises. Otherwise the caller fills.
+    """
+    drawn = [i for i, s in enumerate(sources) if s is not None]
+    span = len(drawn) * max(sizes, default=0) * rows  # values per slot
+    fork = (len(drawn) * sum(sizes) * rows >= max(_FEED_NORMALS, 1)
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+    slots = (np.frombuffer(mmap.mmap(-1, 16 * span), dtype=float) if fork
+             else np.empty(2 * span)).reshape(2, span)
+
+    def block(k, fill):
+        size = sizes[k] * rows
+        out = [None] * len(sources)
+        for j, i in enumerate(drawn):
+            out[i] = slots[k % 2, j * size : (j + 1) * size].reshape(-1, rows)
+            if fill:
+                _noise(sources[i], out[i], scale)
+        return out
+
+    pid = None
+    if fork:
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: fill here
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+    if pid is None:
+        yield from (block(k, True) for k in range(len(sizes)))
+        return
+    if pid == 0:
+        try:
+            # hold no other pipe open, lest its reader wait on this child
+            lo, hi = sorted((free_r, ready_w))
+            os.closerange(3, lo)
+            os.closerange(lo + 1, hi)
+            os.closerange(hi + 1, os.sysconf("SC_OPEN_MAX"))
+            for k in range(len(sizes)):
+                if k >= 2 and not os.read(free_r, 1):
+                    break  # the caller is gone
+                block(k, True)
+                os.write(ready_w, b"r")
+            os._exit(0)
+        except Exception:
+            sys.excepthook(*sys.exc_info())  # the caller sees the pipe close
+        finally:
+            os._exit(1)
+    try:
+        os.close(ready_w)
+        os.close(free_r)
+        for k in range(len(sizes)):
+            if 0 < k < len(sizes) - 1:
+                os.write(free_w, b"f")  # block k - 1's slot, for block k + 1
+            if not os.read(ready_r, 1):
+                raise RuntimeError(f"the noise feed's child process exited "
+                                   f"before block {k} of {len(sizes)}")
+            yield block(k, False)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(ready_r)
+        os.close(free_w)
 
 
 def _row_consts(rows: int, *values: float) -> list[np.ndarray]:
@@ -385,7 +479,9 @@ def _step(
     up to WIDE_ROWS rows; wider runs take proportionally shorter blocks,
     so that no block outgrows BLOCK_STEPS * WIDE_ROWS values. Rows that
     own streams walk exact Y with _CirKernel.walk, a block per row; rows
-    on one shared stream draw it a step at a time.
+    on one shared stream draw it a step at a time. _noise_blocks gives
+    each block's noise, drawn ahead by a forked child on a large run;
+    the child is reaped when this generator ends, is closed or collected.
 
     The per-step loops (here and in _step_y_euler) dispatch only what
     depends on the state: a full_euler step makes 7 calls for Y, an
@@ -422,42 +518,46 @@ def _step(
     decay, level = math.exp(-spec.b * dt), spec.a * psi(spec.b, dt)
 
     per_block = max(1, min(BLOCK_STEPS, BLOCK_STEPS * WIDE_ROWS // rows))
+    starts = range(0, n - 1, per_block)
+    sizes = [min(per_block, n - 1 - lo) for lo in starts]
+    sources = (None if kernel is not None else gen_y, gen_b, gen_l)
+    feed = _noise_blocks(sources, sizes, rows, sqrt_dt)
     y_last = y0.astype(float)
     x_last = x0.astype(float)
     t_last = x_last  # the X scan's state
     yi = y_last.copy()  # internal full_euler state
-    for lo in range(0, n - 1, per_block):
-        m = min(per_block, n - 1 - lo)
-        dw = _noise(None if kernel is not None else gen_y, m, rows, sqrt_dt)
-        db = _noise(gen_b, m, rows, sqrt_dt)
-        dl = _noise(gen_l, m, rows, sqrt_dt)
-        y = np.empty((m + 1, rows))
-        x = np.empty((m + 1, rows))
-        y[0], x[0] = y_last, x_last
-        if kernel is not None:
-            if shared:
-                for j in range(m):
-                    y[j + 1] = kernel.draw(y[j], gen_y)
+    try:
+        for lo, m, (dw, db, dl) in zip(starts, sizes, feed):
+            y = np.empty((m + 1, rows))
+            x = np.empty((m + 1, rows))
+            y[0], x[0] = y_last, x_last
+            if kernel is not None:
+                if shared:
+                    for j in range(m):
+                        y[j + 1] = kernel.draw(y[j], gen_y)
+                else:
+                    for r, g in enumerate(gen_y):
+                        y[1:, r] = kernel.walk(float(y[0, r]), m, g)
+                # invert the Y update for the W increments that produced
+                # it, with the denominator floored to avoid blow-up near 0
+                yl = y[:-1]
+                dw = (y[1:] - yl - (spec.a - spec.b * yl) * dt) / (
+                    spec.sigma1 * np.sqrt(np.maximum(yl, Y_FLOOR))
+                )
+            elif exact:
+                decay_r, level_r = _row_consts(rows, decay, level)
+                ys = list(y)
+                for yj, y_next in zip(ys, ys[1:]):
+                    np.multiply(yj, decay_r, out=y_next)
+                    np.add(y_next, level_r, out=y_next)
             else:
-                for r, g in enumerate(gen_y):
-                    y[1:, r] = kernel.walk(float(y[0, r]), m, g)
-            # invert the Y update for the W increments that produced it,
-            # with the denominator floored to avoid blow-up near 0
-            yl = y[:-1]
-            dw = (y[1:] - yl - (spec.a - spec.b * yl) * dt) / (
-                spec.sigma1 * np.sqrt(np.maximum(yl, Y_FLOOR))
-            )
-        elif exact:
-            decay_r, level_r = _row_consts(rows, decay, level)
-            ys = list(y)
-            for yj, y_next in zip(ys, ys[1:]):
-                np.multiply(yj, decay_r, out=y_next)
-                np.add(y_next, level_r, out=y_next)
-        else:
-            _step_y_euler(spec, dt, y, yi, dw)
-        t_last = _step_x(spec, dt, ortho, growth, lo, y, x, t_last, dw, db, dl)
-        y_last, x_last = y[-1], x[-1]
-        yield y, x
+                _step_y_euler(spec, dt, y, yi, dw)
+            t_last = _step_x(spec, dt, ortho, growth, lo, y, x, t_last, dw,
+                             db, dl)
+            y_last, x_last = y[-1], x[-1]
+            yield y, x
+    finally:
+        feed.close()
 
 
 def simulate_ensemble(
@@ -477,8 +577,8 @@ def simulate_ensemble(
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if rng is None:
         raise ValueError("an RngStream is required")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+    if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+        raise ValueError(f"n_paths must be an integer of at least 1, got {n_paths!r}")
     y0, x0 = _start(spec, dt, rng, n_paths)
     for y, x in _step(spec, T, dt, scheme, rng, y0, x0):
         pass

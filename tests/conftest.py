@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,28 @@ def _aux_path(a, alpha, sigma1, sigma2, rho, dt, rng):
 @pytest.fixture(scope="session")
 def aux_path():
     return _aux_path
+
+
+@pytest.fixture
+def noise_feed(monkeypatch):
+    """feed(on) sets whether every _step run draws its noise in a forked
+    child (simulate._noise_blocks), on any host, and returns the list of
+    the pids that the feed has forked in this test."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    def feed(on):
+        monkeypatch.setattr(simulate, "_FEED_NORMALS", 0 if on else 1 << 62)
+        return forks
+
+    return feed

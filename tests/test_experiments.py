@@ -235,6 +235,36 @@ class TestRunExperiment:
             R, 1.0, 0.3, 0.75, 0.5, -0.2, dt, RngStream(5)))
         assert peak < path_bytes / 2, (peak, path_bytes)
 
+    def test_noise_feed_maps_at_most_two_blocks_of_noise(self, sub_spec,
+                                                        noise_feed, monkeypatch):
+        # tracemalloc cannot see the feed's shared slots, so their size is
+        # checked where they are mapped: 2 slots of 3 sources of one
+        # block, 12 MiB, at any width
+        sizes = []
+        mapping = simulate.mmap.mmap
+
+        def recorded(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return mapping(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(simulate.mmap, "mmap", recorded)
+        forks = noise_feed(True)
+        bound = 2 * 3 * simulate.BLOCK_STEPS * simulate.WIDE_ROWS * 8
+        assert bound == 12 * 2**20
+        # per-stream batches of WIDE_ROWS rows and one of 44 rows
+        plan = ExperimentPlan(spec=sub_spec, T=1.2, dt=1e-3, replications=300,
+                              base_seed=5, scheme="full_euler")
+        run_experiment(plan)
+        # shared-stream runs wider than WIDE_ROWS: three sources, and the
+        # critical batch's one
+        simulate.simulate_ensemble(sub_spec, 1.2, 1e-3, "full_euler", RngStream(5),
+                                   1000)
+        critical_limit_batch(300, 1.0, 0.3, 0.75, 0.5, -0.2, 1e-3, RngStream(5))
+        assert len(sizes) == len(forks) == 4
+        assert max(sizes) <= bound, (sizes, bound)
+        # the wide ensemble fills a slot to within one row of its bound
+        assert sizes[2] > bound - 2 * 3 * 8 * 1000
+
     def test_supercritical_reference_draws_follow_streams(self, sup_spec,
                                                           sup_report):
         # draw j lives on stream replications + j

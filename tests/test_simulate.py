@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from affine2f import simulate
 from affine2f.errors import HypothesisError
 from affine2f.kernels import psi
+from affine2f.limit_laws import critical_limit_batch
 from affine2f.model import InitialLaw, make_spec
 from affine2f.moments import (
     laplace_y,
@@ -235,6 +238,18 @@ class TestEnsembleConsistency:
         ens = simulate_ensemble(ref_spec, 1.0, 0.1, rng=RngStream(5), n_paths=8)
         assert len(np.unique(ens.y_end)) == 8
 
+    @pytest.mark.parametrize("n_paths", [2.5, 3.0, "3", 0, np.int64(0)])
+    def test_n_paths_must_be_a_positive_integer(self, ref_spec, n_paths):
+        with pytest.raises(ValueError, match="n_paths must be an integer"):
+            simulate_ensemble(ref_spec, 1.0, 0.1, rng=RngStream(5), n_paths=n_paths)
+
+    def test_numpy_integer_n_paths(self, ref_spec):
+        ens = simulate_ensemble(ref_spec, 1.0, 0.1, rng=RngStream(5),
+                                n_paths=np.int64(8))
+        want = simulate_ensemble(ref_spec, 1.0, 0.1, rng=RngStream(5), n_paths=8)
+        assert_array_equal(ens.y_end, want.y_end)
+        assert_array_equal(ens.x_end, want.x_end)
+
 
 class TestNoiseBlocks:
     """Runs that cross many time blocks still replay the scalar engine."""
@@ -278,6 +293,178 @@ def per_stream_paths(spec, T, dt, scheme, streams):
         x[rows, c : c + xb.shape[1]] = xb
         lo[rows.start] = c + yb.shape[1] - 1
     return y, x
+
+
+def assert_no_child_left():
+    # waitpid would reap a dead child or return (0, 0) for a live one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestNoiseFeed:
+    """The noise drawn ahead by a forked child moves no bit, and the child
+    lives no longer than its _step run."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 50 steps in blocks of 7 end in a ragged block of one step, and
+        # per-stream batches take 3 rows
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
+        monkeypatch.setattr(simulate, "WIDE_ROWS", 3)
+
+    @staticmethod
+    def streams(seed, n=5):
+        return [RngStream(seed, k) for k in range(n)]
+
+    @staticmethod
+    def both_ways(noise_feed, run, forks_per_run):
+        """run() with the feed, then without: both results, each once."""
+        forks = noise_feed(True)
+        fed = run()
+        assert len(forks) == forks_per_run
+        noise_feed(False)
+        drawn_here = run()
+        assert len(forks) == forks_per_run
+        assert_no_child_left()
+        return fed, drawn_here
+
+    @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
+    def test_per_stream_rows(self, ref_spec, scheme, noise_feed):
+        # two batches, of 3 and 2 rows, each a run of its own
+        fed, drawn_here = self.both_ways(noise_feed, lambda: per_stream_paths(
+            ref_spec, 0.5, 0.01, scheme, self.streams(71)), 2)
+        assert_array_equal(fed[0], drawn_here[0])
+        assert_array_equal(fed[1], drawn_here[1])
+
+    @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
+    def test_shared_stream_ensemble(self, ref_spec, scheme, noise_feed,
+                                    stepped_paths):
+        def run():
+            ens = simulate_ensemble(ref_spec, 0.5, 0.01, scheme, RngStream(72), 5)
+            y, x = stepped_paths(ref_spec, 0.5, 0.01, scheme, RngStream(72), 5)
+            return ens.y_end, ens.x_end, y, x
+
+        fed, drawn_here = self.both_ways(noise_feed, run, 2)
+        for a, b in zip(fed, drawn_here):
+            assert_array_equal(a, b)
+
+    def test_critical_batch(self, noise_feed):
+        # exact Y on one shared stream: the caller draws Y, the child B
+        fed, drawn_here = self.both_ways(noise_feed, lambda: critical_limit_batch(
+            20, 1.0, 0.3, 0.75, 0.5, -0.2, 0.01, RngStream(73)), 1)
+        assert_array_equal(fed[0], drawn_here[0])
+        assert fed[1] == drawn_here[1]
+
+    def test_stationary_start(self, ref_spec, noise_feed):
+        # per batch, the burn-in leg and the run each fork their own child
+        spec = replace(ref_spec, init=InitialLaw("stationary", burn_in=0.5))
+        fed, drawn_here = self.both_ways(noise_feed, lambda: per_stream_paths(
+            spec, 0.5, 0.01, "full_euler", self.streams(74)), 4)
+        assert_array_equal(fed[0], drawn_here[0])
+        assert_array_equal(fed[1], drawn_here[1])
+
+    def test_ragged_last_block(self, ref_spec, noise_feed):
+        assert (simulate._n_grid(0.5, 0.01) - 1) % simulate.BLOCK_STEPS == 1
+        fed, drawn_here = self.both_ways(noise_feed, lambda: simulate_path(
+            ref_spec, 0.5, 0.01, "full_euler", RngStream(75, 2)), 1)
+        assert_array_equal(fed.y, drawn_here.y)
+        assert_array_equal(fed.x, drawn_here.x)
+
+    def steps(self, spec, seed):
+        streams = self.streams(seed, 3)
+        return simulate._step(spec, 0.5, 0.01, "full_euler", streams,
+                              *simulate._start(spec, 0.01, streams))
+
+    def test_child_is_reaped_when_the_run_ends(self, ref_spec, noise_feed):
+        forks = noise_feed(True)
+        assert len(list(self.steps(ref_spec, 76))) == 8
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_child_is_reaped_when_a_run_is_closed_half_consumed(self, ref_spec,
+                                                                 noise_feed):
+        forks = noise_feed(True)
+        steps = self.steps(ref_spec, 77)
+        next(steps)
+        assert os.waitpid(forks[0], os.WNOHANG) == (0, 0)  # still running
+        steps.close()
+        assert_no_child_left()
+
+    def test_child_is_reaped_when_the_consumer_raises(self, ref_spec, noise_feed):
+        forks = noise_feed(True)
+
+        def consume():
+            for _ in self.steps(ref_spec, 78):
+                raise KeyError("the consumer fails")
+
+        with pytest.raises(KeyError, match="the consumer fails"):
+            consume()
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_child_that_fails_makes_the_run_raise(self, ref_spec, noise_feed,
+                                                   monkeypatch):
+        caller = os.getpid()
+        fill = simulate._noise
+
+        def fails_in_the_child(source, out, scale):
+            if os.getpid() != caller:
+                raise FloatingPointError("the fill fails")
+            fill(source, out, scale)
+
+        monkeypatch.setattr(simulate, "_noise", fails_in_the_child)
+        forks = noise_feed(True)
+        with pytest.raises(RuntimeError, match="noise feed"):
+            list(self.steps(ref_spec, 79))
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors in /proc")
+    def test_a_failed_fork_fills_in_process(self, ref_spec, noise_feed,
+                                            monkeypatch):
+        noise_feed(False)
+        drawn_here = list(self.steps(ref_spec, 82))
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        noise_feed(True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = os.listdir("/proc/self/fd")
+        fed = list(self.steps(ref_spec, 82))
+        assert os.listdir("/proc/self/fd") == fds  # the pipes are closed
+        for (y, x), (y_here, x_here) in zip(fed, drawn_here, strict=True):
+            assert_array_equal(y, y_here)
+            assert_array_equal(x, x_here)
+
+    def test_one_cpu_draws_in_process(self, ref_spec, noise_feed, monkeypatch):
+        forks = noise_feed(True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        fed = per_stream_paths(ref_spec, 0.5, 0.01, "full_euler", self.streams(80))
+        assert forks == []
+        noise_feed(False)
+        drawn_here = per_stream_paths(ref_spec, 0.5, 0.01, "full_euler",
+                                      self.streams(80))
+        assert_array_equal(fed[0], drawn_here[0])
+        assert_array_equal(fed[1], drawn_here[1])
+
+    def test_a_second_thread_keeps_the_fill_in_process(self, ref_spec,
+                                                       noise_feed):
+        forks = noise_feed(True)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            list(self.steps(ref_spec, 81))
+        finally:
+            release.set()
+            other.join(timeout=10.0)
+        assert not other.is_alive()
+        assert forks == []
+        list(self.steps(ref_spec, 81))
+        assert len(forks) == 1
+        assert_no_child_left()
 
 
 class TestXScan:
