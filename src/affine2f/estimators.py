@@ -23,10 +23,16 @@ with gram_blocks and target_blocks and solves them through solve_gated,
 as do the replication studies and the critical limit draws, in every
 regime; it returns a singular block as NaN, never raising.
 functionals_from_arrays is the one place that decides how a path is
-summed: left to right in time, in segments of simulate.BLOCK_STEPS steps. functionals_from_blocks is the
-one place that folds the stepper's time blocks into those sums: every
-Monte Carlo batch (replications, supercritical probes, critical limit
-draws) is reduced as it is stepped and never holds a whole path.
+summed: left to right in time, in segments of simulate.BLOCK_STEPS
+steps. functionals_from_blocks is the one place that folds the stepper's
+time blocks into those sums: every Monte Carlo batch (replications,
+supercritical probes, critical limit draws) is reduced as it is stepped
+and never holds a whole path.
+
+One matrix layout: gram_layout writes the Gram of the basis (1, -y, -x)
+and qv_layout the quadratic variation of f - G theta, each from a table
+m(k, l) of integrals of y^k x^l. gram_blocks reads a path's sums into
+it; the limit laws read stationary moments and scaled limits.
 """
 
 from __future__ import annotations
@@ -186,20 +192,49 @@ def functionals_per_stream(spec, T: float, dt: float, scheme: str,
     })
 
 
-def gram_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 Y block and the 3x3 X block of G_T.
+def gram_layout(m) -> np.ndarray:
+    """The 3x3 Gram of the basis (1, -y, -x) from a table m(k, l).
 
-    Stacked over leading axes when fn holds arrays. The Y block is the
-    leading 2x2 corner of the X block.
+    m(k, l) is the integral of y^k x^l: a path's left-point sums, a
+    stationary moment, or a supercritical scaled limit. Entries may be
+    arrays of one shape, stacked over leading axes. The Y block of every
+    Gram is the leading 2x2 corner.
     """
-    int_y, int_x = np.asarray(fn.int_y), np.asarray(fn.int_x)
-    T = np.broadcast_arrays(np.asarray(fn.horizon, dtype=float), int_y)[0]
-    int_y2, int_xy = np.asarray(fn.int_y2), np.asarray(fn.int_xy)
-    g2 = np.stack([
-        np.stack([T, -int_y, -int_x], axis=-1),
-        np.stack([-int_y, int_y2, int_xy], axis=-1),
-        np.stack([-int_x, int_xy, np.asarray(fn.int_x2)], axis=-1),
+    return np.stack([
+        np.stack([m(0, 0), -m(1, 0), -m(0, 1)], axis=-1),
+        np.stack([-m(1, 0), m(2, 0), m(1, 1)], axis=-1),
+        np.stack([-m(0, 1), m(1, 1), m(0, 2)], axis=-1),
     ], axis=-2)
+
+
+def qv_layout(m, sigma1, sigma2, sigma3, rho) -> np.ndarray:
+    """The 5x5 quadratic variation of f - G theta from a table m(k, l).
+
+    Each block is a weight times the Gram layout: sigma1^2 y on the Y
+    block, rho sigma1 sigma2 y across the blocks and sigma2^2 y + sigma3^2
+    on the X block. The Gram weighted by y is gram_layout of m shifted by
+    one power of y; the sigma3^2 term is added only when sigma3 > 0.
+    """
+    g = gram_layout(lambda k, l: m(k + 1, l))
+    x = sigma2**2 * g
+    if sigma3 > 0.0:
+        x = x + sigma3**2 * gram_layout(m)
+    cross = rho * sigma1 * sigma2 * g[..., :2, :]
+    return np.block([[sigma1**2 * g[..., :2, :2], cross],
+                     [np.swapaxes(cross, -1, -2), x]])
+
+
+def gram_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 Y block and the 3x3 X block of G_T, read from fn's sums.
+
+    Stacked over leading axes when fn holds arrays.
+    """
+    int_y = np.asarray(fn.int_y)
+    sums = {(0, 0): np.broadcast_to(np.asarray(fn.horizon, dtype=float),
+                                    int_y.shape),
+            (1, 0): int_y, (0, 1): fn.int_x, (2, 0): fn.int_y2,
+            (1, 1): fn.int_xy, (0, 2): fn.int_x2}
+    g2 = gram_layout(lambda k, l: np.asarray(sums[k, l]))
     return g2[..., :2, :2].copy(), g2
 
 

@@ -7,6 +7,11 @@ functional of a degenerate auxiliary pair on [0, 1], which we sample.
 Supercritical: the error under exponential scaling is mixed normal,
 V^-1 eta xi with (V, eta) built from the almost-sure limits
 V_Y = lim e^{bt} Y_t and V_X = lim e^{gamma t} X_t.
+
+The limit objects are the layouts estimators.gram_layout (G) and
+qv_layout (the quadratic variation of f - G theta) of three tables of
+integrals of y^k x^l: stationary moments give E G and E Gtilde, scaled
+limits give V and eta eta^T, and a path's sums the critical draws.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .estimators import (
     functionals_from_blocks,
     functionals_per_stream,
     gram_blocks,
+    gram_layout,
+    qv_layout,
     solve_blocks,
 )
 from .model import ModelSpec, Regime, classify_regime, make_spec, require
@@ -41,6 +48,13 @@ MAX_REDRAWS = 50
 # supercritical probe horizon in units of 1/|b|: the remaining drift of
 # e^{bT} Y_T and e^{gamma T} X_T is exponentially small there
 PROBE_SPAN = 30.0
+
+
+def _block_diag(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The 5x5 matrix with the 2x2 Y block y and the 3x3 X block x."""
+    out = np.zeros((5, 5))
+    out[:2, :2], out[2:, 2:] = y, x
+    return out
 
 
 def _matrix_text(label: str, m: np.ndarray) -> str:
@@ -70,40 +84,20 @@ class SubcriticalLimit:
 def subcritical_limit(spec: ModelSpec) -> SubcriticalLimit:
     """Assemble the asymptotic covariance from stationary moments.
 
-    The Y block of every object involves only (a, b, sigma1); the
-    blockwise inverse below preserves that separation bit for bit.
+    E(G) and E(Gtilde) are gram_layout and qv_layout of the stationary
+    moment table E(Y^k X^l). The Y block of every object involves only
+    (a, b, sigma1); the blockwise inverse below preserves that
+    separation bit for bit.
     """
     require(spec, Regime.SUBCRITICAL)
-    mom = stationary_moments(spec, 3, 2)
-    m10, m20, m30 = mom.get(1, 0), mom.get(2, 0), mom.get(3, 0)
-    m01, m11, m02 = mom.get(0, 1), mom.get(1, 1), mom.get(0, 2)
-    m21, m12 = mom.get(2, 1), mom.get(1, 2)
-
-    g1 = np.array([[1.0, -m10], [-m10, m20]])
-    g2 = np.array([[1.0, -m10, -m01], [-m10, m20, m11], [-m01, m11, m02]])
-    g_inf = np.zeros((5, 5))
-    g_inf[:2, :2] = g1
-    g_inf[2:, 2:] = g2
-
-    s1, s2, s3 = spec.sigma1**2, spec.sigma2**2, spec.sigma3**2
-    c = spec.rho * spec.sigma1 * spec.sigma2
-    gt = np.array([
-        [s1 * m10, -s1 * m20, c * m10, -c * m20, -c * m11],
-        [-s1 * m20, s1 * m30, -c * m20, c * m30, c * m21],
-        [c * m10, -c * m20, s2 * m10 + s3,
-         -(s2 * m20 + s3 * m10), -(s2 * m11 + s3 * m01)],
-        [-c * m20, c * m30, -(s2 * m20 + s3 * m10),
-         s2 * m30 + s3 * m20, s2 * m21 + s3 * m11],
-        [-c * m11, c * m21, -(s2 * m11 + s3 * m01),
-         s2 * m21 + s3 * m11, s2 * m12 + s3 * m02],
-    ])
-
-    g_inv = np.zeros((5, 5))
-    g_inv[:2, :2] = np.linalg.inv(g1)
-    g_inv[2:, 2:] = np.linalg.inv(g2)
+    m = stationary_moments(spec, 3, 2).get
+    g2 = gram_layout(m)
+    gt = qv_layout(m, spec.sigma1, spec.sigma2, spec.sigma3, spec.rho)
+    g_inv = _block_diag(np.linalg.inv(g2[:2, :2]), np.linalg.inv(g2))
     cov = g_inv @ gt @ g_inv
     cov = 0.5 * (cov + cov.T)  # exact symmetry; matmul roundoff is one-sided
-    return SubcriticalLimit(g_inf=g_inf, g_tilde_inf=gt, asym_cov=cov)
+    return SubcriticalLimit(g_inf=_block_diag(g2[:2, :2], g2), g_tilde_inf=gt,
+                            asym_cov=cov)
 
 
 # ------------------------------------------------------------------- critical
@@ -270,16 +264,29 @@ class SupercriticalLimit:
         ]) + "\n"
 
 
+def _scaled_limits(b: float, gamma: float, v_y: float, v_x: float):
+    """The table m(k, l) = lim e^((kb + l gamma)T) int_0^T Y^k X^l dt.
+
+    With Y_t ~ e^(-bt) V_Y and X_t ~ e^(-gamma t) V_X the integral grows
+    like its last stretch, so the limit is -V_Y^k V_X^l / (kb + l gamma).
+    m(0, 0) = 1 is the limit of T / T, the first column's own scaling.
+    """
+    def m(k: int, l: int) -> float:
+        return -v_y**k * v_x**l / (k * b + l * gamma) if k or l else 1.0
+    return m
+
+
 def v_matrix(b: float, gamma: float, v_y: float, v_x: float) -> np.ndarray:
-    """The scaling matrix V of the supercritical limit."""
-    vy2 = v_y * v_y
-    return np.array([
-        [1.0, v_y / b, 0.0, 0.0, 0.0],
-        [0.0, -vy2 / (2.0 * b), 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, v_y / b, v_x / gamma],
-        [0.0, 0.0, 0.0, -vy2 / (2.0 * b), -v_y * v_x / (b + gamma)],
-        [0.0, 0.0, 0.0, -v_y * v_x / (b + gamma), -v_x**2 / (2.0 * gamma)],
-    ])
+    """The scaling matrix V of the supercritical limit.
+
+    V is the limit of L G_T R, blockwise, with L = diag(1, e^(bT),
+    e^(gamma T)) and R = diag(1/T, e^(bT), e^(gamma T)): gram_layout of
+    the scaled limits, whose first column below the corner scales to 0
+    like 1/T.
+    """
+    x = gram_layout(_scaled_limits(b, gamma, v_y, v_x))
+    x[1:, 0] = 0.0
+    return _block_diag(x[:2, :2], x)
 
 
 def v_det_closed_form(b: float, gamma: float, v_y: float, v_x: float) -> float:
@@ -296,22 +303,15 @@ def eta_sq_matrix(
     sigma2: float,
     rho: float,
 ) -> np.ndarray:
-    """The displayed eta eta^T matrix; every cross block carries rho*sigma1*sigma2."""
-    s1, s2 = sigma1**2, sigma2**2
-    c = rho * sigma1 * sigma2
-    w1 = -v_y / b
-    w2 = v_y**2 / (2.0 * b)
-    w3 = -v_y**3 / (3.0 * b)
-    u1 = v_y * v_x / (b + gamma)
-    u2 = -(v_y**2) * v_x / (2.0 * b + gamma)
-    u3 = -v_y * v_x**2 / (b + 2.0 * gamma)
-    return np.array([
-        [s1 * w1, s1 * w2, c * w1, c * w2, c * u1],
-        [s1 * w2, s1 * w3, c * w2, c * w3, c * u2],
-        [c * w1, c * w2, s2 * w1, s2 * w2, s2 * u1],
-        [c * w2, c * w3, s2 * w2, s2 * w3, s2 * u2],
-        [c * u1, c * u2, s2 * u1, s2 * u2, s2 * u3],
-    ])
+    """The displayed eta eta^T matrix: qv_layout of the scaled limits.
+
+    It is the limit of S Q_T S for the quadratic variation Q_T of
+    f - G theta, with S = diag(e^(bT/2), e^(3bT/2), e^(bT/2), e^(3bT/2),
+    e^((b/2 + gamma)T)). Every cross block carries rho*sigma1*sigma2. No
+    sigma3 term appears: sigma3^2 T vanishes under the scaling.
+    """
+    return qv_layout(_scaled_limits(b, gamma, v_y, v_x), sigma1, sigma2, 0.0,
+                     rho)
 
 
 def eta_factor(eta_sq: np.ndarray) -> np.ndarray:

@@ -381,6 +381,21 @@ class TestMoments:
                               "needs a transient lattice of 248154 rows")
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_stationary_lattice_is_numerical_failure(
+            self, tmp_path, capsys, monkeypatch):
+        # refused by its size alone: the 13507501-row lattice is never built
+        def build(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(moments, "_extended_lattice", build)
+        cfg = write_config(tmp_path)
+        assert main(["moments", "stationary", "--kmax", "3000", "--lmax",
+                     "3000", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: (k_max, l_max) = (3000, 3000) "
+                              "needs a stationary lattice of 13507501 rows")
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _read_table(path):
         out = {}

@@ -450,6 +450,189 @@ class TestSupercritical:
         assert "v_y_sample" in text
 
 
+# The displayed matrices, written out entry by entry as the reference for
+# the layouts (estimators.gram_layout and qv_layout) that build them.
+
+
+def _displayed_g_tilde(spec):
+    mom = stationary_moments(spec, 3, 2)
+    m10, m20, m30 = mom.get(1, 0), mom.get(2, 0), mom.get(3, 0)
+    m01, m11, m02 = mom.get(0, 1), mom.get(1, 1), mom.get(0, 2)
+    m21, m12 = mom.get(2, 1), mom.get(1, 2)
+    g_inf = np.zeros((5, 5))
+    g_inf[:2, :2] = [[1.0, -m10], [-m10, m20]]
+    g_inf[2:, 2:] = [[1.0, -m10, -m01], [-m10, m20, m11], [-m01, m11, m02]]
+    s1, s2, s3 = spec.sigma1**2, spec.sigma2**2, spec.sigma3**2
+    c = spec.rho * spec.sigma1 * spec.sigma2
+    gt = np.array([
+        [s1 * m10, -s1 * m20, c * m10, -c * m20, -c * m11],
+        [-s1 * m20, s1 * m30, -c * m20, c * m30, c * m21],
+        [c * m10, -c * m20, s2 * m10 + s3,
+         -(s2 * m20 + s3 * m10), -(s2 * m11 + s3 * m01)],
+        [-c * m20, c * m30, -(s2 * m20 + s3 * m10),
+         s2 * m30 + s3 * m20, s2 * m21 + s3 * m11],
+        [-c * m11, c * m21, -(s2 * m11 + s3 * m01),
+         s2 * m21 + s3 * m11, s2 * m12 + s3 * m02],
+    ])
+    return g_inf, gt
+
+
+def _displayed_v(b, gamma, v_y, v_x):
+    vy2 = v_y * v_y
+    return np.array([
+        [1.0, v_y / b, 0.0, 0.0, 0.0],
+        [0.0, -vy2 / (2.0 * b), 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, v_y / b, v_x / gamma],
+        [0.0, 0.0, 0.0, -vy2 / (2.0 * b), -v_y * v_x / (b + gamma)],
+        [0.0, 0.0, 0.0, -v_y * v_x / (b + gamma), -v_x**2 / (2.0 * gamma)],
+    ])
+
+
+def _displayed_eta_sq(b, gamma, v_y, v_x, sigma1, sigma2, rho):
+    s1, s2 = sigma1**2, sigma2**2
+    c = rho * sigma1 * sigma2
+    w1 = -v_y / b
+    w2 = v_y**2 / (2.0 * b)
+    w3 = -v_y**3 / (3.0 * b)
+    u1 = v_y * v_x / (b + gamma)
+    u2 = -(v_y**2) * v_x / (2.0 * b + gamma)
+    u3 = -v_y * v_x**2 / (b + 2.0 * gamma)
+    return np.array([
+        [s1 * w1, s1 * w2, c * w1, c * w2, c * u1],
+        [s1 * w2, s1 * w3, c * w2, c * w3, c * u2],
+        [c * w1, c * w2, s2 * w1, s2 * w2, s2 * u1],
+        [c * w2, c * w3, s2 * w2, s2 * w3, s2 * u2],
+        [c * u1, c * u2, s2 * u1, s2 * u2, s2 * u3],
+    ])
+
+
+def _same_bits(got, want):
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestDisplayedMatrices:
+    """The layouts reproduce the displayed matrices bit for bit, signed
+    zeros included."""
+
+    def test_subcritical_g_and_g_tilde(self):
+        rng = np.random.default_rng(29)
+        for i in range(200):
+            a, b, gamma = rng.uniform(0.05, 3.0, 3)
+            alpha, beta = rng.uniform(-2.0, 2.0, 2)
+            s1, s2 = rng.uniform(0.05, 2.0, 2)
+            s3 = 0.0 if i % 4 == 0 else rng.uniform(0.0, 2.0)
+            rho = rng.uniform(-0.99, 0.99)
+            spec = make_spec(a, b, alpha, beta, gamma, s1, s2, s3, rho)
+            lim = subcritical_limit(spec)
+            g_inf, gt = _displayed_g_tilde(spec)
+            assert _same_bits(lim.g_inf, g_inf), spec
+            assert _same_bits(lim.g_tilde_inf, gt), spec
+
+    def test_supercritical_v_and_eta_sq(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            b = -rng.uniform(0.05, 3.0)
+            gamma = b - rng.uniform(0.05, 3.0)
+            v_y, v_x = rng.uniform(0.01, 5.0), rng.uniform(-5.0, 5.0)
+            s1, s2 = rng.uniform(0.05, 2.0, 2)
+            rho = rng.uniform(-1.0, 1.0)
+            assert _same_bits(v_matrix(b, gamma, v_y, v_x),
+                              _displayed_v(b, gamma, v_y, v_x))
+            assert _same_bits(
+                eta_sq_matrix(b, gamma, v_y, v_x, s1, s2, rho),
+                _displayed_eta_sq(b, gamma, v_y, v_x, s1, s2, rho))
+
+
+class TestSupercriticalPathLimits:
+    """V and eta eta^T are the scaled limits of one path's own G_T and Q_T.
+
+    G_T and Q_T are built here from the path's left-point sums as sums of
+    outer products, with u = (1, -y) and v = (1, -y, -x): G_T has the
+    blocks u u^T dt and v v^T dt, and Q_T, the quadratic variation of
+    f - G theta, the blocks sigma1^2 y u u^T dt, rho sigma1 sigma2 y u v^T
+    dt and (sigma2^2 y + sigma3^2) v v^T dt. The gap left is Euler X's
+    growth rate against gamma, |gamma| dt / 2 = 5e-4 here.
+    """
+
+    # criterion 08's spec, as in TestSupercriticalProbeLaws
+    SPEC = make_spec(1.0, -0.5, 0.2, 0.0, -1.0, 0.5, 0.3, 0.4, 0.3,
+                     init=InitialLaw("point", y0=1.0, x0=0.5))
+    GATE = 2e-3
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        p = simulate.simulate_path(self.SPEC, 40.0, 1e-3, rng=RngStream(2028))
+        T, s = (p.y.size - 1) * p.dt, self.SPEC
+        yl, xl = p.y[:-1], p.x[:-1]
+        v = np.stack([np.ones_like(yl), -yl, -xl])
+        u = v[:2]
+        gram = v * p.dt @ v.T
+        g = np.zeros((5, 5))
+        g[:2, :2], g[2:, 2:] = gram[:2, :2], gram
+        q = np.zeros((5, 5))
+        q[:2, :2] = s.sigma1**2 * (u * yl * p.dt @ u.T)
+        q[:2, 2:] = s.rho * s.sigma1 * s.sigma2 * (u * yl * p.dt @ v.T)
+        q[2:, :2] = q[:2, 2:].T
+        q[2:, 2:] = v * (s.sigma2**2 * yl + s.sigma3**2) * p.dt @ v.T
+        v_y = math.exp(s.b * T) * p.y[-1]
+        v_x = math.exp(s.gamma * T) * p.x[-1]
+        return T, g, q, v_y, v_x
+
+    @staticmethod
+    def _gap(got, want):
+        nonzero = want != 0.0
+        return float(np.max(np.abs(got - want)[nonzero]
+                            / np.abs(want)[nonzero]))
+
+    def _scaled_g(self, path):
+        T, g, _, _, _ = path
+        eb, eg = math.exp(self.SPEC.b * T), math.exp(self.SPEC.gamma * T)
+        left = np.array([1.0, eb, 1.0, eb, eg])
+        right = np.array([1.0 / T, eb, 1.0 / T, eb, eg])
+        return left[:, None] * g * right[None, :]
+
+    def _scaled_q(self, path):
+        T, _, q, _, _ = path
+        b, gamma = self.SPEC.b, self.SPEC.gamma
+        s = np.exp(np.array([b / 2, 3 * b / 2, b / 2, 3 * b / 2,
+                             b / 2 + gamma]) * T)
+        return s[:, None] * q * s[None, :]
+
+    def _eta_sq(self, path, **wrong):
+        s = self.SPEC
+        _, _, _, v_y, v_x = path
+        args = dict(b=s.b, gamma=s.gamma, sigma2=s.sigma2, rho=s.rho) | wrong
+        return eta_sq_matrix(args["b"], args["gamma"], v_y, v_x, s.sigma1,
+                             args["sigma2"], args["rho"])
+
+    def test_v_is_the_scaled_gram(self, path):
+        _, _, _, v_y, v_x = path
+        V = v_matrix(self.SPEC.b, self.SPEC.gamma, v_y, v_x)
+        # below each block's corner, the first column of L G_T R is
+        # -e^(bT) int y / T or -e^(gamma T) int x / T, which vanish like
+        # 1/T and which V sets to 0; the gap leaves them out
+        zeros = {(i, j) for i in range(5) for j in range(5)
+                 if (i < 2) != (j < 2)} | {(1, 0), (3, 2), (4, 2)}
+        assert {tuple(ij) for ij in np.argwhere(V == 0.0)} == zeros
+        scaled = self._scaled_g(path)
+        assert self._gap(scaled, V) < self.GATE
+        V_off = v_matrix(self.SPEC.b, self.SPEC.gamma, v_y, 1.01 * v_x)
+        assert self._gap(scaled, V_off) > self.GATE
+
+    def test_eta_sq_is_the_scaled_quadratic_variation(self, path):
+        scaled = self._scaled_q(path)
+        assert np.all(self._eta_sq(path) != 0.0)
+        assert self._gap(scaled, self._eta_sq(path)) < self.GATE
+
+    @pytest.mark.parametrize("wrong", [
+        dict(rho=-0.3), dict(sigma2=1.01 * 0.3), dict(b=-1.0, gamma=-0.5),
+    ], ids=["-rho", "1.01 sigma2", "b <-> gamma"])
+    def test_wrong_eta_sq_fails(self, path, wrong):
+        assert self._gap(self._scaled_q(path),
+                         self._eta_sq(path, **wrong)) > self.GATE
+
+
 class TestSupercriticalProbeLaws:
     """The probes' V_Y = e^(bT) Y_T and V_X = e^(gamma T) X_T on criterion
     08's spec, against their exact laws at the probe's horizon T.

@@ -327,6 +327,25 @@ class TestStationary:
         with pytest.raises(ValueError, match="subcritical"):
             stationary_moments(crit, 2, 2)
 
+    @pytest.mark.parametrize("n_max, p_max, rows", [
+        (3000, 3000, 13_507_501), (2_097_152, 0, 2_097_153)])
+    def test_oversized_lattice_is_refused_before_building(
+            self, ref_spec, monkeypatch, n_max, p_max, rows):
+        # about 0.85 KB a row: 13.5 M rows would need some 12 GB
+        def build(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(moments, "_extended_lattice", build)
+        with pytest.raises(ValueError, match=rf"\(k_max, l_max\) = \({n_max}, "
+                           rf"{p_max}\) needs a stationary lattice of {rows} rows"):
+            stationary_moments(ref_spec, n_max, p_max)
+
+    def test_lattice_rows_counts_the_extended_lattice(self):
+        # the guards count the rows without building the lattice
+        for k_max, l_max in [(0, 0), (3, 2), (5, 7), (0, 9)]:
+            assert moments._lattice_rows(k_max, l_max) == len(
+                _extended_lattice(k_max, l_max))
+
     def test_stationary_start_solves_on_the_transient_lattice(self, ref_spec):
         # the start of a stationary-init transient is the stationary table
         spec = replace(ref_spec, init=InitialLaw("stationary"))
