@@ -29,10 +29,14 @@ time blocks into those sums: every Monte Carlo batch (replications,
 supercritical probes, critical limit draws) is reduced as it is stepped
 and never holds a whole path.
 
-One matrix layout: gram_layout writes the Gram of the basis (1, -y, -x)
-and qv_layout the quadratic variation of f - G theta, each from a table
-m(k, l) of integrals of y^k x^l. gram_blocks reads a path's sums into
-it; the limit laws read stationary moments and scaled limits.
+One matrix layout and one table of path sums: gram_layout writes the
+Gram of the basis (1, -y, -x) and qv_layout the quadratic variation of
+f - G theta, each from a table m(k, l) of integrals of y^k x^l. A path
+keys its left-point sums by (k, l, d), y^k x^l against dt, dY or dX
+(PathFunctionals.sum): gram_blocks hands its dt column to gram_layout as
+it is, target_blocks reads f_T as the basis against dY and dX, and the
+critical limit vector reads the same table. The limit laws fill the
+layouts from stationary moments and scaled limits instead.
 """
 
 from __future__ import annotations
@@ -53,12 +57,20 @@ from .simulate import PathGrid
 COND_LIMIT = 1e12
 
 
+# The left-point sums a path carries, keyed (k, l, d): y^k x^l summed
+# against dt, dY or dX for d = "t", "y", "x". The (0, 0) entries are not
+# stored; PathFunctionals.sum reads them off the horizon and end points.
+_KEYS = ((1, 0, "t"), (2, 0, "t"), (0, 1, "t"), (1, 1, "t"), (0, 2, "t"),
+         (1, 0, "y"), (1, 0, "x"), (0, 1, "x"), (0, 1, "y"))
+
+
 @dataclass(eq=False)
 class PathFunctionals:
     """Everything the continuous estimator needs from a path.
 
     Scalar-valued for a single path; array-valued (one entry per path)
-    when reduced from a stack of paths.
+    when reduced from a stack of paths. sums maps each key of _KEYS to
+    its left-point sum.
     """
 
     horizon: float
@@ -66,15 +78,22 @@ class PathFunctionals:
     x0: np.ndarray | float
     y_end: np.ndarray | float
     x_end: np.ndarray | float
-    int_y: np.ndarray | float
-    int_y2: np.ndarray | float
-    int_x: np.ndarray | float
-    int_xy: np.ndarray | float
-    int_x2: np.ndarray | float
-    s_y_dy: np.ndarray | float
-    s_y_dx: np.ndarray | float
-    s_x_dx: np.ndarray | float
-    s_x_dy: np.ndarray | float
+    sums: dict[tuple[int, int, str], np.ndarray | float]
+
+    def sum(self, k: int, l: int, d: str = "t"):
+        """The left-point sum of y^k x^l against dt, dY or dX (d = "t",
+        "y", "x"); with d left at "t", the table m(k, l) of gram_layout.
+
+        The (0, 0) entries are the horizon, broadcast to the shape of the
+        stored sums, Y_T - Y_0 and X_T - X_0.
+        """
+        if k or l:
+            return self.sums[k, l, d]
+        if d == "t":
+            return np.broadcast_to(np.asarray(self.horizon, dtype=float),
+                                   np.shape(self.sums[1, 0, "t"]))
+        end, start = (self.y_end, self.y0) if d == "y" else (self.x_end, self.x0)
+        return np.asarray(end - start, dtype=float)
 
     def then(self, tail: PathFunctionals) -> PathFunctionals:
         """The functionals of this path continued by tail's grid.
@@ -82,14 +101,8 @@ class PathFunctionals:
         tail starts where this path ends; its sums add to these in order.
         """
         return PathFunctionals(
-            horizon=self.horizon + tail.horizon,
-            y0=self.y0, x0=self.x0, y_end=tail.y_end, x_end=tail.x_end,
-            **{name: getattr(self, name) + getattr(tail, name) for name in _SUMS},
-        )
-
-
-_SUMS = ("int_y", "int_y2", "int_x", "int_xy", "int_x2",
-         "s_y_dy", "s_y_dx", "s_x_dx", "s_x_dy")
+            self.horizon + tail.horizon, self.y0, self.x0, tail.y_end, tail.x_end,
+            {key: self.sums[key] + tail.sums[key] for key in _KEYS})
 
 
 def _sum_in_time(a: np.ndarray):
@@ -107,22 +120,22 @@ def _sum_in_time(a: np.ndarray):
 def _segment(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunctionals:
     # time on axis 0, C-contiguous (see _time_major)
     yl, xl = y[:-1], x[:-1]
-    dy, dx = np.diff(y, axis=0), np.diff(x, axis=0)
+    against = {"y": np.diff(y, axis=0), "x": np.diff(x, axis=0)}
+
+    def left_sum(k, l, d):
+        # one temporary at a time: the monomial, then its product with dY
+        # or dX; a first power is the left-point view itself
+        mono = reduce(np.multiply, (xl,) * l + (yl,) * k)
+        if d == "t":
+            return _sum_in_time(mono) * dt
+        return _sum_in_time(mono * against[d])
+
     return PathFunctionals(
-        horizon=(len(y) - 1) * dt,
+        (len(y) - 1) * dt,
         # copies, not views: a view would pin the whole path buffer for
         # as long as a batch collector keeps the summary alive
-        y0=y[0, ...].copy(), x0=x[0, ...].copy(),
-        y_end=y[-1, ...].copy(), x_end=x[-1, ...].copy(),
-        int_y=_sum_in_time(yl) * dt,
-        int_y2=_sum_in_time(yl * yl) * dt,
-        int_x=_sum_in_time(xl) * dt,
-        int_xy=_sum_in_time(xl * yl) * dt,
-        int_x2=_sum_in_time(xl * xl) * dt,
-        s_y_dy=_sum_in_time(yl * dy),
-        s_y_dx=_sum_in_time(yl * dx),
-        s_x_dx=_sum_in_time(xl * dx),
-        s_x_dy=_sum_in_time(xl * dy),
+        y[0, ...].copy(), x[0, ...].copy(), y[-1, ...].copy(), x[-1, ...].copy(),
+        {key: left_sum(*key) for key in _KEYS},
     )
 
 
@@ -185,11 +198,16 @@ def functionals_per_stream(spec, T: float, dt: float, scheme: str,
     blocks = simulate.euler_paths_per_stream(spec, T, dt, scheme, streams)
     parts = [functionals_from_blocks(((y, x) for _, y, x in batch), dt)
              for _, batch in groupby(blocks, key=lambda item: item[0].start)]
+
+    def rows(values):
+        return np.concatenate([np.atleast_1d(v) for v in values])
+
     # every batch rides the same grid, so horizon stays scalar
-    return PathFunctionals(horizon=parts[0].horizon, **{
-        name: np.concatenate([np.atleast_1d(getattr(p, name)) for p in parts])
-        for name in ("y0", "x0", "y_end", "x_end") + _SUMS
-    })
+    return PathFunctionals(
+        parts[0].horizon,
+        *(rows(getattr(p, end) for p in parts)
+          for end in ("y0", "x0", "y_end", "x_end")),
+        {key: rows(p.sums[key] for p in parts) for key in _KEYS})
 
 
 def gram_layout(m) -> np.ndarray:
@@ -225,26 +243,21 @@ def qv_layout(m, sigma1, sigma2, sigma3, rho) -> np.ndarray:
 
 
 def gram_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 Y block and the 3x3 X block of G_T, read from fn's sums.
+    """The 2x2 Y block and the 3x3 X block of G_T: gram_layout of fn's
+    sums against dt.
 
     Stacked over leading axes when fn holds arrays.
     """
-    int_y = np.asarray(fn.int_y)
-    sums = {(0, 0): np.broadcast_to(np.asarray(fn.horizon, dtype=float),
-                                    int_y.shape),
-            (1, 0): int_y, (0, 1): fn.int_x, (2, 0): fn.int_y2,
-            (1, 1): fn.int_xy, (0, 2): fn.int_x2}
-    g2 = gram_layout(lambda k, l: np.asarray(sums[k, l]))
+    g2 = gram_layout(fn.sum)
     return g2[..., :2, :2].copy(), g2
 
 
 def target_blocks(fn: PathFunctionals) -> tuple[np.ndarray, np.ndarray]:
-    """The f_T entries matching gram_blocks."""
-    f1 = np.stack([np.asarray(fn.y_end - fn.y0, dtype=float),
-                   -np.asarray(fn.s_y_dy)], axis=-1)
-    f2 = np.stack([np.asarray(fn.x_end - fn.x0, dtype=float),
-                   -np.asarray(fn.s_y_dx), -np.asarray(fn.s_x_dx)], axis=-1)
-    return f1, f2
+    """The f_T entries matching gram_blocks: the basis (1, -y, -x) summed
+    against dY (its first two entries) and against dX."""
+    f1, f2 = (np.stack([fn.sum(0, 0, d), -fn.sum(1, 0, d), -fn.sum(0, 1, d)],
+                       axis=-1) for d in "yx")
+    return f1[..., :2].copy(), f2
 
 
 @dataclass(eq=False)

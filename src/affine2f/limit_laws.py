@@ -17,6 +17,7 @@ limits give V and eta eta^T, and a path's sums the critical draws.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,13 @@ def subcritical_limit(spec: ModelSpec) -> SubcriticalLimit:
 # ------------------------------------------------------------------- critical
 
 
+def _require_draws(n_draws) -> None:
+    if not isinstance(n_draws, numbers.Integral):
+        raise ValueError(f"n_draws must be an integer, got {n_draws!r}")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+
+
 def require_critical_dt(dt: float) -> None:
     """Refuse a step that leaves fewer than 3 left grid points on [0, 1].
 
@@ -121,7 +129,9 @@ def critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho):
     """Gram blocks and target functionals of the critical limit vector.
 
     fn holds the path functionals of the auxiliary pair on [0, 1]
-    (scalars for one draw, arrays for a stack of draws). The additive
+    (scalars for one draw, arrays for a stack of draws); the targets read
+    its end points and its table of sums, int Y dt, int X dt and the Ito
+    sum of X dY. The additive
     X noise of the original model does not survive the time rescaling,
     so no sigma3 appears here: the targets are the Ito expansions of
     the auxiliary pair's own martingale integrals, whose X quadratic
@@ -130,16 +140,13 @@ def critical_limit_blocks(fn, a, alpha, sigma1, sigma2, rho):
     g1, g2 = gram_blocks(fn)
     y1 = np.asarray(fn.y_end, dtype=float)
     x1 = np.asarray(fn.x_end, dtype=float)
-    t1 = np.stack([
-        y1 - a,
-        -0.5 * y1**2 + (a + 0.5 * sigma1**2) * np.asarray(fn.int_y),
-    ], axis=-1)
+    int_y = fn.sum(1, 0)
+    t1 = np.stack([y1 - a, -0.5 * y1**2 + (a + 0.5 * sigma1**2) * int_y],
+                  axis=-1)
     t2 = np.stack([
         x1 - alpha,
-        -y1 * x1 + (alpha + rho * sigma1 * sigma2) * np.asarray(fn.int_y)
-        + np.asarray(fn.s_x_dy),
-        -0.5 * x1**2 + alpha * np.asarray(fn.int_x)
-        + 0.5 * sigma2**2 * np.asarray(fn.int_y),
+        -y1 * x1 + (alpha + rho * sigma1 * sigma2) * int_y + fn.sum(0, 1, "y"),
+        -0.5 * x1**2 + alpha * fn.sum(0, 1) + 0.5 * sigma2**2 * int_y,
     ], axis=-1)
     return g1, t1, g2, t2
 
@@ -227,8 +234,7 @@ def critical_limit_batch(
     reducer together, as full_euler rows, and are counted. A dt above
     1/3 raises HypothesisError (see require_critical_dt).
     """
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    _require_draws(n_draws)
     require_critical_dt(dt)
     aux = _auxiliary(a, alpha, sigma1, sigma2, rho)
     blocks = _step(aux, 1.0, dt, "exact_y_euler_x", rng,
@@ -397,8 +403,7 @@ def limit_draws(
     RngStream(base_seed, first_stream + j)), and the first absorbed probe
     raises the same NonPositiveVY.
     """
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
+    _require_draws(n_draws)
     regime = classify_regime(spec)
     require(spec, regime)
     if regime is Regime.SUBCRITICAL:

@@ -52,29 +52,34 @@ def _lattice_rows(k_max: int, l_max: int) -> int:
     return (k_max + 1) * (l_max + 1) + l_max * (l_max + 1) // 2
 
 
-def _extended_lattice(k_max: int, l_max: int) -> list[tuple[int, int]]:
+def _walk_lattice(k_max: int, l_max: int):
+    """The extended lattice point by point: l-major, each level from k = 0."""
     # the (k, l) equation pulls in (k+1, l-1) and (k+1, l-2), so lower
     # l-levels need extra k headroom for the system to close
-    return [
-        (k, l)
-        for l in range(l_max + 1)
-        for k in range(k_max + (l_max - l) + 1)
-    ]
+    for l in range(l_max + 1):
+        for k in range(k_max + (l_max - l) + 1):
+            yield k, l
 
 
-def _generator_rows(
-    spec: ModelSpec, lattice: list[tuple[int, int]]
-) -> list[tuple[float, list[tuple[int, float]]]]:
-    """The generator on the lattice, row by row, as (rate, [(column, weight)]).
+def _extended_lattice(k_max: int, l_max: int) -> list[tuple[int, int]]:
+    return list(_walk_lattice(k_max, l_max))
+
+
+def _generator_rows(spec: ModelSpec, lattice):
+    """The generator on the lattice, row by row, as ((k, l), rate,
+    [(column, weight)]).
 
     The generator maps y^k x^l to -rate * y^k x^l, with rate = k*b + l*gamma,
     plus the weighted monomials of the row's terms, in this order. Zero
     weights are left out, and every monomial of negative order has one, so
-    each column is on the lattice.
+    each column is on the lattice. lattice is read one point at a time,
+    as each row is yielded: it runs l-major with every level from k = 0,
+    so a column's index is where its level starts plus its k.
     """
-    index = {kl: i for i, kl in enumerate(lattice)}
-    rows = []
-    for k, l in lattice:
+    starts = []
+    for i, (k, l) in enumerate(lattice):
+        if k == 0:
+            starts.append(i)
         terms = (
             ((k - 1, l), k * spec.a + k * (k - 1) * spec.sigma1**2 / 2.0),
             ((k, l - 1), l * (spec.alpha + k * spec.rho * spec.sigma1 * spec.sigma2)),
@@ -82,55 +87,60 @@ def _generator_rows(
             ((k + 1, l - 2), l * (l - 1) * spec.sigma2**2 / 2.0),
             ((k, l - 2), l * (l - 1) * spec.sigma3**2 / 2.0),
         )
-        rows.append((k * spec.b + l * spec.gamma,
-                     [(index[kl], w) for kl, w in terms if w != 0.0]))
-    return rows
+        yield (k, l), k * spec.b + l * spec.gamma, [
+            (starts[ll] + kk, w) for (kk, ll), w in terms if w != 0.0]
 
 
 def _generator_matrix(spec: ModelSpec, lattice: list[tuple[int, int]]) -> np.ndarray:
     A = np.zeros((len(lattice), len(lattice)))
-    for i, (rate, terms) in enumerate(_generator_rows(spec, lattice)):
+    for i, (_, rate, terms) in enumerate(_generator_rows(spec, lattice)):
         A[i, i] = -rate
         for j, w in terms:
             A[i, j] = w
     return A
 
 
-def _stationary_lattice(spec: ModelSpec, lattice: list[tuple[int, int]]) -> list[float]:
-    """Stationary moments on the lattice: 0 = A m with m[(0, 0)] = 1.
+def _stationary_lattice(spec: ModelSpec, lattice):
+    """Stationary moments ((k, l), m) on the lattice, in its order:
+    0 = A m with m[(0, 0)] = 1.
 
     Each row reads rate * m[i] = sum of weight * m[column] over earlier
-    columns, so forward substitution solves it. Only nonzero weights are
-    summed, so an overflowed entry cannot turn a neighbour into NaN
-    through inf * 0.
+    columns, so forward substitution solves it, one row at a time as the
+    moments are read. Only nonzero weights are summed, so an overflowed
+    entry cannot turn a neighbour into NaN through inf * 0.
     """
     if classify_regime(spec) is not Regime.SUBCRITICAL:
         raise HypothesisError("stationary moments require a subcritical spec "
                               "(b > 0 and gamma > 0)")
     m: list[float] = []
-    for rate, terms in _generator_rows(spec, lattice):
+    for kl, rate, terms in _generator_rows(spec, lattice):
         acc = 0.0
         for j, w in terms:
             acc += w * m[j]
         # rate is 0 only on the (0, 0) row, whose equation is the mass
         m.append(acc / rate if rate else 1.0)
-    return m
+        yield kl, m[-1]
 
 
-def _require_finite(what: str, lattice, m) -> None:
-    for (k, l), v in zip(lattice, m):
+def _require_finite(what: str, moments) -> None:
+    for (k, l), v in moments:
         if not math.isfinite(v):
             raise ValueError(f"the {what} table overflows double precision: "
                              f"its moment at (k, l) = ({k}, {l}) is {float(v)}")
 
 
-def _table(mode: str, lattice: list[tuple[int, int]], m, k_max: int, l_max: int,
+def _table(mode: str, moments, k_max: int, l_max: int,
            t: float | None = None) -> MomentTable:
-    """The k_max x l_max window of lattice values m, all of them finite."""
-    values = {
-        kl: float(v) for kl, v in zip(lattice, m) if kl[0] <= k_max and kl[1] <= l_max
-    }
-    _require_finite(mode, values, values.values())
+    """The k_max x l_max window of the lattice moments ((k, l), value).
+
+    They are read in lattice order up to the first non-finite one inside
+    the window, which is refused; the headroom rows may overflow.
+    """
+    values = {}
+    for kl, v in moments:
+        if kl[0] <= k_max and kl[1] <= l_max:
+            _require_finite(mode, [(kl, v)])
+            values[kl] = float(v)
     return MomentTable(mode, values, k_max, l_max, t=t)
 
 
@@ -155,7 +165,7 @@ def _initial_moments(spec: ModelSpec, lattice: list[tuple[int, int]]) -> np.ndar
             [_gamma_raw_moment(shape, rate, k) * x0**l for k, l in lattice]
         )
     # burned-in stationary start: the exact stationary lattice
-    return np.array(_stationary_lattice(spec, lattice))
+    return np.array([v for _, v in _stationary_lattice(spec, lattice)])
 
 
 # [13/13] Pade numerator coefficients b_0..b_13 and the largest 1-norm at
@@ -175,11 +185,13 @@ _THETA13 = 5.371920351148152
 _MAX_TRANSIENT_ROWS = math.isqrt(2**31 // (12 * 8))
 
 
-# the stationary lattice, its index and its generator rows take about
-# 0.85 KB per lattice row in Python objects (peak RSS grew 112 MB for the
-# 135 751 rows of (k_max, l_max) = (300, 300)), so at 1 KB a row a
-# stationary lattice of more rows than this is refused before it is
-# built: its working set would pass the same 2 GiB
+# the stationary solve keeps every moment it has reached, and the table
+# every moment of its window: about 0.13 KB a lattice row in Python
+# objects (17.5 MB traced for the 135 751 rows of (k_max, l_max) =
+# (300, 300) on a spec that never overflows) and about 3 us a row. A
+# lattice of more rows than this, some 270 MB and 6 s of work, is
+# refused before it is walked; one that overflows inside its window
+# stops at that moment, however many rows it has
 _MAX_STATIONARY_ROWS = 2**31 // 1024
 
 
@@ -242,7 +254,7 @@ def transient_moments(spec: ModelSpec, t: float, k_max: int, l_max: int) -> Mome
     with np.errstate(over="ignore", invalid="ignore"):
         m0 = _initial_moments(spec, lattice)
         # one non-finite initial moment spreads NaN through the product
-        _require_finite("initial", lattice, m0)
+        _require_finite("initial", zip(lattice, m0))
         At = A * t
         norm = float(np.linalg.norm(At, 1))
         if not math.isfinite(norm):
@@ -261,7 +273,7 @@ def transient_moments(spec: ModelSpec, t: float, k_max: int, l_max: int) -> Mome
                              f"the matrix exponential exp(A t) at t={t!r} has "
                              f"{nan} NaN entries of {E.size}")
         mt = E @ m0
-    return _table("transient", lattice, mt, k_max, l_max, t=t)
+    return _table("transient", zip(lattice, mt), k_max, l_max, t=t)
 
 
 def stationary_moments(spec: ModelSpec, n_max: int, p_max: int) -> MomentTable:
@@ -276,10 +288,12 @@ def stationary_moments(spec: ModelSpec, n_max: int, p_max: int) -> MomentTable:
     if rows > _MAX_STATIONARY_ROWS:
         raise ValueError(f"(k_max, l_max) = ({n_max}, {p_max}) needs a "
                          f"stationary lattice of {rows} rows, more than the "
-                         f"{_MAX_STATIONARY_ROWS} whose generator rows fit "
-                         "in memory")
-    lattice = _extended_lattice(n_max, p_max)
-    return _table("stationary", lattice, _stationary_lattice(spec, lattice),
+                         f"{_MAX_STATIONARY_ROWS} that a stationary solve "
+                         "takes")
+    # the lattice is walked and solved only as far as _table reads it, so
+    # a table that overflows inside its window is refused at that entry
+    return _table("stationary",
+                  _stationary_lattice(spec, _walk_lattice(n_max, p_max)),
                   n_max, p_max)
 
 

@@ -48,6 +48,26 @@ def aux_path():
     return _aux_path
 
 
+def _same_functionals(got, want, row=None):
+    """Assert that got equals want under np.array_equal: the horizon, the
+    four end points and every key of the table of sums. With row, got is
+    a stack and its row r is compared with want."""
+    def pick(value):
+        return value if row is None else np.asarray(value)[row]
+
+    assert np.array_equal(got.horizon, want.horizon), "horizon"
+    for name in ("y0", "x0", "y_end", "x_end"):
+        assert np.array_equal(pick(getattr(got, name)), getattr(want, name)), name
+    assert got.sums.keys() == want.sums.keys()
+    for key in want.sums:
+        assert np.array_equal(pick(got.sums[key]), want.sums[key]), key
+
+
+@pytest.fixture(scope="session")
+def same_functionals():
+    return _same_functionals
+
+
 @pytest.fixture
 def noise_feed(monkeypatch):
     """feed(on) sets whether every _step run draws its noise in a forked

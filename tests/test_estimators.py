@@ -13,7 +13,6 @@ from affine2f import simulate
 from affine2f.errors import OutOfDomain, SingularGram
 from affine2f.estimators import (
     COND_LIMIT,
-    PathFunctionals,
     TransformedEstimate,
     clse_approx,
     clse_continuous,
@@ -324,10 +323,10 @@ class TestContinuous:
         """sum y dy telescopes against the squared endpoints."""
         fn = functionals_from_path(noisy_path)
         y, x = noisy_path.y, noisy_path.x
-        assert fn.s_y_dy == pytest.approx(
+        assert fn.sums[1, 0, "y"] == pytest.approx(
             (y[-1] ** 2 - y[0] ** 2) / 2.0 - 0.5 * np.sum(np.diff(y) ** 2),
             rel=1e-12)
-        assert fn.s_x_dx == pytest.approx(
+        assert fn.sums[0, 1, "x"] == pytest.approx(
             (x[-1] ** 2 - x[0] ** 2) / 2.0 - 0.5 * np.sum(np.diff(x) ** 2),
             rel=1e-12)
 
@@ -380,7 +379,8 @@ class TestContinuous:
                                        rtol=1e-13)
 
     def test_stacked_reduction_matches_each_path_bitwise(self, ref_spec,
-                                                         monkeypatch):
+                                                         monkeypatch,
+                                                         same_functionals):
         # two 200-step segments, long enough for numpy's pairwise sum to
         # recurse, and a 100-step tail
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 200)
@@ -389,11 +389,7 @@ class TestContinuous:
         stacked = functionals_from_arrays(np.stack([p.y for p in paths]),
                                           np.stack([p.x for p in paths]), 0.01)
         for i, p in enumerate(paths):
-            single = functionals_from_path(p)
-            for name in PathFunctionals.__dataclass_fields__:
-                want = getattr(single, name)
-                got = getattr(stacked, name)
-                assert (got if name == "horizon" else got[i]) == want, name
+            same_functionals(stacked, functionals_from_path(p), row=i)
 
     @pytest.mark.parametrize("rows", [None, 1, 2, 3, 256])
     def test_sums_run_left_to_right_at_every_width(self, rows):
@@ -413,18 +409,34 @@ class TestContinuous:
         yl, xl = y[..., :-1], x[..., :-1]
         dy, dx = np.diff(y, axis=-1), np.diff(x, axis=-1)
         want = {
-            "int_y": left_to_right(yl) * 0.01,
-            "int_y2": left_to_right(yl * yl) * 0.01,
-            "int_x": left_to_right(xl) * 0.01,
-            "int_xy": left_to_right(xl * yl) * 0.01,
-            "int_x2": left_to_right(xl * xl) * 0.01,
-            "s_y_dy": left_to_right(yl * dy),
-            "s_y_dx": left_to_right(yl * dx),
-            "s_x_dx": left_to_right(xl * dx),
-            "s_x_dy": left_to_right(xl * dy),
+            (1, 0, "t"): left_to_right(yl) * 0.01,
+            (2, 0, "t"): left_to_right(yl * yl) * 0.01,
+            (0, 1, "t"): left_to_right(xl) * 0.01,
+            (1, 1, "t"): left_to_right(xl * yl) * 0.01,
+            (0, 2, "t"): left_to_right(xl * xl) * 0.01,
+            (1, 0, "y"): left_to_right(yl * dy),
+            (1, 0, "x"): left_to_right(yl * dx),
+            (0, 1, "x"): left_to_right(xl * dx),
+            (0, 1, "y"): left_to_right(xl * dy),
         }
-        for name, value in want.items():
-            assert np.array_equal(getattr(fn, name), value), name
+        # a key of the table without an oracle here fails
+        assert fn.sums.keys() == want.keys()
+        for key, value in want.items():
+            assert np.array_equal(fn.sums[key], value), key
+
+    @pytest.mark.parametrize("rows", [1, 2, 256])
+    def test_unstored_entries_are_horizon_and_increments(self, rows):
+        rng = np.random.default_rng(4109)
+        y = rng.standard_normal((rows, 300)).cumsum(axis=-1)
+        x = rng.standard_normal((rows, 300)).cumsum(axis=-1)
+        fn = functionals_from_arrays(y, x, 0.01)
+        want = {"t": np.full(rows, 299 * 0.01), "y": y[:, -1] - y[:, 0],
+                "x": x[:, -1] - x[:, 0]}
+        for d, value in want.items():
+            got = fn.sum(0, 0, d)
+            assert (0, 0, d) not in fn.sums
+            assert got.shape == value.shape and got.dtype == value.dtype
+            assert got.tobytes() == value.tobytes(), d  # sign bits too
 
     def test_batched_solver_skips_degenerate_rows(self, ref_spec):
         good = simulate_path(ref_spec, 3.0, 0.01, rng=RngStream(4105))

@@ -10,7 +10,6 @@ from scipy import stats
 from affine2f import experiments, simulate
 from affine2f.errors import ExcessiveExclusions, HypothesisError
 from affine2f.estimators import (
-    PathFunctionals,
     functionals_from_path,
     functionals_per_stream,
     solve_continuous,
@@ -153,7 +152,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("case", ["point", "stationary-y", "stationary",
                                       "sigma1_zero", "no-l", "no-b"])
     def test_rows_replay_the_scalar_engine(self, sub_spec, scheme, case,
-                                           monkeypatch):
+                                           monkeypatch, same_functionals):
         # 50 steps in 7-step blocks end on a 1-step block; 9 rows taken 4
         # at a time end on a 1-row batch
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
@@ -177,14 +176,11 @@ class TestRunExperiment:
         for r in range(9):
             want = functionals_from_path(simulate.simulate_path(
                 spec, 0.5, 0.01, scheme, RngStream(91, r)))
-            for name in PathFunctionals.__dataclass_fields__:
-                have = getattr(got, name)
-                have = have if np.ndim(have) == 0 else have[r]
-                assert have == getattr(want, name), (r, name)
+            same_functionals(got, want, row=r)
 
     @pytest.mark.parametrize("scheme", simulate.SCHEMES)
     def test_batch_width_never_changes_rows(self, sub_spec, scheme,
-                                            monkeypatch):
+                                            monkeypatch, same_functionals):
         # short blocks, so that a width-dependent block length would show
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
 
@@ -195,19 +191,18 @@ class TestRunExperiment:
 
         # width 1 reduces lone columns, which numpy would sum pairwise
         single, narrow, wide = rows_at(1), rows_at(2), rows_at(256)
-        for name in PathFunctionals.__dataclass_fields__:
-            assert np.array_equal(getattr(single, name), getattr(wide, name)), name
-            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+        same_functionals(single, wide)
+        same_functionals(narrow, wide)
 
-    def test_reused_streams_restart_their_paths(self, sub_spec):
+    def test_reused_streams_restart_their_paths(self, sub_spec,
+                                                same_functionals):
         # a stationary-y start also draws from substream 3, so every
         # substream a row touches must restart on the second pass
         spec = replace(sub_spec, init=InitialLaw("stationary-y", x0=0.2))
         streams = [RngStream(95, r) for r in range(3)]
         first = functionals_per_stream(spec, 0.5, 0.01, "full_euler", streams)
         again = functionals_per_stream(spec, 0.5, 0.01, "full_euler", streams)
-        for name in PathFunctionals.__dataclass_fields__:
-            assert np.array_equal(getattr(first, name), getattr(again, name)), name
+        same_functionals(first, again)
 
     def test_batched_engine_never_holds_whole_paths(self, sub_spec):
         # recorded (R, n) Y and X paths would take R * n * 16 bytes

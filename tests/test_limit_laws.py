@@ -175,6 +175,13 @@ class TestCritical:
             critical_limit_batch(n_draws, 1.0, 0.3, 0.75, 0.5, -0.2, 0.01,
                                  RngStream(77))
 
+    @pytest.mark.parametrize("n_draws", [3.0, 2.5])
+    def test_batch_refuses_a_non_integer_count(self, n_draws):
+        with pytest.raises(ValueError,
+                           match=f"n_draws must be an integer, got {n_draws!r}"):
+            critical_limit_batch(n_draws, 1.0, 0.3, 0.75, 0.5, -0.2, 0.01,
+                                 RngStream(77))
+
     def test_batch_folds_the_whole_path_reduction(self, monkeypatch,
                                                   stepped_paths):
         # 7-step blocks: the batch folds 15 of them per row; the reference
@@ -267,12 +274,16 @@ def _grid_exact_means(a, alpha, sigma1, dt):
     E Y_t^2 = (a^2 + a sigma1^2/2) t^2; exact Y has them at every grid
     point, and Euler X, whose drift is the constant alpha, has
     E X_t = alpha t there too. Summed over t_i = i dt, i < 1/dt, times dt.
+    Keyed as the table of sums: (k, l, "t") is the sum of Y^k X^l dt.
     """
     return {
-        "int_y": a * (1.0 - dt) / 2.0,
-        "int_y2": (a**2 + a * sigma1**2 / 2.0) * (1.0 - dt) * (2.0 - dt) / 6.0,
-        "int_x": alpha * (1.0 - dt) / 2.0,
+        (1, 0, "t"): a * (1.0 - dt) / 2.0,
+        (2, 0, "t"): (a**2 + a * sigma1**2 / 2.0) * (1.0 - dt) * (2.0 - dt) / 6.0,
+        (0, 1, "t"): alpha * (1.0 - dt) / 2.0,
     }
+
+
+VAR_INT_Y = ("var", 1, 0, "t")
 
 
 def _second_moments(a, alpha, sigma1, sigma2, rho):
@@ -281,13 +292,14 @@ def _second_moments(a, alpha, sigma1, sigma2, rho):
     From (0, 0) with b = beta = gamma = 0 every moment is a polynomial in
     t: Var int Y = a sigma1^2/12, E int Y^2 = (a^2 + a sigma1^2/2)/3,
     E int XY = (a alpha + rho sigma1 sigma2 a/2)/3 and E int X dY = a alpha/2.
-    "var_int_y" is the mean of the squared deviations of int Y.
+    Keyed as the table of sums; VAR_INT_Y is the mean of the squared
+    deviations of int Y.
     """
     return {
-        "var_int_y": a * sigma1**2 / 12.0,
-        "int_y2": (a**2 + a * sigma1**2 / 2.0) / 3.0,
-        "int_xy": (a * alpha + rho * sigma1 * sigma2 * a / 2.0) / 3.0,
-        "s_x_dy": a * alpha / 2.0,
+        VAR_INT_Y: a * sigma1**2 / 12.0,
+        (2, 0, "t"): (a**2 + a * sigma1**2 / 2.0) / 3.0,
+        (1, 1, "t"): (a * alpha + rho * sigma1 * sigma2 * a / 2.0) / 3.0,
+        (0, 1, "y"): a * alpha / 2.0,
     }
 
 
@@ -326,7 +338,8 @@ class TestCriticalReferenceLaw:
     def fine_pass(self):
         fn = _first_pass(self.FINE_ROWS, self.A, self.ALPHA, self.SIGMA1,
                          self.SIGMA2, self.RHO, self.FINE_DT, RngStream(1))
-        return dict(vars(fn), var_int_y=(fn.int_y - fn.int_y.mean())**2)
+        int_y = fn.sums[1, 0, "t"]
+        return {**fn.sums, VAR_INT_Y: (int_y - int_y.mean())**2}
 
     def _z(self, samples, means):
         return {name: (np.mean(samples[name]) - want)
@@ -334,14 +347,14 @@ class TestCriticalReferenceLaw:
                 for name, want in means.items()}
 
     def test_means_are_grid_exact(self, first_pass):
-        z = self._z(vars(first_pass), _grid_exact_means(self.A, self.ALPHA,
-                                                        self.SIGMA1, self.DT))
+        z = self._z(first_pass.sums, _grid_exact_means(self.A, self.ALPHA,
+                                                       self.SIGMA1, self.DT))
         assert all(abs(v) < 4.0 for v in z.values()), z
 
     def test_wrong_level_fails(self, first_pass):
         # negative control: the oracle of a model with a 10 % larger a
-        z = self._z(vars(first_pass), _grid_exact_means(1.1 * self.A, self.ALPHA,
-                                                        self.SIGMA1, self.DT))
+        z = self._z(first_pass.sums, _grid_exact_means(1.1 * self.A, self.ALPHA,
+                                                       self.SIGMA1, self.DT))
         assert max(abs(v) for v in z.values()) >= 4.0, z
 
     def test_second_moments_converge(self, fine_pass):
@@ -729,4 +742,17 @@ def test_limit_draws_checks_every_regime():
 def test_limit_draws_refuses_no_draws(args, n_draws):
     spec = make_spec(*args, init=InitialLaw("point", y0=1.0, x0=0.5))
     with pytest.raises(ValueError, match=f"n_draws must be at least 1, got {n_draws}"):
+        limit_draws(spec, n_draws, 0.01, 1, 0)
+
+
+@pytest.mark.parametrize("n_draws", [2.5, 3.0, "3"])
+@pytest.mark.parametrize("args", [
+    (1.0, 1.0, 0.5, 0.3, 0.6, 0.5, 0.3, 0.4, 0.3),
+    (1.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.3, 0.4, 0.3),
+    (1.2, -0.5, 0.4, 0.0, -1.0, 0.5, 0.3, 0.4, 0.2),
+], ids=["subcritical", "critical", "supercritical"])
+def test_limit_draws_refuses_a_non_integer_count(args, n_draws):
+    spec = make_spec(*args, init=InitialLaw("point", y0=1.0, x0=0.5))
+    with pytest.raises(ValueError,
+                       match=f"n_draws must be an integer, got {n_draws!r}"):
         limit_draws(spec, n_draws, 0.01, 1, 0)

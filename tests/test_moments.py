@@ -331,7 +331,8 @@ class TestStationary:
         (3000, 3000, 13_507_501), (2_097_152, 0, 2_097_153)])
     def test_oversized_lattice_is_refused_before_building(
             self, ref_spec, monkeypatch, n_max, p_max, rows):
-        # about 0.85 KB a row: 13.5 M rows would need some 12 GB
+        # about 0.13 KB and 3 us a row: 13.5 M rows would take some 1.8 GB
+        # and 40 s
         def build(*args):
             raise AssertionError("the lattice was built")
 
@@ -362,6 +363,35 @@ class TestStationary:
         # every table that is returned is finite
         table = stationary_moments(ref_spec, 100, 2)
         assert all(math.isfinite(v) for v in table.values.values())
+
+    @pytest.mark.parametrize("n_max, p_max", [(300, 300), (100_000, 0)])
+    def test_overflow_is_refused_before_the_lattice_is_solved(self, n_max,
+                                                              p_max):
+        # the spec of the CLI smoke run: the (300, 300) lattice has 135 751
+        # rows, the (100000, 0) one 100 001, and both overflow at (268, 0)
+        import tracemalloc
+
+        spec = make_spec(1.0, 1.0, 0.5, 0.3, 0.6, 0.5, 0.3, 0.4, 0.3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"stationary table overflows "
+                               r"double precision: its moment at \(k, l\) = "
+                               r"\(268, 0\) is inf"):
+                stationary_moments(spec, n_max, p_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_overflowing_headroom_is_not_refused(self):
+        # beta = sigma2 = 0: no X row reads the Y headroom, so the table of
+        # (267, 1) is finite although its headroom entry (268, 0) is not
+        spec = make_spec(1.0, 1.0, 0.5, 0.0, 0.6, 0.5, 0.0, 0.4, 0.3)
+        table = stationary_moments(spec, 267, 1)
+        assert len(table.values) == 268 * 2
+        assert all(math.isfinite(v) for v in table.values.values())
+        with pytest.raises(ValueError, match=r"\(268, 0\) is inf"):
+            stationary_moments(spec, 268, 1)
 
 
 def _ext(spec, n, p):
