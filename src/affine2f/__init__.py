@@ -54,7 +54,6 @@ from .limit_laws import (
     critical_limit_sample,
     subcritical_limit,
     supercritical_limit_sample,
-    v_det_closed_form,
     v_matrix,
 )
 from .model import (
@@ -137,6 +136,5 @@ __all__ = [
     "subcritical_limit",
     "supercritical_limit_sample",
     "transient_moments",
-    "v_det_closed_form",
     "v_matrix",
 ]

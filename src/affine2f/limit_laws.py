@@ -295,11 +295,6 @@ def v_matrix(b: float, gamma: float, v_y: float, v_x: float) -> np.ndarray:
     return _block_diag(x[:2, :2], x)
 
 
-def v_det_closed_form(b: float, gamma: float, v_y: float, v_x: float) -> float:
-    return (-((b - gamma) ** 2) * v_y**4 * v_x**2
-            / (8.0 * (b + gamma) ** 2 * b**2 * gamma))
-
-
 def eta_sq_matrix(
     b: float,
     gamma: float,

@@ -1,4 +1,4 @@
-"""The model record, limit-theorem hypotheses, and exact conditional means.
+"""The model record and the limit-theorem hypotheses.
 
 The model is the two-factor affine diffusion
 
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import HypothesisError
-from .kernels import i1, i2, psi
 
 # the nine constants in the paper's order: the drift, then the diffusion
 CONSTANTS = ("a", "b", "alpha", "beta", "gamma",
@@ -203,26 +202,3 @@ def require(spec: ModelSpec, regime: Regime) -> None:
     violations = [text for holds, text in checks if not holds]
     if violations:
         raise HypothesisError("; ".join(violations))
-
-
-def conditional_mean_y(spec: ModelSpec, y_s: float, dt: float) -> float:
-    """E(Y_{s+dt} | Y_s = y_s) = exp(-b*dt)*y_s + a*psi(b, dt)."""
-    b = spec.b
-    return math.exp(-b * dt) * y_s + spec.a * psi(b, dt)
-
-
-def conditional_mean_x(spec: ModelSpec, y_s: float, x_s: float, dt: float) -> float:
-    """E(X_{s+dt} | Y_s = y_s, X_s = x_s).
-
-    Four terms: the decayed state, the alpha level, the coupling response to
-    y_s, and the coupling response to the running mean level of Y:
-
-        exp(-gamma*dt)*x_s + alpha*psi(gamma, dt)
-        - beta*y_s*i1(b, gamma, dt) - a*beta*i2(b, gamma, dt)
-    """
-    return (
-        math.exp(-spec.gamma * dt) * x_s
-        + spec.alpha * psi(spec.gamma, dt)
-        - spec.beta * y_s * i1(spec.b, spec.gamma, dt)
-        - spec.a * spec.beta * i2(spec.b, spec.gamma, dt)
-    )

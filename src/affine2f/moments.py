@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError
-from .kernels import psi
 from .model import ModelSpec, Regime, classify_regime
 
 
@@ -305,96 +304,3 @@ def stationary_y_gamma_params(spec: ModelSpec) -> tuple[float, float]:
     if not spec.sigma1 > 0.0:
         raise HypothesisError("the stationary Y law is degenerate when sigma1 = 0")
     return 2.0 * spec.a / spec.sigma1**2, 2.0 * spec.b / spec.sigma1**2
-
-
-def fractional_moment_y(spec: ModelSpec, kappa: float) -> float:
-    """E(Y_inf^kappa) for real kappa > -shape, via the gamma law."""
-    shape, rate = stationary_y_gamma_params(spec)
-    if kappa <= -shape:
-        raise ValueError(f"moment of order {kappa} diverges (shape {shape})")
-    return math.exp(math.lgamma(shape + kappa) - math.lgamma(shape)) / rate**kappa
-
-
-def laplace_y(spec: ModelSpec, t: float, lam: float, y0: float) -> float:
-    """E(exp(-lam * Y_t) | Y_0 = y0), the closed-form transform."""
-    if not spec.sigma1 > 0.0:
-        raise ValueError("laplace_y requires sigma1 > 0")
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    base = 1.0 + spec.sigma1**2 * lam * psi(spec.b, t) / 2.0
-    expo = lam * math.exp(-spec.b * t) * y0 / base
-    return base ** (-2.0 * spec.a / spec.sigma1**2) * math.exp(-expo)
-
-
-@dataclass(frozen=True)
-class MeanGrowth:
-    """Leading-order first-moment behavior: E ~ coef * shape(t).
-
-    kind is one of "constant", "linear", "quadratic", "exponential",
-    "t-exponential"; rate is the decay parameter c of exp(-c*t) for the
-    exponential kinds (negative c means growth) and 0 otherwise.
-    """
-
-    y_kind: str
-    y_rate: float
-    y_coef: float
-    x_kind: str
-    x_rate: float
-    x_coef: float
-
-
-def mean_growth_check(spec: ModelSpec) -> MeanGrowth:
-    """Classify how E(Y_t) and E(X_t) behave as t grows.
-
-    Mirrors the exhaustive case table for the first moments; degenerate
-    parameter choices can make a leading coefficient 0, in which case the
-    class label is still the table's, not the next-order term's.
-    """
-    a, b, al, be, g = (
-        spec.a, spec.b, spec.alpha, spec.beta, spec.gamma,
-    )
-    _, ey0, ex0 = _initial_moments(spec, _extended_lattice(0, 1)).tolist()
-
-    if b > 0.0:
-        y = ("constant", 0.0, a / b)
-    elif b == 0.0:
-        y = ("linear", 0.0, a)
-    else:
-        y = ("exponential", b, ey0 - a / b)
-
-    if b > 0.0:
-        if g > 0.0:
-            x = ("constant", 0.0, al / g - a * be / (b * g))
-        elif g == 0.0:
-            x = ("linear", 0.0, al - a * be / b)
-        else:
-            x = (
-                "exponential",
-                g,
-                be / (g - b) * ey0 + ex0 - al / g + a * be / (b * g)
-                - a * be / ((g - b) * b),
-            )
-    elif b == 0.0:
-        if g > 0.0:
-            x = ("linear", 0.0, -a * be / g)
-        elif g == 0.0:
-            x = ("quadratic", 0.0, -a * be / 2.0)
-        else:
-            x = ("exponential", g, be / g * ey0 + ex0 - al / g - a * be / g**2)
-    else:
-        if g > 0.0 or (g < 0.0 and g > b):
-            x = ("exponential", b, -be / (g - b) * ey0 + a * be / ((g - b) * b))
-        elif g == 0.0:
-            x = ("exponential", b, be / b * ey0 + ex0 - be * a / b**2)
-        elif g == b:
-            x = ("t-exponential", b, -be * ey0 + a * be / b)
-        else:  # g < b < 0: X's own rate dominates
-            x = (
-                "exponential",
-                g,
-                be / (g - b) * ey0 + ex0 - al / g + a * be / (b * g)
-                - a * be / (b * (g - b)),
-            )
-    return MeanGrowth(*y, *x)

@@ -1,10 +1,12 @@
+import math
 import os
 
 import numpy as np
 import pytest
 
 from affine2f import simulate
-from affine2f.model import InitialLaw, make_spec
+from affine2f.kernels import i1, i2, psi
+from affine2f.model import InitialLaw, ModelSpec, make_spec
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +17,73 @@ def ref_spec():
         sigma1=0.6, sigma2=0.4, sigma3=0.25, rho=-0.35,
         init=InitialLaw(kind="point", y0=0.7, x0=-0.4),
     )
+
+
+# The closed forms below are oracles only: no command computes them, so
+# they live here, each shared as a session fixture by the test modules
+# that check the library against it.
+
+
+def _conditional_mean_y(spec: ModelSpec, y_s: float, dt: float) -> float:
+    """E(Y_{s+dt} | Y_s = y_s) = exp(-b*dt)*y_s + a*psi(b, dt)."""
+    b = spec.b
+    return math.exp(-b * dt) * y_s + spec.a * psi(b, dt)
+
+
+def _conditional_mean_x(spec: ModelSpec, y_s: float, x_s: float, dt: float) -> float:
+    """E(X_{s+dt} | Y_s = y_s, X_s = x_s).
+
+    Four terms: the decayed state, the alpha level, the coupling response to
+    y_s, and the coupling response to the running mean level of Y:
+
+        exp(-gamma*dt)*x_s + alpha*psi(gamma, dt)
+        - beta*y_s*i1(b, gamma, dt) - a*beta*i2(b, gamma, dt)
+    """
+    return (
+        math.exp(-spec.gamma * dt) * x_s
+        + spec.alpha * psi(spec.gamma, dt)
+        - spec.beta * y_s * i1(spec.b, spec.gamma, dt)
+        - spec.a * spec.beta * i2(spec.b, spec.gamma, dt)
+    )
+
+
+@pytest.fixture(scope="session")
+def conditional_mean_y():
+    return _conditional_mean_y
+
+
+@pytest.fixture(scope="session")
+def conditional_mean_x():
+    return _conditional_mean_x
+
+
+def _laplace_y(spec: ModelSpec, t: float, lam: float, y0: float) -> float:
+    """E(exp(-lam * Y_t) | Y_0 = y0), the closed-form transform."""
+    if not spec.sigma1 > 0.0:
+        raise ValueError("laplace_y requires sigma1 > 0")
+    if not t > 0.0:
+        raise ValueError(f"t must be positive, got {t}")
+    if lam < 0.0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    base = 1.0 + spec.sigma1**2 * lam * psi(spec.b, t) / 2.0
+    expo = lam * math.exp(-spec.b * t) * y0 / base
+    return base ** (-2.0 * spec.a / spec.sigma1**2) * math.exp(-expo)
+
+
+@pytest.fixture(scope="session")
+def laplace_y():
+    return _laplace_y
+
+
+def _v_det_closed_form(b: float, gamma: float, v_y: float, v_x: float) -> float:
+    return (-((b - gamma) ** 2) * v_y**4 * v_x**2
+            / (8.0 * (b + gamma) ** 2 * b**2 * gamma))
+
+
+@pytest.fixture(scope="session")
+def v_det_closed_form():
+    """det V of the supercritical limit's scaling matrix, in closed form."""
+    return _v_det_closed_form
 
 
 def _stepped_paths(spec, T, dt, scheme, rng, n_paths):

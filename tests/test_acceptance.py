@@ -32,7 +32,7 @@ from affine2f.experiments import (
     _ks_two_sample,
     run_experiment,
 )
-from affine2f.limit_laws import critical_limit_batch, v_det_closed_form, v_matrix
+from affine2f.limit_laws import critical_limit_batch, v_matrix
 from affine2f.model import InitialLaw, make_spec
 from affine2f.moments import transient_moments
 from affine2f.rng import RngStream
@@ -227,7 +227,8 @@ def test_criterion_07_critical_limit_two_sample():
              + f" above {TWO_SAMPLE_KS_TOL}")
 
 
-def test_criterion_08_supercritical_consistency_and_v_identity(stepped_paths):
+def test_criterion_08_supercritical_consistency_and_v_identity(
+        stepped_paths, v_det_closed_form):
     spec = make_spec(1.0, -0.5, 0.2, 0.0, -1.0, 0.5, 0.3, 0.4, 0.3,
                      init=InitialLaw("point", y0=1.0, x0=0.5))
     start = time.time()

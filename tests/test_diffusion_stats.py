@@ -114,6 +114,23 @@ class TestDiffusionEstimate:
         with pytest.raises(SingularSystem):
             estimate_diffusion(path)
 
+    @pytest.mark.xfail(strict=True, raises=SingularSystem, reason=(
+        "ROADMAP item 17: the half/full-horizon system is singular whenever "
+        "the two Y averages coincide, though Y varies and a regression of "
+        "the squared X increments on (Y dt, dt) recovers both constants"))
+    def test_varying_y_with_equal_half_averages(self):
+        # Y varies, but its second half repeats its first; the X increments
+        # alternate in sign with (dX)^2 = (0.16*y + 0.09)*dt at each left point
+        n, dt = 2000, 0.01
+        half = np.linspace(0.5, 2.0, n // 2)
+        y = np.concatenate([half, half, half[:1]])
+        sign = np.where(np.arange(n) % 2, -1.0, 1.0)
+        dx = sign * np.sqrt((0.16 * y[:-1] + 0.09) * dt)
+        path = PathGrid(0.0, dt, y, np.concatenate([[0.0], np.cumsum(dx)]))
+        est = estimate_diffusion(path)
+        assert est.sigma2_sq == pytest.approx(0.16, rel=1e-9)
+        assert est.sigma3_sq == pytest.approx(0.09, rel=1e-9)
+
     def test_vanishing_y_integral_raises(self):
         path = PathGrid(0.0, 0.1, np.zeros(20), np.linspace(0.0, 1.0, 20))
         with pytest.raises(ValueError):

@@ -27,12 +27,7 @@ from affine2f.estimators import (
     solve_gated,
     target_blocks,
 )
-from affine2f.model import (
-    InitialLaw,
-    conditional_mean_x,
-    conditional_mean_y,
-    make_spec,
-)
+from affine2f.model import InitialLaw, make_spec
 from affine2f.rng import RngStream
 from affine2f.simulate import PathGrid, simulate_path
 
@@ -266,7 +261,9 @@ class TestSolveGated:
 
 
 class TestBackTransform:
-    def test_forward_map_reproduces_conditional_means(self, ref_spec):
+    def test_forward_map_reproduces_conditional_means(self, ref_spec,
+                                                        conditional_mean_y,
+                                                        conditional_mean_x):
         n = 12.0
         c, d, delta, eps, zeta = gn_forward(ref_spec, n)
         for y_s, x_s in [(0.3, -1.0), (2.0, 0.5), (0.0, 0.0)]:

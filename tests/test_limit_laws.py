@@ -24,7 +24,6 @@ from affine2f.limit_laws import (
     limit_draws,
     subcritical_limit,
     supercritical_limit_sample,
-    v_det_closed_form,
     v_matrix,
 )
 from affine2f.model import InitialLaw, make_spec
@@ -371,7 +370,7 @@ class TestCriticalReferenceLaw:
 
 
 class TestSupercritical:
-    def test_displayed_determinant_example(self):
+    def test_displayed_determinant_example(self, v_det_closed_form):
         V = v_matrix(-0.5, -1.0, 2.0, 3.0)
         assert v_det_closed_form(-0.5, -1.0, 2.0, 3.0) == pytest.approx(8.0)
         assert np.linalg.det(V) == pytest.approx(8.0, rel=1e-12)
@@ -385,7 +384,7 @@ class TestSupercritical:
         assert np.all(E[:2, 2:] == 0.0)
         assert np.all(E[2:, :2] == 0.0)
 
-    def test_random_tuples_det_identity_and_psd(self):
+    def test_random_tuples_det_identity_and_psd(self, v_det_closed_form):
         rng = np.random.default_rng(7)
         for _ in range(100):
             b = -rng.uniform(0.05, 3.0)
@@ -406,7 +405,7 @@ class TestSupercritical:
         np.testing.assert_array_equal(F, F.T)
         np.testing.assert_allclose(F @ F, E, rtol=1e-11, atol=1e-13)
 
-    def test_sample_pipeline(self):
+    def test_sample_pipeline(self, v_det_closed_form):
         spec = make_spec(1.0, -0.5, 0.2, -0.1, -1.0, 0.6, 0.4, 0.3, -0.2,
                          init=InitialLaw("point", y0=1.0, x0=0.5))
         lim, draw = supercritical_limit_sample(spec, None, 1e-3,

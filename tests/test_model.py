@@ -12,8 +12,6 @@ from affine2f.model import (
     InitialLaw,
     Regime,
     classify_regime,
-    conditional_mean_x,
-    conditional_mean_y,
     make_spec,
     require,
 )
@@ -145,39 +143,41 @@ class TestConstruction:
 
 
 class TestConditionalMeans:
-    def test_mean_y_zero_rate(self):
+    def test_mean_y_zero_rate(self, conditional_mean_y):
         spec = make_spec(1.0, 0.0, 0, 0, 0, 1, 0, 0, 0)
         assert conditional_mean_y(spec, 2.0, 3.0) == 5.0
 
-    def test_mean_y_balances_at_level(self):
+    def test_mean_y_balances_at_level(self, conditional_mean_y):
         # e^{-ln 2} * 1 + (1 - e^{-ln 2}) * 1 = 1
         spec = make_spec(1.0, 1.0, 0, 0, 0, 1, 0, 0, 0)
         assert_allclose(conditional_mean_y(spec, 1.0, math.log(2.0)), 1.0, rtol=1e-15)
 
-    def test_mean_y_pure_decay(self):
+    def test_mean_y_pure_decay(self, conditional_mean_y):
         spec = make_spec(0.0, 2.0, 0, 0, 0, 1, 0, 0, 0)
         assert_allclose(conditional_mean_y(spec, 4.0, 0.5), 4.0 * math.exp(-1.0), rtol=1e-15)
 
-    def test_mean_x_drift_only(self):
+    def test_mean_x_drift_only(self, conditional_mean_x):
         spec = make_spec(0.0, 0.0, 1.0, 0.0, 0.0, 1, 0, 0, 0)
         assert_allclose(conditional_mean_x(spec, 5.0, 0.0, 2.0), 2.0, rtol=1e-15)
 
-    def test_mean_x_pure_coupling_critical(self):
+    def test_mean_x_pure_coupling_critical(self, conditional_mean_x):
         spec = make_spec(0.0, 0.0, 0.0, 1.0, 0.0, 1, 0, 0, 0)
         assert_allclose(conditional_mean_x(spec, 1.0, 0.0, 1.0), -1.0, rtol=1e-15)
 
-    def test_mean_x_equal_rates(self):
+    def test_mean_x_equal_rates(self, conditional_mean_x):
         spec = make_spec(0.0, 1.0, 0.0, 1.0, 1.0, 1, 0, 0, 0)
         assert_allclose(conditional_mean_x(spec, 1.0, 0.0, 1.0), -math.exp(-1.0), rtol=1e-14)
 
-    def test_frozen_reference_values(self, ref_spec):
+    def test_frozen_reference_values(self, ref_spec, conditional_mean_y,
+                                     conditional_mean_x):
         # mpmath (dps=50) evaluations of the defining integral formulas
         assert_allclose(conditional_mean_y(ref_spec, 0.7, 1.3), 1.0637341034829936984, rtol=1e-14)
         assert_allclose(
             conditional_mean_x(ref_spec, 0.7, -0.4, 1.3), 0.4929621774172236227, rtol=1e-14
         )
 
-    def test_short_horizon_drift_consistency(self, ref_spec):
+    def test_short_horizon_drift_consistency(self, ref_spec, conditional_mean_y,
+                                              conditional_mean_x):
         y, x, h = 0.7, -0.4, 1e-7
         spec = ref_spec
         rate_y = (conditional_mean_y(spec, y, h) - y) / h
@@ -193,7 +193,8 @@ class TestConditionalMeans:
         y=st.floats(min_value=0.0, max_value=5.0),
         x=st.floats(min_value=-5.0, max_value=5.0),
     )
-    def test_two_step_composition(self, b, gamma, dt1, dt2, y, x):
+    def test_two_step_composition(self, b, gamma, dt1, dt2, y, x,
+                                   conditional_mean_y, conditional_mean_x):
         # the conditional means are affine in the state, so iterating the
         # one-step map over dt1 then dt2 must equal the single dt1+dt2 map
         spec = make_spec(0.9, b, -0.2, 0.7, gamma, 1, 0, 0, 0)

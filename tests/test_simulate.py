@@ -12,11 +12,7 @@ from affine2f.errors import HypothesisError
 from affine2f.kernels import psi
 from affine2f.limit_laws import critical_limit_batch
 from affine2f.model import InitialLaw, make_spec
-from affine2f.moments import (
-    laplace_y,
-    stationary_moments,
-    stationary_y_gamma_params,
-)
+from affine2f.moments import stationary_moments, stationary_y_gamma_params
 from affine2f.rng import RngStream
 from affine2f.simulate import (
     PathGrid,
@@ -131,7 +127,7 @@ class TestCirTransition:
         res = simulate_ensemble(spec, 1.0, 1.0, rng=RngStream(101), n_paths=100_000)
         assert within_mc_error(res.y_end, 1.0)
 
-    def test_laplace_transform(self):
+    def test_laplace_transform(self, laplace_y):
         spec = make_spec(1, 0.5, 0, 0, 1, 0.8, 0, 0, 0, InitialLaw("point", 2.0, 0.0))
         res = simulate_ensemble(spec, 0.7, 0.7, rng=RngStream(202), n_paths=100_000)
         target = laplace_y(spec, 0.7, 1.0, 2.0)
@@ -191,9 +187,7 @@ class TestSimulatePath:
         p = simulate_path(spec, 5.0, 0.01, "full_euler", RngStream(9))
         assert np.all(p.y >= 0.0)
 
-    def test_euler_mean_converges_to_oracle(self):
-        from affine2f.model import conditional_mean_y
-
+    def test_euler_mean_converges_to_oracle(self, conditional_mean_y):
         spec = make_spec(1, 1, 0, 0, 1, 1.0, 0, 0, 0, InitialLaw("point", 1.0, 0.0))
         res = simulate_ensemble(
             spec, 1.0, 1e-3, "full_euler", RngStream(303), n_paths=10_000
