@@ -11,13 +11,7 @@ driven by independent standard Wiener processes W, B, L.
 """
 
 from .config import RunConfig, load_config, parse_config, serialize_config
-from .diffusion_stats import (
-    DiffusionEstimate,
-    QuadraticVariations,
-    diffusion_from_qv,
-    estimate_diffusion,
-    realized_qv,
-)
+from .diffusion_stats import DiffusionEstimate, estimate_diffusion
 from .errors import (
     Affine2FError,
     ConfigError,
@@ -98,7 +92,6 @@ __all__ = [
     "OutOfDomain",
     "PathFunctionals",
     "PathGrid",
-    "QuadraticVariations",
     "Regime",
     "RngStream",
     "RunConfig",
@@ -116,7 +109,6 @@ __all__ = [
     "consistency_sweep",
     "critical_limit_batch",
     "critical_limit_sample",
-    "diffusion_from_qv",
     "estimate_diffusion",
     "functionals_from_path",
     "gn_forward",
@@ -125,7 +117,6 @@ __all__ = [
     "load_config",
     "make_spec",
     "parse_config",
-    "realized_qv",
     "run_experiment",
     "sample_cir_transition",
     "serialize_config",

@@ -1,15 +1,19 @@
 """Diffusion coefficients recovered from realized quadratic variation.
 
-On a fine grid the squared-increment sums of (Y, X) converge to
+Over a grid step the squared increments of (Y, X) have conditional means
 
-    <Y>_T   = sigma1^2 int_0^T Y du
-    <X>_t   = sigma2^2 int_0^t Y du + sigma3^2 t        (t = T and T/2)
-    <Y,X>_T = rho sigma1 sigma2 int_0^T Y du
+    E((dY)^2 | F)  = sigma1^2 Y dt
+    E((dX)^2 | F)  = (sigma2^2 Y + sigma3^2) dt
+    E(dY dX | F)   = rho sigma1 sigma2 Y dt
 
-so sigma1^2 is a ratio, (sigma2^2, sigma3^2) solve a 2x2 linear system
-over the half and full horizon, and rho is a normalized cross term.
-Drift contributes O(dt) to every sum and is deliberately not corrected
-for; the tests measure the finite-dt error instead.
+up to O(dt^2), with Y at the step's left point. So sigma1^2 is the ratio
+of sum (dY)^2 to int Y, (sigma2^2, sigma3^2) regress the squared X
+increments on (Y dt, dt) over every step of the grid (the unweighted
+quasi-likelihood contrast of Genon-Catalot & Jacod, 1993), and rho is a
+normalized cross term. The regression is singular only when Y is
+constant on the grid. Drift contributes O(dt) to every sum and is
+deliberately not corrected for; the tests measure the finite-dt error
+instead.
 """
 
 from __future__ import annotations
@@ -26,32 +30,12 @@ DET_TOL = 1e-12
 
 
 @dataclass(eq=False)
-class QuadraticVariations:
-    """Realized variation sums and the Y time integrals scaling them."""
-
-    qv_y_T: float
-    qv_x_T: float
-    qv_x_halfT: float
-    qcov_yx_T: float
-    int_y_T: float
-    int_y_halfT: float
-    horizon: float
-    t_half: float
-
-    def __post_init__(self):
-        if self.qv_y_T < 0.0:
-            raise ValueError("qv_y_T must be nonnegative")
-        if not self.qv_x_T >= self.qv_x_halfT >= 0.0:
-            raise ValueError("need qv_x_T >= qv_x_halfT >= 0")
-
-
-@dataclass(eq=False)
 class DiffusionEstimate:
     """The four statistics plus diagnostics.
 
     sigma2_sq and sigma3_sq are floored at zero; the raw solutions of the
-    half/full-horizon system can dip slightly negative at finite dt and
-    are kept alongside.
+    regression can dip slightly negative at finite dt and are kept
+    alongside.
     """
 
     sigma1_sq: float
@@ -61,7 +45,7 @@ class DiffusionEstimate:
     sigma2_sq_raw: float
     sigma3_sq_raw: float
     rho_clamped: bool
-    det_ratio: float  # |det| of the 2x2 system relative to its entry scale
+    det_ratio: float  # |det| of the normal matrix relative to its entry scale
 
     def to_text(self) -> str:
         lines = [
@@ -75,64 +59,47 @@ class DiffusionEstimate:
         return "\n".join(lines) + "\n"
 
 
-def realized_qv(path: PathGrid) -> QuadraticVariations:
-    """Squared-increment sums over the full and half horizon.
+def estimate_diffusion(path: PathGrid) -> DiffusionEstimate:
+    """Four diffusion statistics from one path's realized variations.
 
-    The half horizon is the first floor(N/2) increments of the N on the
-    grid, so both rows of the downstream system are exact sums.
+    det_ratio is the spread of Y over the grid's left points,
+    Var(y) / E(y^2); below DET_TOL Y counts as constant and the
+    regression is refused.
     """
-    if len(path) < 3:
-        raise ValueError(f"need at least 3 grid points, got {len(path)}")
     dy, dx = np.diff(path.y), np.diff(path.x)
-    n = dy.size
-    k = n // 2
-    dt = path.dt
-    return QuadraticVariations(
-        qv_y_T=float(dy @ dy),
-        qv_x_T=float(dx @ dx),
-        qv_x_halfT=float(dx[:k] @ dx[:k]),
-        qcov_yx_T=float(dy @ dx),
-        int_y_T=float(path.y[:-1].sum() * dt),
-        int_y_halfT=float(path.y[:k].sum() * dt),
-        horizon=n * dt,
-        t_half=k * dt,
-    )
-
-
-def diffusion_from_qv(qv: QuadraticVariations) -> DiffusionEstimate:
-    """Invert the variation identities for the four coefficients."""
-    if not qv.int_y_T > 0.0:
+    y, dt, n = path.y[:-1], path.dt, dy.size
+    sum_y = float(y.sum())
+    int_y = sum_y * dt
+    if not int_y > 0.0:
         raise ValueError("time integral of Y must be positive")
-    s1 = qv.qv_y_T / qv.int_y_T
+    s1 = float(dy @ dy) / int_y
 
-    A = np.array([[qv.int_y_T, qv.horizon], [qv.int_y_halfT, qv.t_half]])
+    dx2 = dx * dx
+    A = np.array([[float(y @ y), sum_y], [sum_y, float(n)]])
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     scale = max(abs(A[0, 0] * A[1, 1]), abs(A[0, 1] * A[1, 0]))
-    if scale == 0.0 or abs(det) < DET_TOL * scale:
+    if abs(det) < DET_TOL * scale:
         raise SingularSystem(
-            "half- and full-horizon Y averages coincide; "
-            f"|det| = {abs(det):.3e} against scale {scale:.3e}"
+            "Y is constant on the grid, so the squared X increments cannot "
+            f"separate sigma2^2 from sigma3^2; |det| = {abs(det):.3e} "
+            f"against scale {scale:.3e}"
         )
-    s2_raw, s3_raw = np.linalg.solve(A, np.array([qv.qv_x_T, qv.qv_x_halfT]))
+    rhs = np.array([float(y @ dx2), float(dx2.sum())]) / dt
+    s2_raw, s3_raw = np.linalg.solve(A, rhs)
     s2, s3 = max(s2_raw, 0.0), max(s3_raw, 0.0)
 
-    denom = math.sqrt(s1 * s2) * qv.int_y_T
+    denom = math.sqrt(s1 * s2) * int_y
     clamped = False
     if denom > 0.0:
-        rho = qv.qcov_yx_T / denom
+        rho = float(dy @ dx) / denom
         if abs(rho) > 1.0:
             rho = math.copysign(1.0, rho)
             clamped = True
     else:
         rho = float("nan")
     return DiffusionEstimate(
-        sigma1_sq=float(s1), sigma2_sq=float(s2), sigma3_sq=float(s3),
+        sigma1_sq=s1, sigma2_sq=float(s2), sigma3_sq=float(s3),
         rho=float(rho), sigma2_sq_raw=float(s2_raw),
         sigma3_sq_raw=float(s3_raw), rho_clamped=clamped,
-        det_ratio=abs(det) / scale,
+        det_ratio=float(abs(det) / scale),
     )
-
-
-def estimate_diffusion(path: PathGrid) -> DiffusionEstimate:
-    """Four diffusion statistics from one path's realized variations."""
-    return diffusion_from_qv(realized_qv(path))

@@ -29,7 +29,7 @@ class OutOfDomain(Affine2FError):
 
 
 class SingularSystem(Affine2FError):
-    """The two-horizon quadratic-variation system has no stable solution."""
+    """Y is constant on the grid, so the diffusion regression is singular."""
 
 
 class NonPositiveVY(Affine2FError):

@@ -420,10 +420,17 @@ class TestDiffstats:
         # one short path: just a coarse sanity band around 0.5^2
         assert 0.1 < float(rec["sigma1_sq"]) < 0.5
 
-    def test_short_path_fails_numerically(self, tmp_path):
+    def test_short_path_fails_numerically(self, tmp_path, capsys):
         f = tmp_path / "tiny.txt"
         write_path_grid(PathGrid(0.0, 0.5, [1.0, 1.1], [0.2, 0.25]), f)
         assert main(["diffstats", str(f)]) == 4
+        # Y constant on the grid: sigma2^2 and sigma3^2 are not separable
+        flat = tmp_path / "flat.txt"
+        write_path_grid(PathGrid(0.0, 0.5, [1.5] * 5,
+                                 [0.0, 0.1, 0.3, 0.2, 0.4]), flat)
+        capsys.readouterr()
+        assert main(["diffstats", str(flat)]) == 4
+        assert "Y is constant on the grid" in capsys.readouterr().err
 
 
 class TestMcVerify:
