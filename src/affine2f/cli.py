@@ -4,7 +4,8 @@ Subcommands wire config files and stored paths to the library:
 simulate, estimate, moments, diffstats, mc-verify and limit-sample.
 Every command is a pure function of (config, seed, flags); reruns
 reproduce each output file byte for byte. Exit codes: 0 success,
-2 config problem (an output path that cannot be written included),
+2 config problem (an output path that cannot be written, or a run too
+large to allocate, included),
 3 violated model hypotheses (the library raised HypothesisError),
 4 numerical failure.
 """
@@ -275,6 +276,11 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         # an OSError is an output path that cannot be written; it names it
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # numpy's message names the allocation that was refused
+        print(f"config error: the run does not fit in memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

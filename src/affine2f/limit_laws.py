@@ -201,11 +201,16 @@ def critical_limit_sample(
     """One draw of the critical limit of (a_hat-a, T b_hat, alpha_hat-alpha,
     T beta_hat, T gamma_hat).
 
-    Simulates the auxiliary pair from (0, 0) with full-truncation Euler
-    (the exact-Y scheme reconstructs W increments by dividing by
-    sqrt(Y), which degenerates at Y0 = 0), assembles the two blocks and
-    solves: the one-row case of _critical_draws, whose redraw k runs on
-    rng.spawn(k). A dt above 1/3 raises HypothesisError (see
+    Simulates the auxiliary pair from (0, 0) with full-truncation Euler,
+    assembles the two blocks and solves: the one-row case of
+    _critical_draws, whose redraw k runs on rng.spawn(k). full_euler is
+    a choice here, not a necessity: exact Y from Y0 = 0, which every
+    first draw of critical_limit_batch runs, stays finite, since the W
+    increment it rebuilds is divided by sqrt(Y_FLOOR), not sqrt(0), and
+    enters X times sqrt(Y0) = 0. So a redrawn row of a batch comes from
+    another scheme than its first draws; one scheme for both (ROADMAP
+    items 5 and 13) moves golden draws, so it waits for a change to the
+    benchmark. A dt above 1/3 raises HypothesisError (see
     require_critical_dt).
     """
     require_critical_dt(dt)

@@ -49,8 +49,9 @@ formed once per block:
                             + sigma2*sqrt(y)*(rho*dw + ortho*db))
                            + sigma3*dl,
                        no per-step call: given Y, X is a linear
-                       recurrence, filled as one scan per block (_scan_x)
-                       with one divide, one cumsum and one multiply
+                       recurrence, filled by a prefix scan (_scan_x)
+                       whose runs restart at each block, with one
+                       divide, one cumsum and one multiply per run
 
 On one row the seven calls are nearly all of a full_euler step's cost.
 """
@@ -89,9 +90,6 @@ BLOCK_STEPS = 1024
 # Wider rows spread each ufunc call's dispatch cost over more path-steps,
 # with little left to gain past 256
 WIDE_ROWS = 256
-# steps per run of the X scan (_scan_x); runs start at the global step
-# multiples of its length, so where a block ends never changes a bit
-SCAN_STEPS = 1024
 # a run of at least this many normals draws them in a forked child
 # (_noise_blocks): fork plus reap takes about 3.3 ms, the fill of 2^17
 # Philox normals, and only the blocks after the first are overlapped
@@ -113,8 +111,10 @@ class PathGrid:
         self.x = np.asarray(self.x, dtype=float)
         if self.y.shape != self.x.shape or self.y.ndim != 1 or self.y.size < 2:
             raise ValueError("y and x must be equal-length 1-d arrays of size >= 2")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         for name, v in (("y", self.y), ("x", self.x)):
             bad = np.flatnonzero(~np.isfinite(v))
             if bad.size:
@@ -365,7 +365,7 @@ def _x_growth(gamma_dt: float) -> np.ndarray:
     P[i] is X's growth (1 - gamma*dt)^i over i Euler steps, rounded once
     per entry: a cumprod of fl(1 - gamma*dt) compounds its rounding and
     drifts 6e-12 over a 60 000-step supercritical probe. A run of the
-    scan is S = min(SCAN_STEPS, floor(600/|L|)) >= 1 steps, so P stays
+    scan is S = min(BLOCK_STEPS, floor(600/|L|)) >= 1 steps, so P stays
     within e^(+-600), normal doubles. gamma*dt >= 1 is refused: there
     1 - gamma*dt <= 0, so X flips sign at every step (or, at 1, keeps no
     memory), which does not discretise the model.
@@ -377,54 +377,42 @@ def _x_growth(gamma_dt: float) -> np.ndarray:
             "smaller dt")
     log_phi = math.log1p(-gamma_dt)
     span = 600.0 / abs(log_phi) if log_phi else math.inf
-    steps = max(1, int(min(SCAN_STEPS, span)))
+    steps = max(1, int(min(BLOCK_STEPS, span)))
     return np.exp(np.arange(steps + 1) * log_phi)
 
 
-def _scan_x(growth: np.ndarray, lo: int, x: np.ndarray, t, e: np.ndarray):
+def _scan_x(growth: np.ndarray, x: np.ndarray, e: np.ndarray) -> None:
     """Euler for X over one block, x[j+1] = x[j] + (e[j] - (gamma*dt)*x[j]).
 
     x holds the block's m + 1 time-major rows, shape (m + 1, rows), with
     x[0] set, e the m increments but the -(gamma*dt)*x term
-    (overwritten), lo the global step of x[0], growth _x_growth's table P
-    and t the scan state the previous block returned.
+    (overwritten) and growth _x_growth's table P.
     Given Y, X is a linear recurrence, so it is a prefix scan. Runs of
-    S = growth.size - 1 steps start at the global step multiples of S;
-    a run from step j0 scans
+    S = growth.size - 1 steps start at the block's first step and then
+    every S steps, each from x where the last one ended; a run from
+    step j0 scans
 
         t[j0] = x[j0],  t[j+1] = t[j] + e[j]/P[j+1-j0],
         x[j+1] = P[j+1-j0]*t[j+1],
 
-    which is the recursion multiplied out: one divide, and one cumsum
-    along time and one multiply per run within the block. The scan adds
-    in the recursion's own order, so for gamma = 0 (P all ones) its bits
-    are the recursion's; otherwise it stays within about 1e-14 of it,
-    relative to the largest |X| so far. Returns t at x[m], for the next
-    block.
+    which is the recursion multiplied out: one divide, one cumsum along
+    time and one multiply per run. The scan adds in the recursion's own
+    order, so for gamma = 0 (P all ones) its bits are the recursion's;
+    otherwise it stays within about 1e-14 of it, relative to the largest
+    |X| so far.
     """
     steps = growth.size - 1
-    m = e.shape[0]
-    # one P entry per step, over the rows
-    p = growth[np.arange(lo, lo + m) % steps + 1][:, None]
-    np.divide(e, p, out=e)
-    # the offsets where a run starts, and where the block ends
-    bounds = [0, *range(steps - lo % steps, m, steps), m]
-    if lo % steps == 0:
-        t = x[0]
-    for s0, s1 in zip(bounds, bounds[1:]):
-        if s0:
-            t = x[s0]  # a run starts from x where the last one ended
-        e[s0] += t
-        run = x[s0 + 1 : s1 + 1]
-        np.cumsum(e[s0:s1], axis=0, out=run)
-        t = run[-1].copy()
-        run *= p[s0:s1]
-    return t
+    for j0 in range(0, e.shape[0], steps):
+        run, out = e[j0 : j0 + steps], x[j0 + 1 : j0 + steps + 1]
+        p = growth[1 : len(run) + 1, None]
+        np.divide(run, p, out=run)
+        run[0] += x[j0]
+        np.cumsum(run, axis=0, out=out)
+        out *= p
 
 
 def _step_x(spec: ModelSpec, dt: float, ortho: float, growth: np.ndarray,
-            lo: int, y: np.ndarray, x: np.ndarray, t, dw: np.ndarray, db,
-            dl):
+            y: np.ndarray, x: np.ndarray, dw: np.ndarray, db, dl) -> None:
     """Euler for X over one block, in place, given the whole Y block.
 
     Each step is x + (e - (gamma*dt)*x), where
@@ -435,7 +423,7 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, growth: np.ndarray,
     depends on Y and the noise alone, so it is formed for the whole block
     (dw, db and dl are overwritten), without the B or L term when that
     source is not drawn. X is then one _scan_x over the block, with no
-    per-step call, and its t is returned for the next block.
+    per-step call.
     """
     yl = y[:-1]
     e = spec.beta * yl
@@ -452,7 +440,7 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, growth: np.ndarray,
     if dl is not None:
         dl *= spec.sigma3
         e += dl
-    return _scan_x(growth, lo, x, t, e)
+    _scan_x(growth, x, e)
 
 
 def _step(
@@ -518,16 +506,14 @@ def _step(
     decay, level = math.exp(-spec.b * dt), spec.a * psi(spec.b, dt)
 
     per_block = max(1, min(BLOCK_STEPS, BLOCK_STEPS * WIDE_ROWS // rows))
-    starts = range(0, n - 1, per_block)
-    sizes = [min(per_block, n - 1 - lo) for lo in starts]
+    sizes = [min(per_block, n - 1 - lo) for lo in range(0, n - 1, per_block)]
     sources = (None if kernel is not None else gen_y, gen_b, gen_l)
     feed = _noise_blocks(sources, sizes, rows, sqrt_dt)
     y_last = y0.astype(float)
     x_last = x0.astype(float)
-    t_last = x_last  # the X scan's state
     yi = y_last.copy()  # internal full_euler state
     try:
-        for lo, m, (dw, db, dl) in zip(starts, sizes, feed):
+        for m, (dw, db, dl) in zip(sizes, feed):
             y = np.empty((m + 1, rows))
             x = np.empty((m + 1, rows))
             y[0], x[0] = y_last, x_last
@@ -552,8 +538,7 @@ def _step(
                     np.add(y_next, level_r, out=y_next)
             else:
                 _step_y_euler(spec, dt, y, yi, dw)
-            t_last = _step_x(spec, dt, ortho, growth, lo, y, x, t_last, dw,
-                             db, dl)
+            _step_x(spec, dt, ortho, growth, y, x, dw, db, dl)
             y_last, x_last = y[-1], x[-1]
             yield y, x
     finally:

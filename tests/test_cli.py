@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output files, byte-level reruns."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -186,6 +187,23 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, argv, where):
     assert err.startswith("config error: ")
     assert repr(where.format(**names)) in err
     assert "Traceback" not in err
+
+
+# a run too large to allocate is a config error that names the allocation,
+# not a traceback; each size is past a 57-bit address space, so the
+# request fails before any page is touched
+@pytest.mark.parametrize("argv,model,size", [
+    (["simulate"], dict(T=1e14, dt=1e-3), "PiB"),
+    (["limit-sample", "--draws", str(10**17)], {}, "EiB"),
+], ids=["simulate", "limit-sample"])
+def test_oversized_run_is_config_error(tmp_path, capsys, argv, model, size):
+    cfg = write_config(tmp_path, **model)
+    assert main(argv + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the run does not fit in memory: ")
+    assert re.search(rf"Unable to allocate [\d.]+ {size} ", err), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:

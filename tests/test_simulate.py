@@ -64,6 +64,15 @@ class TestPathGrid:
         with pytest.raises(ValueError, match=rf"^{name}\[2\] = {value} is not finite$"):
             PathGrid(0.0, 0.5, arrays["y"], arrays["x"])
 
+    @pytest.mark.parametrize("t0,dt,field", [
+        (0.0, math.inf, "dt"), (0.0, math.nan, "dt"), (0.0, 0.0, "dt"),
+        (math.nan, 0.5, "t0"), (-math.inf, 0.5, "t0")])
+    def test_rejects_a_non_finite_grid(self, t0, dt, field):
+        # dt = inf would reach the estimators as a singular Gram, or as
+        # sigma^2 = 0, and t0 = nan would give t = nan
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            PathGrid(t0, dt, np.ones(3), np.zeros(3))
+
     def test_rejects_single_point(self):
         with pytest.raises(ValueError, match="size >= 2"):
             PathGrid(0.0, 0.5, np.array([1.0]), np.array([0.0]))
@@ -267,11 +276,19 @@ class TestNoiseBlocks:
     @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
     def test_block_size_never_changes_ensembles(self, ref_spec, scheme, monkeypatch,
                                                 stepped_paths):
-        whole = stepped_paths(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5)
+        # the X scan restarts at each block, so the block length moves X
+        # by rounding alone, and not at all where gamma = 0 (P all ones)
+        specs = (ref_spec, replace(ref_spec, gamma=0.0))
+        wholes = [stepped_paths(spec, 1.0, 0.01, scheme, RngStream(32), 5)
+                  for spec in specs]
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 7)
-        split = stepped_paths(ref_spec, 1.0, 0.01, scheme, RngStream(32), 5)
-        assert_array_equal(split[0], whole[0])
-        assert_array_equal(split[1], whole[1])
+        for spec, whole in zip(specs, wholes):
+            split = stepped_paths(spec, 1.0, 0.01, scheme, RngStream(32), 5)
+            assert_array_equal(split[0], whole[0])
+            if spec.gamma == 0.0:
+                assert_array_equal(split[1], whole[1])
+            else:
+                assert_near_x(split[1], whole[1])
 
 
 def per_stream_paths(spec, T, dt, scheme, streams):
@@ -287,6 +304,14 @@ def per_stream_paths(spec, T, dt, scheme, streams):
         x[rows, c : c + xb.shape[1]] = xb
         lo[rows.start] = c + yb.shape[1] - 1
     return y, x
+
+
+def assert_near_x(got, want, axis=-1):
+    """got is within 1e-13 of the X path want, relative to the largest |X|
+    so far along axis: X crosses zero, where the pointwise relative error
+    of any two roundings is unbounded."""
+    scale = np.maximum.accumulate(np.abs(want), axis=axis)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def assert_no_child_left():
@@ -475,22 +500,20 @@ class TestXScan:
     def scan(x0, e, c):
         x = np.empty((e.shape[0] + 1,) + e.shape[1:])
         x[0] = x0
-        simulate._scan_x(simulate._x_growth(c), 0, x, x[0], e.copy())
+        simulate._scan_x(simulate._x_growth(c), x, e.copy())
         return x
 
     @pytest.mark.parametrize("c", [7e-3, -1e-2, 0.9])
     def test_scan_matches_recursion(self, c):
-        # 5000 steps: at c = 0.9 a run is 260 steps, so many runs restart
+        # 5000 steps: runs of at most BLOCK_STEPS, and at c = 0.9 of 260
+        # steps, so many runs restart
         gen = np.random.default_rng(5)
         e = gen.standard_normal((5000, 4)) * 0.03
         x0 = gen.standard_normal(4)
         want = self.recursion(x0, e, c)
         got = self.scan(x0, e, c)
         assert np.all(np.isfinite(got))
-        # relative to the largest |X| so far: X crosses zero, where the
-        # pointwise relative error of any two roundings is unbounded
-        scale = np.maximum.accumulate(np.abs(want), axis=0)
-        assert np.max(np.abs(got - want) / scale) <= 1e-13
+        assert_near_x(got, want, axis=0)
         if c == 0.9:
             assert simulate._x_growth(c).size == 261
 
@@ -504,23 +527,24 @@ class TestXScan:
     @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
     def test_runs_that_end_inside_blocks(self, ref_spec, scheme, block_steps,
                                          monkeypatch):
-        streams = [RngStream(68, k) for k in range(3)]
-        whole = per_stream_paths(ref_spec, 1.0, 0.01, scheme, streams)
-        one_block = simulate.BLOCK_STEPS  # the 100 steps fit in one
-        monkeypatch.setattr(simulate, "SCAN_STEPS", 5)
+        # gamma*dt = 0.9 caps a run at 260 steps, so with 1024-step blocks
+        # (None) runs end inside the 2500 steps' three blocks
+        spec = replace(ref_spec, gamma=90.0)
+        T, dt = 25.0, 0.01
         if block_steps is not None:
             monkeypatch.setattr(simulate, "BLOCK_STEPS", block_steps)
-        y, x = per_stream_paths(ref_spec, 1.0, 0.01, scheme, streams)
-        paths = [simulate_path(ref_spec, 1.0, 0.01, scheme, s) for s in streams]
-        monkeypatch.setattr(simulate, "BLOCK_STEPS", one_block)
-        y_one, x_one = per_stream_paths(ref_spec, 1.0, 0.01, scheme, streams)
-        assert_array_equal(y, y_one)
-        assert_array_equal(x, x_one)
-        for r, path in enumerate(paths):
+        assert simulate._n_grid(T, dt) - 1 > 2 * simulate.BLOCK_STEPS
+        assert simulate._x_growth(spec.gamma * dt).size - 1 == min(
+            260, simulate.BLOCK_STEPS)
+        streams = [RngStream(68, k) for k in range(3)]
+        y, x = per_stream_paths(spec, T, dt, scheme, streams)
+        for r, s in enumerate(streams):
+            path = simulate_path(spec, T, dt, scheme, s)
             assert_array_equal(y[r], path.y)
             assert_array_equal(x[r], path.x)
-        assert_array_equal(y, whole[0])  # runs never touch Y
-        assert_allclose(x, whole[1], rtol=1e-13, atol=1e-15)
+            y_float, x_float = float_path(spec, T, dt, scheme, s)
+            assert_array_equal(y[r], y_float)
+            assert_near_x(x[r], x_float)
 
     @pytest.mark.parametrize("gamma", [1.0, 1.2])
     @pytest.mark.parametrize("entry", ["path", "ensemble", "per_stream"])
@@ -610,9 +634,7 @@ class TestFloatOracle:
         path = simulate_path(spec, T, dt, scheme, RngStream(71, 4))
         y, x = float_path(spec, T, dt, scheme, RngStream(71, 4))
         assert_array_equal(path.y, y)
-        # the TestXScan bound, relative to the largest |X| so far
-        scale = np.maximum.accumulate(np.abs(x))
-        assert np.all(np.abs(path.x - x) <= 1e-13 * scale)
+        assert_near_x(path.x, x)
         if spec.gamma == 0.0:
             assert_array_equal(path.x, x)  # the scan adds as the recursion
 
