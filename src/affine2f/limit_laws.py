@@ -34,6 +34,7 @@ from .estimators import (
 from .model import ModelSpec, Regime, classify_regime, make_spec, require
 from .moments import stationary_moments
 from .rng import RngStream
+from . import simulate
 from .simulate import (
     _n_grid,
     _start,
@@ -398,8 +399,10 @@ def limit_draws(
     regime's hypotheses raises HypothesisError.
 
     The supercritical probes are exact-Y rows of
-    simulate.euler_paths_per_stream that keep only their end points, so
-    draw j is bit-identical to supercritical_limit_sample(spec, None, dt,
+    simulate.euler_paths_per_stream that keep only their end points; the
+    streams are built, stepped and drawn WIDE_ROWS at a time, after the
+    draws array is allocated, so an oversized n_draws fails up front. Draw
+    j is bit-identical to supercritical_limit_sample(spec, None, dt,
     RngStream(base_seed, first_stream + j)), and the first absorbed probe
     raises the same NonPositiveVY.
     """
@@ -415,14 +418,18 @@ def limit_draws(
         return critical_limit_batch(
             n_draws, spec.a, spec.alpha, spec.sigma1, spec.sigma2, spec.rho,
             dt, RngStream(base_seed, first_stream))
-    T_probe = PROBE_SPAN / abs(spec.b)
-    streams = [RngStream(base_seed, first_stream + j) for j in range(n_draws)]
-    y_end, x_end = np.empty(n_draws), np.empty(n_draws)
-    for rows, y, x in euler_paths_per_stream(spec, T_probe, dt,
-                                             "exact_y_euler_x", streams):
-        y_end[rows], x_end[rows] = y[:, -1], x[:, -1]
-    T = (_n_grid(T_probe, dt) - 1) * dt
     draws = np.empty((n_draws, 5))
-    for j, rng in enumerate(streams):
-        _, draws[j] = _supercritical_draw(spec, T, y_end[j], x_end[j], rng)
+    T_probe = PROBE_SPAN / abs(spec.b)
+    T = (_n_grid(T_probe, dt) - 1) * dt
+    width = simulate.WIDE_ROWS  # one batch of euler_paths_per_stream
+    for lo in range(0, n_draws, width):
+        streams = [RngStream(base_seed, first_stream + j)
+                   for j in range(lo, min(lo + width, n_draws))]
+        for _, y, x in euler_paths_per_stream(spec, T_probe, dt,
+                                              "exact_y_euler_x", streams):
+            pass
+        for j, rng in enumerate(streams):
+            _, draws[lo + j] = _supercritical_draw(spec, T, y[j, -1],
+                                                   x[j, -1], rng)
+        del streams, y, x  # free this batch before the next is built
     return draws, 0

@@ -82,11 +82,11 @@ DEFAULT_BURN_IN_RATE = 20.0
 # (estimators.functionals_from_arrays) sums a whole path in segments of
 # the same length, left to right within each and in order across them,
 # so it gets the same bits as a study that reduces the blocks one by one
-BLOCK_STEPS = 1024
+BLOCK_STEPS = 512
 # no block array of the stepper holds more than BLOCK_STEPS * WIDE_ROWS
-# values (2 MiB): per-stream batches take WIDE_ROWS rows at a time, and
+# values (1 MiB): per-stream batches take WIDE_ROWS rows at a time, and
 # wider shared-stream ensembles take shorter blocks (a full block of 1e5
-# paths would take 800 MB); their draws never depend on the block length.
+# paths would take 400 MB); their draws never depend on the block length.
 # Wider rows spread each ufunc call's dispatch cost over more path-steps,
 # with little left to gain past 256
 WIDE_ROWS = 256
@@ -523,7 +523,19 @@ def _step(
                         y[j + 1] = kernel.draw(y[j], gen_y)
                 else:
                     for r, g in enumerate(gen_y):
-                        y[1:, r] = kernel.walk(float(y[0, r]), m, g)
+                        try:
+                            y[1:, r] = kernel.walk(float(y[0, r]), m, g)
+                        except ValueError as exc:
+                            # the Poisson mean decay*y/(2*scale) passed
+                            # numpy's limit: Y grows like e^(|b| t) when b < 0
+                            raise ValueError(
+                                f"{rng[r]!r}: exact Y left numpy's Poisson "
+                                f"range in the block that starts at Y = "
+                                f"{y[0, r]:.6g}: the mixture mean "
+                                f"decay*Y/(2*scale) must stay below numpy's "
+                                f"limit of about 9.2e18, that is Y below "
+                                f"{9.2e18 * 2.0 * kernel.scale / kernel.decay:.3g}"
+                                f" ({exc})") from exc
                 # invert the Y update for the W increments that produced
                 # it, with the denominator floored to avoid blow-up near 0
                 yl = y[:-1]

@@ -195,13 +195,29 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, argv, where):
 @pytest.mark.parametrize("argv,model,size", [
     (["simulate"], dict(T=1e14, dt=1e-3), "PiB"),
     (["limit-sample", "--draws", str(10**17)], {}, "EiB"),
-], ids=["simulate", "limit-sample"])
+    (["limit-sample", "--draws", str(10**17)],
+     dict(b=-0.5, gamma=-1.0, beta=0.0, alpha=0.2), "EiB"),
+], ids=["simulate", "limit-sample", "limit-sample-supercritical"])
 def test_oversized_run_is_config_error(tmp_path, capsys, argv, model, size):
     cfg = write_config(tmp_path, **model)
     assert main(argv + ["--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: the run does not fit in memory: ")
     assert re.search(rf"Unable to allocate [\d.]+ {size} ", err), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exact_y_past_numpys_poisson_range_is_numerical_failure(tmp_path,
+                                                               capsys):
+    # sigma1 = 0.05: the supercritical probe's Poisson mixture mean
+    # outgrows numpy's range, and the message names the stream
+    cfg = write_config(tmp_path, b=-0.5, gamma=-1.0, beta=0.0, alpha=0.2,
+                       sigma1=0.05, dt=1e-3)
+    assert main(["limit-sample", "--draws", "2", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: RngStream(seed=9, stream=0): "
+                          "exact Y left numpy's Poisson range"), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -230,11 +230,28 @@ class TestRunExperiment:
             R, 1.0, 0.3, 0.75, 0.5, -0.2, dt, RngStream(5)))
         assert peak < path_bytes / 2, (peak, path_bytes)
 
+    def test_batch_working_set_is_about_thirteen_block_arrays(
+            self, sub_spec, noise_feed):
+        # with the noise filled in-process, a batch of WIDE_ROWS full_euler
+        # rows holds about 13 block arrays of 1 MiB at its peak: a longer
+        # block or another block-sized temporary passes 16 MiB
+        import tracemalloc
+
+        noise_feed(False)
+        streams = [RngStream(5, r) for r in range(simulate.WIDE_ROWS)]
+        tracemalloc.start()
+        try:
+            functionals_per_stream(sub_spec, 2.0, 1e-3, "full_euler", streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
     def test_noise_feed_maps_at_most_two_blocks_of_noise(self, sub_spec,
                                                         noise_feed, monkeypatch):
         # tracemalloc cannot see the feed's shared slots, so their size is
         # checked where they are mapped: 2 slots of 3 sources of one
-        # block, 12 MiB, at any width
+        # block, 6 MiB, at any width
         sizes = []
         mapping = simulate.mmap.mmap
 
@@ -245,7 +262,7 @@ class TestRunExperiment:
         monkeypatch.setattr(simulate.mmap, "mmap", recorded)
         forks = noise_feed(True)
         bound = 2 * 3 * simulate.BLOCK_STEPS * simulate.WIDE_ROWS * 8
-        assert bound == 12 * 2**20
+        assert bound == 6 * 2**20
         # per-stream batches of WIDE_ROWS rows and one of 44 rows
         plan = ExperimentPlan(spec=sub_spec, T=1.2, dt=1e-3, replications=300,
                               base_seed=5, scheme="full_euler")

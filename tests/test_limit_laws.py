@@ -1,6 +1,8 @@
 """Limit objects: sandwich covariance, critical samples, mixed-normal pieces."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -721,6 +723,50 @@ def test_supercritical_probes_keep_end_points_only(monkeypatch):
                      init=InitialLaw("point", y0=1.0, x0=0.5))
     draws, redraws = limit_draws(spec, 2, 0.07, 610, 4)
     assert draws.shape == (2, 5) and redraws == 0
+
+
+def test_supercritical_draws_hold_one_batch_of_streams():
+    """Supercritical memory is the draws array and one WIDE_ROWS batch of
+    probes: no stream is built before the batch that steps it.
+
+    A stream costs about 136 B, so 1280 streams built up front would add
+    about 170 KB, more than three times the 5 % of a batch allowed. The
+    probes are 10 steps long (T_probe = 30/|b| = 1, dt = 0.1), and the
+    streams start past 256 so that the one-batch run, like every later
+    batch, allocates its stream ids rather than reading Python's cached
+    small ints.
+    """
+    spec = make_spec(1.0, -30.0, 0.2, 0.0, -60.0, 0.5, 0.3, 0.4, 0.3,
+                     init=InitialLaw("point", y0=1.0, x0=0.5))
+
+    def peak(n_draws):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            limit_draws(spec, n_draws, 0.1, 611, 1000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    limit_draws(spec, 2, 0.1, 611, 1000)  # first-call caches are no batch
+    one_batch = peak(simulate.WIDE_ROWS)
+    n_draws = 5 * simulate.WIDE_ROWS
+    # the draws array and one batch, give or take 5 % of a batch
+    got = peak(n_draws)
+    assert got <= n_draws * 5 * 8 + 1.05 * one_batch, (got, one_batch)
+
+
+def test_exact_y_past_numpys_poisson_range_names_its_stream():
+    # criterion 08's model with sigma1 = 0.05: the probe's Y grows like
+    # e^(|b| t), and its Poisson mixture mean decay*y/(2*scale) passes
+    # numpy's limit of about 9.2e18 near Y = 1.15e13, long before T_probe
+    spec = make_spec(1.0, -0.5, 0.2, 0.0, -1.0, 0.05, 0.3, 0.4, 0.3,
+                     init=InitialLaw("point", y0=1.0, x0=0.5))
+    with pytest.raises(ValueError) as exc:
+        limit_draws(spec, 2, 1e-3, 1, 0)
+    assert str(exc.value).startswith(
+        "RngStream(seed=1, stream=0): exact Y left numpy's Poisson range")
+    assert "9.2e18" in str(exc.value)
 
 
 def test_limit_draws_checks_every_regime():

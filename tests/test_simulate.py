@@ -527,8 +527,8 @@ class TestXScan:
     @pytest.mark.parametrize("scheme", ["exact_y_euler_x", "full_euler"])
     def test_runs_that_end_inside_blocks(self, ref_spec, scheme, block_steps,
                                          monkeypatch):
-        # gamma*dt = 0.9 caps a run at 260 steps, so with 1024-step blocks
-        # (None) runs end inside the 2500 steps' three blocks
+        # gamma*dt = 0.9 caps a run at 260 steps, so with 512-step blocks
+        # (None) runs end inside the 2500 steps' five blocks
         spec = replace(ref_spec, gamma=90.0)
         T, dt = 25.0, 0.01
         if block_steps is not None:
