@@ -120,22 +120,29 @@ def _sum_in_time(a: np.ndarray):
 def _segment(y: np.ndarray, x: np.ndarray, dt: float) -> PathFunctionals:
     # time on axis 0, C-contiguous (see _time_major)
     yl, xl = y[:-1], x[:-1]
-    against = {"y": np.diff(y, axis=0), "x": np.diff(x, axis=0)}
 
-    def left_sum(k, l, d):
+    def left_sum(k, l, inc):
         # one temporary at a time: the monomial, then its product with dY
         # or dX; a first power is the left-point view itself
         mono = reduce(np.multiply, (xl,) * l + (yl,) * k)
-        if d == "t":
+        if inc is None:
             return _sum_in_time(mono) * dt
-        return _sum_in_time(mono * against[d])
+        return _sum_in_time(mono * inc)
 
+    sums = {}
+    # one increment array at a time: taking up x as the next path drops dY
+    for d, inc in (("t", None), ("y", y), ("x", x)):
+        if inc is not None:
+            inc = np.diff(inc, axis=0)
+        for k, l, key_d in _KEYS:
+            if key_d == d:
+                sums[k, l, d] = left_sum(k, l, inc)
     return PathFunctionals(
         (len(y) - 1) * dt,
         # copies, not views: a view would pin the whole path buffer for
         # as long as a batch collector keeps the summary alive
         y[0, ...].copy(), x[0, ...].copy(), y[-1, ...].copy(), x[-1, ...].copy(),
-        {key: left_sum(*key) for key in _KEYS},
+        {key: sums[key] for key in _KEYS},
     )
 
 

@@ -5,13 +5,20 @@ that the critical-regime code hits exactly, so every branch here is chosen
 to stay accurate through those points rather than merely defined at them.
 """
 
+from functools import cache
+
 import numpy as np
 
 # Below this |c*t| the closed forms lose up to half their digits to
 # cancellation (relative error ~ eps/|c*t|), so a power series takes over.
 _SERIES_RADIUS = 0.5
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """i2's 32 quadrature nodes and weights, built on its first quadrature:
+    importing the package loads no numpy.polynomial and runs no eigen-solve."""
+    return np.polynomial.legendre.leggauss(32)
 
 
 def psi(c: float, t: float) -> float:
@@ -60,9 +67,10 @@ def i2(b: float, g: float, h: float) -> float:
         if ab >= ag:
             return (psi(g, h) - i1(b, g, h)) / b
         return (psi(b, h) - i1(b, g, h)) / g
-    w = 0.5 * h * (_GL_NODES + 1.0)
+    nodes, weights = _gauss_legendre()
+    w = 0.5 * h * (nodes + 1.0)
     vals = np.exp(-g * (h - w)) * w * _phi(-b * w)
-    return 0.5 * h * float(_GL_WEIGHTS @ vals)
+    return 0.5 * h * float(weights @ vals)
 
 
 def _phi(z: np.ndarray) -> np.ndarray:

@@ -29,6 +29,13 @@ and the supercritical probes keep the end points only, and the other
 runs are folded into path sums block by block as they are stepped,
 uncopied (estimators.functionals_from_blocks).
 
+A block holds Y and X, (m + 1, rows) each, and the noise: dw, db and dl
+in the feed's slot, or for exact Y with sigma1 > 0 a dw rebuilt from
+the Y block in one buffer and one scratch array (_exact_dw). Past the Y
+loop a step takes one new block array, _step_x's shock, and writes e
+into the spent dw; _step drops dw, db and dl before it yields, so what
+the consumer reduces is the block and nothing spent.
+
 Nothing _step computes feeds the noise, and each generator follows its
 stream's address, so the normals may be drawn anywhere without moving a
 bit. A run of at least _FEED_NORMALS normals, in a process with one
@@ -422,13 +429,11 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, growth: np.ndarray,
 
     depends on Y and the noise alone, so it is formed for the whole block
     (dw, db and dl are overwritten), without the B or L term when that
-    source is not drawn. X is then one _scan_x over the block, with no
-    per-step call.
+    source is not drawn: the shock first, then e in the spent dw, so the
+    shock is the one new block array. X is then one _scan_x over the
+    block, with no per-step call.
     """
     yl = y[:-1]
-    e = spec.beta * yl
-    np.subtract(spec.alpha, e, out=e)  # alpha - beta*y
-    e *= dt
     shock = np.sqrt(yl)
     shock *= spec.sigma2
     dw *= spec.rho
@@ -436,11 +441,50 @@ def _step_x(spec: ModelSpec, dt: float, ortho: float, growth: np.ndarray,
         db *= ortho
         dw += db
     shock *= dw  # sigma2*sqrt(y) * (rho*dw + ortho*db)
+    e = np.multiply(spec.beta, yl, out=dw)  # dw is spent: e takes its buffer
+    np.subtract(spec.alpha, e, out=e)  # alpha - beta*y
+    e *= dt
     e += shock
     if dl is not None:
         dl *= spec.sigma3
         e += dl
     _scan_x(growth, x, e)
+
+
+def _exact_dw(spec: ModelSpec, dt: float, y: np.ndarray) -> np.ndarray:
+    """The W increments that produced an exact-Y block, for X.
+
+    Inverts the Euler Y update, with the denominator floored to avoid
+    blow-up near 0,
+
+        dw = (y[j+1] - y[j] - (a - b*y[j])*dt)
+             / (sigma1*sqrt(max(y[j], Y_FLOOR)))
+
+    in that order of operations, in one buffer and one scratch array.
+    """
+    yl = y[:-1]
+    dw = np.subtract(y[1:], yl)
+    s = np.multiply(spec.b, yl)
+    np.subtract(spec.a, s, out=s)
+    s *= dt
+    dw -= s
+    np.maximum(yl, Y_FLOOR, out=s)
+    np.sqrt(s, out=s)
+    s *= spec.sigma1
+    dw /= s
+    return dw
+
+
+def _poisson_range(stream, where: str, kernel: _CirKernel,
+                   exc: ValueError) -> ValueError:
+    """The error of an exact-Y draw whose Poisson mixture mean
+    decay*Y/(2*scale) passed numpy's limit: Y grows like e^(|b| t) when
+    b < 0. It names the stream and where Y stood."""
+    return ValueError(
+        f"{stream!r}: exact Y left numpy's Poisson range {where}: the mixture "
+        f"mean decay*Y/(2*scale) must stay below numpy's limit of about "
+        f"9.2e18, that is Y below "
+        f"{9.2e18 * 2.0 * kernel.scale / kernel.decay:.3g} ({exc})")
 
 
 def _step(
@@ -519,29 +563,22 @@ def _step(
             y[0], x[0] = y_last, x_last
             if kernel is not None:
                 if shared:
-                    for j in range(m):
-                        y[j + 1] = kernel.draw(y[j], gen_y)
+                    try:
+                        for j in range(m):
+                            y[j + 1] = kernel.draw(y[j], gen_y)
+                    except ValueError as exc:
+                        raise _poisson_range(
+                            rng, f"at the largest Y reached {y[j].max():.6g}",
+                            kernel, exc) from exc
                 else:
                     for r, g in enumerate(gen_y):
                         try:
                             y[1:, r] = kernel.walk(float(y[0, r]), m, g)
                         except ValueError as exc:
-                            # the Poisson mean decay*y/(2*scale) passed
-                            # numpy's limit: Y grows like e^(|b| t) when b < 0
-                            raise ValueError(
-                                f"{rng[r]!r}: exact Y left numpy's Poisson "
-                                f"range in the block that starts at Y = "
-                                f"{y[0, r]:.6g}: the mixture mean "
-                                f"decay*Y/(2*scale) must stay below numpy's "
-                                f"limit of about 9.2e18, that is Y below "
-                                f"{9.2e18 * 2.0 * kernel.scale / kernel.decay:.3g}"
-                                f" ({exc})") from exc
-                # invert the Y update for the W increments that produced
-                # it, with the denominator floored to avoid blow-up near 0
-                yl = y[:-1]
-                dw = (y[1:] - yl - (spec.a - spec.b * yl) * dt) / (
-                    spec.sigma1 * np.sqrt(np.maximum(yl, Y_FLOOR))
-                )
+                            raise _poisson_range(
+                                rng[r], f"in the block that starts at Y = "
+                                f"{y[0, r]:.6g}", kernel, exc) from exc
+                dw = _exact_dw(spec, dt, y)
             elif exact:
                 decay_r, level_r = _row_consts(rows, decay, level)
                 ys = list(y)
@@ -551,6 +588,7 @@ def _step(
             else:
                 _step_y_euler(spec, dt, y, yi, dw)
             _step_x(spec, dt, ortho, growth, y, x, dw, db, dl)
+            del dw, db, dl  # spent: none outlives the block's X
             y_last, x_last = y[-1], x[-1]
             yield y, x
     finally:

@@ -1,6 +1,8 @@
 """Config parsing and file persistence: strictness and lossless round-trips."""
 
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -358,6 +360,71 @@ class TestPathFiles:
         with pytest.raises(ConfigError) as exc:
             read_path_grid(f)
         assert str(exc.value) == f"{f}: line 6: value {raw!r} is not finite"
+
+    # five header lines, so the first row is line 6
+    HEAD = PATH_MAGIC + "\n# t0 = 0\n# dt = 0.5\n# seed = s\n# columns: y x\n"
+
+    @pytest.mark.parametrize("body,crlf,message", [
+        ("1 0\n# note\n2 0.5\n", False,
+         "line 7: could not convert string to float: '#'"),
+        ("1 0\n2 0.5 7\n", False, "line 7: expected two columns, got '2 0.5 7'"),
+        ("1,0\n2,0.5,7\n", False, "line 7: expected two columns, got '2,0.5,7'"),
+        ("1 0\n2 half\n", False, "line 7: could not convert string to float: 'half'"),
+        ("1 0\n\n2 half\n", True, "line 8: could not convert string to float: 'half'"),
+        ("1 0\n", False, "y and x must be equal-length 1-d arrays of size >= 2"),
+        ("", False,
+         "too many indices for array: array is 1-dimensional, but 2 were indexed"),
+        ("\n\n", False,
+         "too many indices for array: array is 1-dimensional, but 2 were indexed"),
+        ("1 0\n\n2 nan\n", False, "line 8: value 'nan' is not finite"),
+        ("1 0\n\n-inf 2\n", False, "line 8: value '-inf' is not finite"),
+        ("1,0\n\n2,inf\n", True, "line 8: value 'inf' is not finite"),
+        ("1 0\n-1 0.5\n", False, "negative Y value in path"),
+    ])
+    def test_read_refusals_name_their_line(self, tmp_path, body, crlf, message):
+        text = self.HEAD + body
+        f = tmp_path / "p.txt"
+        f.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+        with pytest.raises(ConfigError) as exc:
+            read_path_grid(f)
+        assert str(exc.value) == f"{f}: {message}"
+
+    @pytest.mark.parametrize("body,crlf", [
+        ("1 0\n2 0.5\n3 1\n", True),
+        ("1,0\n2,0.5\n3,1\n", True),
+        ("\n1 0\n\n2 0.5\n   \n3 1\n\n", False),
+        ("1,0\n\n2, 0.5\n  \n3 ,1\n", False),
+        (" 1\t0 \n2 0.5\n3 1", False),
+        # Python's float reads the underscore, numpy's parser does not
+        ("1 0\n2 0.5\n3 1_0e-1\n", False),
+    ])
+    def test_read_accepts_what_it_always_read(self, tmp_path, body, crlf):
+        text = self.HEAD + body
+        f = tmp_path / "p.txt"
+        f.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+        path = read_path_grid(f)
+        assert path.y.tolist() == [1.0, 2.0, 3.0]
+        assert path.x.tolist() == [0.0, 0.5, 1.0]
+        assert (path.t0, path.dt, path.seed_record) == (0.0, 0.5, "s")
+
+    def test_read_holds_no_copy_of_the_text(self, tmp_path):
+        # a 10 001-row file is about 400 KB of text and 160 KB of values;
+        # a list of its lines, or of its rows, costs several times that
+        rng = np.random.default_rng(3)
+        path = PathGrid(0.0, 1e-3, rng.gamma(2.0, 0.5, 10_001),
+                        rng.standard_normal(10_001))
+        f = tmp_path / "p.txt"
+        write_path_grid(path, f)
+        read_path_grid(f)  # first-call caches are not the reader's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            back = read_path_grid(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.y, path.y) and np.array_equal(back.x, path.x)
+        assert peak < 1 << 20, peak
 
     def test_draws_table_shape(self):
         text = draws_text(np.arange(10.0).reshape(2, 5), "demo")

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -142,3 +145,31 @@ def test_i2_against_quadrature_oracle(b, g, h):
 
     oracle = float(mp.quad(inner, [0, hm]))
     assert_allclose(i2(b, g, h), oracle, rtol=5e-13)
+
+
+def _fresh_interpreter(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_no_quadrature_table():
+    # numpy.polynomial and its eigen-solve wait for i2's first quadrature
+    out = _fresh_interpreter("import sys, affine2f.cli\n"
+                             "print('numpy.polynomial' in sys.modules)\n")
+    assert out.split() == ["False"]
+
+
+def test_i2_first_quadrature_call_gives_the_second_calls_bits():
+    # |b*h|, |g*h| < 1: the Gauss-Legendre branch, whose table the first
+    # call builds
+    out = _fresh_interpreter(
+        "import sys\n"
+        "from affine2f.kernels import i2\n"
+        "before = 'numpy.polynomial' in sys.modules\n"
+        "first, second = i2(0.3, 0.2, 0.9), i2(0.3, 0.2, 0.9)\n"
+        "print(before, 'numpy.polynomial' in sys.modules, first.hex(), second.hex())\n")
+    before, after, first, second = out.split()
+    assert (before, after) == ("False", "True")
+    assert first == second == float(i2(0.3, 0.2, 0.9)).hex()

@@ -756,6 +756,29 @@ def test_supercritical_draws_hold_one_batch_of_streams():
     assert got <= n_draws * 5 * 8 + 1.05 * one_batch, (got, one_batch)
 
 
+def test_critical_batch_holds_few_block_arrays():
+    """200 draws at dt = 0.002 are one 500 x 200 block of 0.76 MiB per
+    array: Y and X, the B and L noise, the rebuilt W increments and the X
+    shock, then the reduction's temporaries. No spent array outlives its
+    use, so the peak stays under 5.5 MiB (6.19 MiB when the stepper held
+    the exact-Y inversion's temporaries, and both increment arrays of the
+    reduction, at once)."""
+    def batch():
+        return critical_limit_batch(200, 1.0, 0.5, 0.5, 0.3, 0.3, 0.002,
+                                    RngStream(5, 0))
+
+    want, _ = batch()  # first-call caches are no batch
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got, _ = batch()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 5.5 * 2**20, peak / 2**20
+
+
 def test_exact_y_past_numpys_poisson_range_names_its_stream():
     # criterion 08's model with sigma1 = 0.05: the probe's Y grows like
     # e^(|b| t), and its Poisson mixture mean decay*y/(2*scale) passes
@@ -767,6 +790,23 @@ def test_exact_y_past_numpys_poisson_range_names_its_stream():
     assert str(exc.value).startswith(
         "RngStream(seed=1, stream=0): exact Y left numpy's Poisson range")
     assert "9.2e18" in str(exc.value)
+
+
+def test_shared_stream_exact_y_past_numpys_poisson_range_names_its_stream():
+    # the same model on one shared stream, as simulate_ensemble and the
+    # first pass of a critical batch step it: the rows draw a step at a
+    # time, and the message names the stream and the largest Y reached
+    spec = make_spec(1.0, -0.5, 0.2, 0.0, -1.0, 0.05, 0.3, 0.4, 0.3,
+                     init=InitialLaw("point", y0=1.0, x0=0.5))
+    with pytest.raises(ValueError) as exc:
+        simulate.simulate_ensemble(spec, 60.0, 1e-3, rng=RngStream(1), n_paths=2)
+    msg = str(exc.value)
+    assert msg.startswith(
+        "RngStream(seed=1, stream=0): exact Y left numpy's Poisson range")
+    assert "9.2e18" in msg
+    # Y of the step that failed: past the limit's Y of about 1.15e13
+    largest = float(msg.split("largest Y reached ")[1].split(":")[0])
+    assert 1.1e13 < largest < 1e15, msg
 
 
 def test_limit_draws_checks_every_regime():
