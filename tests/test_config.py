@@ -19,12 +19,12 @@ from affine2f.config import (
     serialize_config,
 )
 from affine2f.errors import ConfigError
+from affine2f.estimators import functionals_from_path
 from affine2f.experiments import ExperimentPlan
 from affine2f.model import InitialLaw, make_spec
 from affine2f.persist import (
     PATH_MAGIC,
     draws_text,
-    path_grid_text,
     read_path_grid,
     write_path_grid,
 )
@@ -244,6 +244,11 @@ def _sample_path() -> PathGrid:
     return PathGrid(0.0, 0.01, y, x, seed_record="RngStream(seed=1, stream=0)")
 
 
+def _long_path() -> PathGrid:
+    rng = np.random.default_rng(3)
+    return PathGrid(0.0, 1e-3, rng.gamma(2.0, 0.5, 10_001), rng.standard_normal(10_001))
+
+
 class TestRecordChecks:
     """A record checks its own fields, however it is built."""
 
@@ -332,9 +337,23 @@ class TestPathFiles:
         np.testing.assert_array_equal(t.y, c.y)
         np.testing.assert_array_equal(t.x, c.x)
 
-    def test_unknown_format_rejected(self):
+    def test_unknown_format_rejected(self, tmp_path):
+        f = tmp_path / "p.parquet"
         with pytest.raises(ConfigError, match="format"):
-            path_grid_text(_sample_path(), "parquet")
+            write_path_grid(_sample_path(), f, "parquet")
+        assert not f.exists()
+
+    @pytest.mark.parametrize("fmt,sep", [("text", " "), ("csv", ",")])
+    def test_written_text_of_edge_values(self, tmp_path, fmt, sep):
+        path = PathGrid(0.0, 0.5, [0.0, -0.0, 5e-324, 1e-300, 1e300],
+                        [1e300, 1e-300, 5e-324, -0.0, 0.0], seed_record="s")
+        f = tmp_path / "p"
+        write_path_grid(path, f, fmt)
+        rows = ("0 1.0000000000000001e+300\n-0 1e-300\n"
+                "4.9406564584124654e-324 4.9406564584124654e-324\n"
+                "1e-300 -0\n1.0000000000000001e+300 0\n")
+        head = f"{PATH_MAGIC}\n# t0 = 0\n# dt = 0.5\n# seed = s\n# columns: y{sep}x\n"
+        assert f.read_bytes() == (head + rows.replace(" ", sep)).encode()
 
     def test_read_rejects_bad_files(self, tmp_path):
         cases = {
@@ -372,10 +391,13 @@ class TestPathFiles:
         ("1 0\n2 half\n", False, "line 7: could not convert string to float: 'half'"),
         ("1 0\n\n2 half\n", True, "line 8: could not convert string to float: 'half'"),
         ("1 0\n", False, "y and x must be equal-length 1-d arrays of size >= 2"),
-        ("", False,
-         "too many indices for array: array is 1-dimensional, but 2 were indexed"),
-        ("\n\n", False,
-         "too many indices for array: array is 1-dimensional, but 2 were indexed"),
+        ("", False, "y and x must be equal-length 1-d arrays of size >= 2"),
+        ("\n\n", False, "y and x must be equal-length 1-d arrays of size >= 2"),
+        # \f and \x85 end no line: lines end only at \n, \r\n or \r
+        ("1 0\n2 0.5\f\n3 half\n", False,
+         "line 8: could not convert string to float: 'half'"),
+        ("1 0\n2 0.5\x85\n3 half\n", False,
+         "line 8: could not convert string to float: 'half'"),
         ("1 0\n\n2 nan\n", False, "line 8: value 'nan' is not finite"),
         ("1 0\n\n-inf 2\n", False, "line 8: value '-inf' is not finite"),
         ("1,0\n\n2,inf\n", True, "line 8: value 'inf' is not finite"),
@@ -424,6 +446,41 @@ class TestPathFiles:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back.y, path.y) and np.array_equal(back.x, path.x)
+        assert peak < 1 << 20, peak
+
+    def test_read_columns_are_contiguous(self, tmp_path):
+        f = tmp_path / "p.txt"
+        write_path_grid(_sample_path(), f)
+        back = read_path_grid(f)
+        assert back.y.flags.c_contiguous and back.x.flags.c_contiguous
+
+    def test_reducing_a_read_path_copies_no_column(self, tmp_path):
+        # a strided y or x would be copied whole (160 KB for both)
+        f = tmp_path / "p.txt"
+        write_path_grid(_long_path(), f)
+        path = read_path_grid(f)
+        functionals_from_path(path)  # first-call caches are not the reduction's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            functionals_from_path(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * (1 << 20), peak
+
+    def test_write_holds_no_copy_of_the_text(self, tmp_path):
+        # the 10 001-row file is about 400 KB; its joined text and the list
+        # of its row strings would cost several times that
+        path, f = _long_path(), tmp_path / "p.txt"
+        write_path_grid(path, f)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_path_grid(path, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 1 << 20, peak
 
     def test_draws_table_shape(self):
